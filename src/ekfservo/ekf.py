@@ -20,14 +20,21 @@ cross-check, which is exactly why it is not the default.
 Covariance propagation adds R * dt with R = diag(sigma_vp^2 I, sigma_vw^2 I)
 and an identity noise Jacobian, i.e. the velocity-noise stds are treated as
 a continuous-time intensity.
+
+The update gates each keypoint by its 2x2 Mahalanobis distance against the
+chi-square(2) quantile, whose closed form is -2 log(1 - level); the gate
+reads its blocks off the same innovation S = H P H^T that the gain uses.
+S counts as singular when it is non-finite or when its condition number,
+the ratio of the largest to the smallest eigenvalue magnitude of the
+symmetric S, exceeds INNOVATION_COND_LIMIT.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy.stats import chi2
 
 from .camera import DEFAULT_Z_MIN, Intrinsics, projection_jacobians, project_points
 from .keypoints import KeypointSet, Measurement
@@ -60,11 +67,12 @@ class NoiseParams:
         if self.sigma_vp <= 0 or self.sigma_vw <= 0:
             raise ValueError("velocity noise stds must be positive")
 
-    @property
+    @cached_property
     def rate_covariance(self) -> np.ndarray:
         r = np.zeros((6, 6))
         r[:3, :3] = self.sigma_vp**2 * np.eye(3)
         r[3:, 3:] = self.sigma_vw**2 * np.eye(3)
+        r.flags.writeable = False  # shared by every propagate call
         return r
 
 
@@ -107,18 +115,17 @@ def propagate(state: FilterState, twist, dt: float, noise: NoiseParams,
     return FilterState(Pose(c_new, t_new), symmetrize(p_new))
 
 
-def predict_keypoints(state: FilterState, kps: KeypointSet, intr: Intrinsics,
+def predict_keypoints(pose: Pose, kps: KeypointSet, intr: Intrinsics,
                       z_min: float = DEFAULT_Z_MIN) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted pixel locations of the model keypoints under the belief mean.
+    """Predicted pixel locations of the model keypoints under a pose.
 
     Returns (uv, ok); keypoints behind the camera have ok == False and NaN
     rows, and are excluded from updates.
     """
-    pts_c = state.mean.apply(kps.points3d)
-    return project_points(pts_c, intr, z_min)
+    return project_points(pose.apply(kps.points3d), intr, z_min)
 
 
-def measurement_jacobian(state: FilterState, kps: KeypointSet, intr: Intrinsics,
+def measurement_jacobian(pose: Pose, kps: KeypointSet, intr: Intrinsics,
                          z_min: float = DEFAULT_Z_MIN) -> tuple[np.ndarray, np.ndarray]:
     """Per-keypoint residual Jacobians d(measured - predicted)/d[dt, dphi].
 
@@ -126,50 +133,58 @@ def measurement_jacobian(state: FilterState, kps: KeypointSet, intr: Intrinsics,
     I * dt - hat(dphi) acting on C @ X, so each 2x6 block is
     [-J_proj, J_proj @ hat(C @ X)]. Returns (H blocks (N, 2, 6), ok mask).
     """
-    rotated = kps.points3d @ state.mean.C.T  # C @ X per keypoint
-    pts_c = rotated + state.mean.t
+    rotated = kps.points3d @ pose.C.T  # C @ X per keypoint
+    pts_c = rotated + pose.t
     ok = pts_c[:, 2] > z_min
-    n = len(kps)
-    blocks = np.zeros((n, 2, 6))
+    blocks = np.zeros((len(kps), 2, 6))
     if np.any(ok):
-        jp = projection_jacobians(pts_c[ok], intr)
-        blocks[ok, :, :3] = -jp
-        hats = np.zeros((int(ok.sum()), 3, 3))
-        rx = rotated[ok]
-        hats[:, 0, 1] = -rx[:, 2]
-        hats[:, 0, 2] = rx[:, 1]
-        hats[:, 1, 0] = rx[:, 2]
-        hats[:, 1, 2] = -rx[:, 0]
-        hats[:, 2, 0] = -rx[:, 1]
-        hats[:, 2, 1] = rx[:, 0]
-        blocks[ok, :, 3:] = np.einsum("nij,njk->nik", jp, hats)
+        blocks[ok] = _jacobian_blocks(rotated[ok], pts_c[ok], intr)
     return blocks, ok
 
 
-@lru_cache(maxsize=16)
+def _jacobian_blocks(rotated, pts_c, intr: Intrinsics) -> np.ndarray:
+    """(M, 2, 6) residual Jacobian blocks of points in front of the camera,
+    given C @ X and C @ X + t per point."""
+    jp = projection_jacobians(pts_c, intr)
+    hats = np.zeros((rotated.shape[0], 3, 3))
+    hats[:, 0, 1] = -rotated[:, 2]
+    hats[:, 0, 2] = rotated[:, 1]
+    hats[:, 1, 0] = rotated[:, 2]
+    hats[:, 1, 2] = -rotated[:, 0]
+    hats[:, 2, 0] = -rotated[:, 1]
+    hats[:, 2, 1] = rotated[:, 0]
+    return np.concatenate([-jp, np.einsum("nij,njk->nik", jp, hats)], axis=2)
+
+
 def _gate_threshold(level: float) -> float:
+    """chi-square(2) quantile at `level`; infinite at level >= 1."""
     if level >= 1.0:
-        return np.inf
-    return float(chi2.ppf(level, df=2))
+        return math.inf
+    return -2.0 * math.log1p(-level)
+
+
+def _mahalanobis_keep(residuals, s_blocks, thresh: float) -> np.ndarray:
+    """r^T S^-1 r <= thresh per keypoint, with S^-1 = adj(S) / det(S) for
+    each 2x2 block; a keypoint with det(S) == 0 or a NaN distance fails."""
+    a, b = s_blocks[:, 0, 0], s_blocks[:, 0, 1]
+    c, d = s_blocks[:, 1, 0], s_blocks[:, 1, 1]
+    r0, r1 = residuals[:, 0], residuals[:, 1]
+    det = a * d - b * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m2 = (d * r0 * r0 - (b + c) * r0 * r1 + a * r1 * r1) / det
+    return (det != 0.0) & (m2 <= thresh)
 
 
 def gate(residuals, h_blocks, p_prior, covs, level: float = 0.999) -> np.ndarray:
     """Per-keypoint Mahalanobis gate against the chi-square(2) quantile.
 
     residuals (M, 2), h_blocks (M, 2, 6), covs (M, 2, 2). A level of 1.0
-    accepts everything.
+    accepts every keypoint with a regular, finite innovation block.
     """
     residuals = np.asarray(residuals, dtype=float).reshape(-1, 2)
-    thresh = _gate_threshold(level)
-    keep = np.zeros(residuals.shape[0], dtype=bool)
-    for i in range(residuals.shape[0]):
-        s = h_blocks[i] @ p_prior @ h_blocks[i].T + covs[i]
-        try:
-            m2 = float(residuals[i] @ np.linalg.solve(s, residuals[i]))
-        except np.linalg.LinAlgError:
-            continue
-        keep[i] = m2 <= thresh
-    return keep
+    h = np.asarray(h_blocks, dtype=float).reshape(-1, 2, 6)
+    s_blocks = h @ p_prior @ h.transpose(0, 2, 1) + covs
+    return _mahalanobis_keep(residuals, s_blocks, _gate_threshold(level))
 
 
 @dataclass
@@ -191,38 +206,49 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     then t += dt and C <- exp(hat(dphi)) C. The covariance update
     (I - K H) P is insensitive to that sign choice. Only
     measured-visible, predictable, gated keypoints enter; with none, the
-    prediction is returned unchanged.
+    prediction is returned unchanged. A non-finite or ill-conditioned
+    innovation raises SingularInnovation.
     """
     n = len(kps)
-    uv_pred, ok = predict_keypoints(state, kps, intr, z_min)
-    usable = meas.visible & ok
     n_visible = int(meas.visible.sum())
-    if not np.any(usable):
+    rotated = kps.points3d @ state.mean.C.T  # C @ X per keypoint
+    pts_c = rotated + state.mean.t
+    uv_pred, ok = project_points(pts_c, intr, z_min)
+    idx = np.flatnonzero(meas.visible & ok)
+    if idx.size == 0:
         return UpdateResult(state.copy(), np.zeros(n, dtype=bool),
                             n_visible, float("nan"), False)
 
-    blocks, _ = measurement_jacobian(state, kps, intr, z_min)
-    idx = np.flatnonzero(usable)
+    m = idx.size
+    h = _jacobian_blocks(rotated[idx], pts_c[idx], intr).reshape(2 * m, 6)
+    hp = h @ state.P
+    s = hp @ h.T
+    if not np.isfinite(s).all():
+        raise SingularInnovation("non-finite innovation")
     residuals = meas.uv[idx] - uv_pred[idx]
-    keep = gate(residuals, blocks[idx], state.P, meas.cov[idx], gate_level)
-    if not np.any(keep):
+    covs = meas.cov[idx]
+    diag = np.arange(m)
+    s_blocks = s.reshape(m, 2, m, 2)[diag, :, diag, :] + covs  # per keypoint
+    keep = _mahalanobis_keep(residuals, s_blocks, _gate_threshold(gate_level))
+    if not keep.any():
         return UpdateResult(state.copy(), np.zeros(n, dtype=bool),
                             n_visible, float("nan"), True)
-    idx = idx[keep]
-    residuals = residuals[keep]
+    if not keep.all():
+        rows = np.flatnonzero(np.repeat(keep, 2))
+        h, hp, s = h[rows], hp[rows], s[np.ix_(rows, rows)]
+        idx, residuals, covs = idx[keep], residuals[keep], covs[keep]
+        m = idx.size
+        diag = np.arange(m)
 
-    m = len(idx)
-    h = blocks[idx].reshape(2 * m, 6)
     eps = residuals.reshape(2 * m)
     q = np.zeros((2 * m, 2 * m))
-    for j, i in enumerate(idx):
-        q[2 * j:2 * j + 2, 2 * j:2 * j + 2] = meas.cov[i]
-
-    s = h @ state.P @ h.T + q
-    if np.linalg.cond(s) > INNOVATION_COND_LIMIT:
+    q.reshape(m, 2, m, 2)[diag, :, diag, :] = covs
+    s = s + q
+    eig = np.abs(np.linalg.eigvalsh(s))
+    if eig.max() > INNOVATION_COND_LIMIT * eig.min():
         raise SingularInnovation(
             f"innovation condition number exceeds {INNOVATION_COND_LIMIT:.0e}")
-    k = np.linalg.solve(s, h @ state.P).T  # P H^T S^-1, using P symmetric
+    k = np.linalg.solve(s, hp).T  # P H^T S^-1, using P symmetric
     delta = -(k @ eps)
     ikh = np.eye(6) - k @ h
     if joseph:

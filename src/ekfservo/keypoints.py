@@ -213,18 +213,20 @@ def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
         if start <= frame < stop:
             visible = np.zeros(n, dtype=bool)
 
-    # True sampling covariance: random orientation, axis stds sigma_px and
-    # anisotropy * sigma_px.
+    # True sampling covariance: random orientation, axis stds s0 = sigma_px
+    # and s1 = anisotropy * sigma_px. With the rotation's columns r0, r1,
+    # the noise is s0 g0 r0 + s1 g1 r1 and the covariance
+    # s0^2 r0 r0^T + s1^2 r1 r1^T.
     cos_a, sin_a = np.cos(angles), np.sin(angles)
-    rot = np.zeros((n, 2, 2))
-    rot[:, 0, 0] = cos_a
-    rot[:, 0, 1] = -sin_a
-    rot[:, 1, 0] = sin_a
-    rot[:, 1, 1] = cos_a
-    stds = np.stack([np.full(n, profile.sigma_px),
-                     np.full(n, profile.anisotropy * profile.sigma_px)], axis=1)
-    noise = np.einsum("nij,nj->ni", rot, stds * gauss)
-    cov_true = np.einsum("nij,nj,nkj->nik", rot, stds**2, rot)
+    s0 = profile.sigma_px
+    s1 = profile.anisotropy * profile.sigma_px
+    r0 = np.empty((n, 2))
+    r0[:, 0], r0[:, 1] = cos_a, sin_a
+    r1 = np.empty((n, 2))
+    r1[:, 0], r1[:, 1] = -sin_a, cos_a
+    noise = (s0 * gauss[:, :1]) * r0 + (s1 * gauss[:, 1:]) * r1
+    cov_true = ((r0 * (s0 * s0))[:, :, None] * r0[:, None, :]
+                + (r1 * (s1 * s1))[:, :, None] * r1[:, None, :])
 
     is_outlier = u_out < profile.outlier_prob
     outlier_vec = profile.outlier_px * np.stack([np.cos(out_dir),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera import DEFAULT_Z_MIN, Intrinsics
-from .ekf import FilterState, measurement_jacobian, predict_keypoints
+from .ekf import measurement_jacobian, predict_keypoints
 from .keypoints import KeypointSet, Measurement
 from .lie import Pose, pose_boxplus
 
@@ -29,12 +29,11 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
     """
     pose = prev
     for _ in range(iters):
-        state = FilterState(pose, np.zeros((6, 6)))
-        uv_pred, ok = predict_keypoints(state, kps, intr, z_min)
+        uv_pred, ok = predict_keypoints(pose, kps, intr, z_min)
         usable = meas.visible & ok
         if int(usable.sum()) < MIN_POINTS:
             return None
-        blocks, _ = measurement_jacobian(state, kps, intr, z_min)
+        blocks, _ = measurement_jacobian(pose, kps, intr, z_min)
         idx = np.flatnonzero(usable)
 
         res = meas.uv[idx] - uv_pred[idx]

@@ -38,12 +38,12 @@ from .ekf import (
     NoiseParams,
     SingularInnovation,
     initialize,
+    predict_keypoints,
     propagate,
     update,
 )
 from .keypoints import (
     KeypointSet,
-    Measurement,
     ObjectModel,
     SensingProfile,
     fps_select,
@@ -260,8 +260,12 @@ def run_episode(scenario: Scenario, seed: int | None = None) -> EpisodeRecord:
             if refined is not None:
                 pnp_pose = refined
                 n_used = n_vis
-                rms = _reprojection_rms(pnp_pose, meas, kps,
-                                        scenario.intrinsics, scenario.z_min)
+                uv, ok = predict_keypoints(pnp_pose, kps, scenario.intrinsics,
+                                           scenario.z_min)
+                usable = meas.visible & ok
+                rms = (float(np.sqrt(np.mean(
+                    (meas.uv[usable] - uv[usable]).ravel()**2)))
+                    if np.any(usable) else float("nan"))
             else:
                 n_used = 0
                 rms = float("nan")
@@ -365,17 +369,6 @@ def run_batch(scenario: Scenario, trials: int,
 def _episode_task(args) -> EpisodeRecord:
     scenario, seed = args
     return run_episode(scenario, seed)
-
-
-def _reprojection_rms(pose: Pose, meas: Measurement, kps: KeypointSet,
-                      intr: Intrinsics, z_min: float) -> float:
-    pts_c = pose.apply(kps.points3d)
-    uv, ok = project_points(pts_c, intr, z_min)
-    usable = meas.visible & ok
-    if not np.any(usable):
-        return float("nan")
-    res = (meas.uv[usable] - uv[usable]).ravel()
-    return float(np.sqrt(np.mean(res**2)))
 
 
 class _FrameRows:

@@ -2,11 +2,23 @@
 
 These deliberately avoid the library's closed-form code paths: matrix
 exponentials come from a truncated power series, derivatives from central
-finite differences.
+finite differences. The reference EKF update and keypoint measurement are
+the earlier straightforward implementations (a per-keypoint `solve` gate,
+a full-SVD condition number, a stacked-rotation `einsum` noise model),
+kept verbatim so the optimised library path can be checked bit for bit.
 """
 import numpy as np
+from scipy.stats import chi2
 
-from ekfservo.lie import Pose, pose_boxminus, pose_boxplus
+from ekfservo.camera import in_image, projection_jacobians, project_points
+from ekfservo.ekf import (
+    INNOVATION_COND_LIMIT,
+    FilterState,
+    SingularInnovation,
+    UpdateResult,
+)
+from ekfservo.keypoints import REPORTED_SIGMA_FLOOR_PX, Measurement, _occluded
+from ekfservo.lie import Pose, clamp_psd, pose_boxminus, pose_boxplus
 
 
 def expm_series(a, terms: int = 30) -> np.ndarray:
@@ -67,3 +79,137 @@ def random_rotvec(rng, max_angle: float) -> np.ndarray:
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     return axis * rng.uniform(0.0, max_angle)
+
+
+def _predict_keypoints_reference(state, kps, intr, z_min):
+    pts_c = state.mean.apply(kps.points3d)
+    return project_points(pts_c, intr, z_min)
+
+
+def _measurement_jacobian_reference(state, kps, intr, z_min):
+    rotated = kps.points3d @ state.mean.C.T  # C @ X per keypoint
+    pts_c = rotated + state.mean.t
+    ok = pts_c[:, 2] > z_min
+    n = len(kps)
+    blocks = np.zeros((n, 2, 6))
+    if np.any(ok):
+        jp = projection_jacobians(pts_c[ok], intr)
+        blocks[ok, :, :3] = -jp
+        hats = np.zeros((int(ok.sum()), 3, 3))
+        rx = rotated[ok]
+        hats[:, 0, 1] = -rx[:, 2]
+        hats[:, 0, 2] = rx[:, 1]
+        hats[:, 1, 0] = rx[:, 2]
+        hats[:, 1, 2] = -rx[:, 0]
+        hats[:, 2, 0] = -rx[:, 1]
+        hats[:, 2, 1] = rx[:, 0]
+        blocks[ok, :, 3:] = np.einsum("nij,njk->nik", jp, hats)
+    return blocks, ok
+
+
+def gate_reference(residuals, h_blocks, p_prior, covs, level):
+    """Per-keypoint Mahalanobis gate by `np.linalg.solve`, scipy's
+    chi-square quantile; a singular block rejects its keypoint."""
+    residuals = np.asarray(residuals, dtype=float).reshape(-1, 2)
+    thresh = np.inf if level >= 1.0 else float(chi2.ppf(level, df=2))
+    keep = np.zeros(residuals.shape[0], dtype=bool)
+    for i in range(residuals.shape[0]):
+        s = h_blocks[i] @ p_prior @ h_blocks[i].T + covs[i]
+        try:
+            m2 = float(residuals[i] @ np.linalg.solve(s, residuals[i]))
+        except np.linalg.LinAlgError:
+            continue
+        keep[i] = m2 <= thresh
+    return keep
+
+
+def update_reference(state, meas, kps, intr, gate_level, z_min) -> UpdateResult:
+    """The EKF keypoint update as first written: gate per keypoint, build
+    the innovation from the gated rows, test it by its SVD condition
+    number, then solve."""
+    n = len(kps)
+    uv_pred, ok = _predict_keypoints_reference(state, kps, intr, z_min)
+    usable = meas.visible & ok
+    n_visible = int(meas.visible.sum())
+    if not np.any(usable):
+        return UpdateResult(state.copy(), np.zeros(n, dtype=bool),
+                            n_visible, float("nan"), False)
+
+    blocks, _ = _measurement_jacobian_reference(state, kps, intr, z_min)
+    idx = np.flatnonzero(usable)
+    residuals = meas.uv[idx] - uv_pred[idx]
+    keep = gate_reference(residuals, blocks[idx], state.P, meas.cov[idx],
+                          gate_level)
+    if not np.any(keep):
+        return UpdateResult(state.copy(), np.zeros(n, dtype=bool),
+                            n_visible, float("nan"), True)
+    idx = idx[keep]
+    residuals = residuals[keep]
+
+    m = len(idx)
+    h = blocks[idx].reshape(2 * m, 6)
+    eps = residuals.reshape(2 * m)
+    q = np.zeros((2 * m, 2 * m))
+    for j, i in enumerate(idx):
+        q[2 * j:2 * j + 2, 2 * j:2 * j + 2] = meas.cov[i]
+
+    s = h @ state.P @ h.T + q
+    if np.linalg.cond(s) > INNOVATION_COND_LIMIT:
+        raise SingularInnovation(
+            f"innovation condition number exceeds {INNOVATION_COND_LIMIT:.0e}")
+    k = np.linalg.solve(s, h @ state.P).T  # P H^T S^-1, using P symmetric
+    delta = -(k @ eps)
+    ikh = np.eye(6) - k @ h
+    p_new = clamp_psd(ikh @ state.P)
+
+    mean = pose_boxplus(state.mean, delta)
+    used = np.zeros(n, dtype=bool)
+    used[idx] = True
+    rms = float(np.sqrt(np.mean(eps**2)))
+    return UpdateResult(FilterState(mean, p_new), used, n_visible, rms, False)
+
+
+def measure_reference(gt_pose, kps, intr, profile, rng, frame, z_min):
+    """Synthetic keypoint detections with the noise and covariance built
+    from a stacked (n, 2, 2) rotation and two einsums."""
+    n = len(kps)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    gauss = rng.standard_normal((n, 2))
+    u_drop = rng.uniform(size=n)
+    u_out = rng.uniform(size=n)
+    out_dir = rng.uniform(0.0, 2.0 * np.pi, size=n)
+
+    pts_c = gt_pose.apply(kps.points3d)
+    uv_true, in_front = project_points(pts_c, intr, z_min)
+    geometric = in_front & in_image(uv_true, intr)
+    if profile.occluder_half is not None:
+        geometric &= ~_occluded(uv_true, intr, profile.occluder_half)
+
+    visible = geometric & (u_drop >= profile.dropout_prob)
+    if profile.blackout_frames is not None and frame is not None:
+        start, stop = profile.blackout_frames
+        if start <= frame < stop:
+            visible = np.zeros(n, dtype=bool)
+
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    rot = np.zeros((n, 2, 2))
+    rot[:, 0, 0] = cos_a
+    rot[:, 0, 1] = -sin_a
+    rot[:, 1, 0] = sin_a
+    rot[:, 1, 1] = cos_a
+    stds = np.stack([np.full(n, profile.sigma_px),
+                     np.full(n, profile.anisotropy * profile.sigma_px)], axis=1)
+    noise = np.einsum("nij,nj->ni", rot, stds * gauss)
+    cov_true = np.einsum("nij,nj,nkj->nik", rot, stds**2, rot)
+
+    is_outlier = u_out < profile.outlier_prob
+    outlier_vec = profile.outlier_px * np.stack([np.cos(out_dir),
+                                                 np.sin(out_dir)], axis=1)
+    noise = np.where(is_outlier[:, None], outlier_vec, noise)
+
+    uv = uv_true + noise
+    cov = cov_true * profile.reported_scale
+    cov += REPORTED_SIGMA_FLOOR_PX**2 * np.eye(2)
+    uv[~visible] = np.nan
+    cov[~visible] = np.nan
+    return Measurement(uv=uv, cov=cov, visible=visible)

@@ -84,14 +84,13 @@ def test_criterion_1_jacobian_finite_difference_cross_checks(model, intr):
         worst_f = max(worst_f,
                       rel_error(analytic_f, fd_state_transition(mean_map, st.mean)))
 
-        blocks, ok = measurement_jacobian(st, kps, intr)
+        blocks, ok = measurement_jacobian(st.mean, kps, intr)
         assert ok.all()
-        uv0, _ = predict_keypoints(st, kps, intr)
+        uv0, _ = predict_keypoints(st.mean, kps, intr)
         u_meas = uv0 + 1.0
 
         def residual(p):
-            uv, _ = predict_keypoints(FilterState(p, np.zeros((6, 6))), kps,
-                                      intr)
+            uv, _ = predict_keypoints(p, kps, intr)
             return (u_meas - uv).ravel()
 
         worst_h = max(worst_h, rel_error(blocks.reshape(16, 6),

@@ -1,12 +1,15 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import SCENARIOS
+from conftest import REPO, SCENARIOS
 from ekfservo.cli import EPISODE_HEADER, SUMMARY_HEADER, main
 
 NOMINAL = str(SCENARIOS / "nominal.json")
@@ -176,3 +179,16 @@ def test_log_level_env_var(tmp_path, monkeypatch):
     main(["run", "--config", NOMINAL, "--trials", "0",
           "--out", str(tmp_path / "o2")])
     assert logging.getLogger().getEffectiveLevel() == logging.WARNING
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test-only dependency: importing the CLI must not load it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, ekfservo.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -6,6 +6,7 @@ from ekfservo.ekf import (
     FilterState,
     NoiseParams,
     SingularInnovation,
+    _gate_threshold,
     gate,
     initialize,
     measurement_jacobian,
@@ -108,7 +109,7 @@ def test_propagate_rejects_bad_dt():
 def test_predict_keypoints_identity_axis(intr):
     st = initialize(Pose.identity(), 0.0, 0.0)
     kps = KeypointSet(np.array([0]), np.array([[0.0, 0.0, 1.0]]))
-    uv, ok = predict_keypoints(st, kps, intr)
+    uv, ok = predict_keypoints(st.mean, kps, intr)
     assert ok[0]
     assert np.allclose(uv[0], [intr.cx, intr.cy])
 
@@ -116,7 +117,7 @@ def test_predict_keypoints_identity_axis(intr):
 def test_predict_keypoints_matches_manual(intr, model, rng):
     kps = fps_select(model, 8)
     st = _random_state(rng)
-    uv, ok = predict_keypoints(st, kps, intr)
+    uv, ok = predict_keypoints(st.mean, kps, intr)
     for i in range(8):
         assert ok[i]
         manual = project(st.mean.C @ kps.points3d[i] + st.mean.t, intr)
@@ -128,7 +129,7 @@ def test_zero_noise_zero_residual(intr, model):
     kps = fps_select(model, 8)
     meas = measure(gt, kps, intr, SensingProfile(sigma_px=0.0),
                    np.random.default_rng(0))
-    uv, _ = predict_keypoints(initialize(gt, 0.0, 0.0), kps, intr)
+    uv, _ = predict_keypoints(gt, kps, intr)
     assert np.allclose(meas.uv - uv, 0.0, atol=1e-12)
 
 
@@ -137,14 +138,13 @@ def test_measurement_jacobian_matches_fd(intr, model, rng):
     worst = 0.0
     for _ in range(100):
         st = _random_state(rng)
-        blocks, ok = measurement_jacobian(st, kps, intr)
+        blocks, ok = measurement_jacobian(st.mean, kps, intr)
         assert ok.all()
-        uv0, _ = predict_keypoints(st, kps, intr)
+        uv0, _ = predict_keypoints(st.mean, kps, intr)
         u_meas = uv0 + 1.0  # arbitrary fixed measurement
 
         def residual(p):
-            uv, _ = predict_keypoints(FilterState(p, np.zeros((6, 6))),
-                                      kps, intr)
+            uv, _ = predict_keypoints(p, kps, intr)
             return (u_meas - uv).ravel()
 
         fd = fd_pose_jacobian(residual, st.mean, 16)
@@ -155,7 +155,7 @@ def test_measurement_jacobian_matches_fd(intr, model, rng):
 def test_axial_point_depth_motion_insensitive(intr):
     st = initialize(Pose.identity(), 0.0, 0.0)
     kps = KeypointSet(np.array([0]), np.array([[0.0, 0.0, 1.0]]))
-    blocks, _ = measurement_jacobian(st, kps, intr)
+    blocks, _ = measurement_jacobian(st.mean, kps, intr)
     # translation along the optical axis barely moves the axial keypoint
     assert np.abs(blocks[0][:, 2]).max() < 1e-9
     assert np.abs(blocks[0][:, 0]).max() > 100.0
@@ -172,7 +172,7 @@ def test_keypoints_behind_camera_excluded(intr, model):
     # behind the z_min plane
     straddling = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.005]))
     st = initialize(straddling, 0.02, 0.05)
-    uv, ok = predict_keypoints(st, kps, intr)
+    uv, ok = predict_keypoints(st.mean, kps, intr)
     assert not ok.all() and ok.any()
     assert np.all(np.isnan(uv[~ok]))
     res = update(st, meas, kps, intr, gate_level=1.0)
@@ -184,8 +184,8 @@ def test_jacobian_linear_in_focal_length(model, rng):
     st = _random_state(rng)
     k1 = Intrinsics(460.0, 460.0, 320.0, 240.0, 640, 480)
     k2 = Intrinsics(920.0, 920.0, 320.0, 240.0, 640, 480)
-    b1, _ = measurement_jacobian(st, kps, k1)
-    b2, _ = measurement_jacobian(st, kps, k2)
+    b1, _ = measurement_jacobian(st.mean, kps, k1)
+    b2, _ = measurement_jacobian(st.mean, kps, k2)
     assert np.allclose(b2, 2.0 * b1, atol=1e-9)
 
 
@@ -210,6 +210,24 @@ def test_gate_level_one_accepts_all():
     covs = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
     residuals = np.array([[500.0, 0.0], [0.0, 1e4]])
     assert gate(residuals, h, np.zeros((6, 6)), covs, level=1.0).all()
+
+
+def test_gate_rejects_singular_block_even_at_level_one():
+    """A keypoint whose 2x2 innovation block is exactly singular cannot be
+    tested, so it is rejected whatever the level."""
+    h = np.zeros((2, 2, 6))
+    covs = np.stack([np.zeros((2, 2)), np.eye(2)])
+    keep = gate(np.zeros((2, 2)), h, np.zeros((6, 6)), covs, level=1.0)
+    assert keep.tolist() == [False, True]
+
+
+def test_gate_threshold_matches_scipy_chi2():
+    from scipy.stats import chi2
+
+    for level in (0.5, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999):
+        expected = float(chi2.ppf(level, df=2))
+        assert abs(_gate_threshold(level) - expected) <= 1e-12 * expected
+    assert _gate_threshold(1.0) == np.inf
 
 
 def _noiseless_measurement(gt, kps, intr):
@@ -299,6 +317,19 @@ def test_update_singular_innovation(intr, model):
                gate_level=1.0)
 
 
+def test_update_nonfinite_innovation_raises(intr, model):
+    """A NaN covariance makes the innovation non-finite; the update raises
+    SingularInnovation rather than gating every keypoint away."""
+    gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
+    kps = fps_select(model, 8)
+    meas = _noiseless_measurement(gt, kps, intr)
+    p_nan = 1e-4 * np.eye(6)
+    p_nan[2, 4] = np.nan
+    for level in (1.0, 0.999):
+        with pytest.raises(SingularInnovation, match="non-finite"):
+            update(FilterState(gt, p_nan), meas, kps, intr, gate_level=level)
+
+
 def test_exact_model_tracking_thousand_frames(intr, model):
     """With zero process/measurement noise and the ground truth following
     the filter's own motion model, residuals stay at zero and the mean
@@ -313,7 +344,7 @@ def test_exact_model_tracking_thousand_frames(intr, model):
         gt = propagate(FilterState(gt, np.zeros((6, 6))), twist, DT, tiny).mean
         st = propagate(st, twist, DT, tiny)
         meas = _noiseless_measurement(gt, kps, intr)
-        uv_pred, _ = predict_keypoints(st, kps, intr)
+        uv_pred, _ = predict_keypoints(st.mean, kps, intr)
         worst_resid = max(worst_resid, float(np.abs(meas.uv - uv_pred).max()))
         res = update(st, meas, kps, intr)
         st = res.state

@@ -7,7 +7,7 @@ from scipy.stats import kstest
 import ekfservo.simulator as sim
 from conftest import scenario
 from ekfservo.control import Twist
-from ekfservo.ekf import NoiseParams
+from ekfservo.ekf import FilterState, NoiseParams
 from ekfservo.keypoints import ObjectModel, SensingProfile, fps_select
 from ekfservo.lie import Pose, exp_se3, log_so3, pose_boxminus
 from ekfservo.simulator import (
@@ -205,6 +205,24 @@ def test_batch_counts_failed_episodes(nominal_scenario):
     assert res.summary.successes == 0
     failed = [rec for rec in res.records if rec.failure]
     assert failed and "innovation" in failed[0].failure
+
+
+def test_nonfinite_covariance_fails_episode_not_batch(nominal_scenario,
+                                                      monkeypatch):
+    """A propagation that leaves a NaN covariance fails each episode at its
+    next update, with a labelled reason; the batch itself completes."""
+    real_propagate = sim.propagate
+
+    def poisoned(state, twist, dt, noise, variant="left"):
+        out = real_propagate(state, twist, dt, noise, variant)
+        return FilterState(out.mean, np.full((6, 6), np.nan))
+
+    monkeypatch.setattr(sim, "propagate", poisoned)
+    res = run_batch(replace(nominal_scenario, max_frames=20), 3)
+    assert res.summary.failures == 3
+    for rec in res.records:
+        assert rec.failure == "frame 1: non-finite innovation"
+        assert rec.frames == 1
 
 
 def test_geodesic_reference_self_ratio(nominal_scenario):
