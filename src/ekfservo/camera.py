@@ -59,6 +59,11 @@ def project_points(points_c, intr: Intrinsics,
     pts = np.asarray(points_c, dtype=float).reshape(-1, 3)
     z = pts[:, 2]
     in_front = z > z_min
+    if in_front.all():
+        uv = np.empty((pts.shape[0], 2))
+        uv[:, 0] = intr.fx * pts[:, 0] / z + intr.cx
+        uv[:, 1] = intr.fy * pts[:, 1] / z + intr.cy
+        return uv, in_front
     uv = np.full((pts.shape[0], 2), np.nan)
     zs = np.where(in_front, z, 1.0)
     uv[:, 0] = np.where(in_front, intr.fx * pts[:, 0] / zs + intr.cx, np.nan)

@@ -1,7 +1,8 @@
 """Scenario configuration: a single JSON file with one section per
 subsystem. Paths inside the file resolve relative to the file's directory.
 
-Schema (defaults in parentheses; `null` means "not set"):
+Schema (defaults in parentheses; `null` means "not set"). Numbers must be
+finite, and a bool is not a number:
 
     seed                  int (0)
     dt                    float (0.0333...)
@@ -11,7 +12,7 @@ Schema (defaults in parentheses; `null` means "not set"):
     intrinsics            {fx, fy, cx, cy, width, height}, required
     sensing               {sigma_px, anisotropy, dropout_prob, outlier_prob,
                            outlier_px, covariance_fidelity, fidelity_scale,
-                           blackout_frames: [start, stop] | null,
+                           blackout_frames: [start, stop] ints | null,
                            occluder_half: str | null}
     filter_noise          {sigma_vp, sigma_vw}, required
     control               {lambda, entropy_threshold: float | null (= inf),
@@ -84,10 +85,12 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
 
     blackout = sensing.optional("blackout_frames", list, None)
     if blackout is not None:
-        if len(blackout) != 2:
+        if len(blackout) != 2 or not all(
+                isinstance(f, int) and not isinstance(f, bool)
+                for f in blackout):
             raise ConfigError(f"{label}: sensing.blackout_frames: expected "
-                              "[start, stop]")
-        blackout = (int(blackout[0]), int(blackout[1]))
+                              "[start, stop] integers")
+        blackout = tuple(blackout)
 
     threshold = control.optional("entropy_threshold", (int, float), None)
     try:
@@ -183,15 +186,20 @@ class _Reader:
         return self._typed(key, types)
 
     def _typed(self, key: str, types):
+        """The value of key if it has one of types. A bool is not a number
+        here, and a number must be finite."""
         value = self.data[key]
-        if types is int and isinstance(value, bool):
-            raise ConfigError(
-                f"{self.label}: field {self._path(key)} must be an integer")
-        if not isinstance(value, types):
-            name = getattr(types, "__name__", None) or "/".join(
-                t.__name__ for t in types)
+        kinds = types if isinstance(types, tuple) else (types,)
+        numeric = int in kinds or float in kinds
+        if (not isinstance(value, types)
+                or numeric and isinstance(value, bool)):
+            name = "/".join(t.__name__ for t in kinds)
             raise ConfigError(
                 f"{self.label}: field {self._path(key)} must be {name}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(
+                f"{self.label}: field {self._path(key)} must be finite, "
+                f"not {value}")
         return value
 
     def section(self, key: str, required: bool = False) -> "_Reader":

@@ -144,7 +144,12 @@ def measurement_jacobian(pose: Pose, kps: KeypointSet, intr: Intrinsics,
 
 def _jacobian_blocks(rotated, pts_c, intr: Intrinsics) -> np.ndarray:
     """(M, 2, 6) residual Jacobian blocks of points in front of the camera,
-    given C @ X and C @ X + t per point."""
+    given C @ X and C @ X + t per point.
+
+    Shared on purpose by `update` and `pnp.refine_pose`, which already hold
+    C @ X and build blocks for their usable keypoints only;
+    `measurement_jacobian` is the public form over a whole keypoint set.
+    """
     jp = projection_jacobians(pts_c, intr)
     hats = np.zeros((rotated.shape[0], 3, 3))
     hats[:, 0, 1] = -rotated[:, 2]

@@ -7,6 +7,7 @@ so they are safe to call concurrently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ def vee(m) -> np.ndarray:
 def exp_so3(phi) -> np.ndarray:
     """Rodrigues formula; second-order series below the small-angle switch."""
     phi = np.asarray(phi, dtype=float)
-    k = hat(phi)
-    theta = float(np.linalg.norm(phi))
+    k = hat(phi.tolist())
+    theta = math.sqrt(phi.dot(phi))
     if theta < _EXP_SERIES_EPS:
         return np.eye(3) + k + 0.5 * (k @ k)
     a = np.sin(theta) / theta
@@ -108,8 +109,8 @@ def right_jacobian_inv(phi) -> np.ndarray:
 def left_jacobian(phi) -> np.ndarray:
     """Left Jacobian of SO(3); equals right_jacobian(-phi)."""
     phi = np.asarray(phi, dtype=float)
-    k = hat(phi)
-    theta = float(np.linalg.norm(phi))
+    k = hat(phi.tolist())
+    theta = math.sqrt(phi.dot(phi))
     if theta < _JAC_SERIES_EPS:
         return np.eye(3) + 0.5 * k + (k @ k) / 6.0
     b = (1.0 - np.cos(theta)) / theta**2
@@ -140,14 +141,6 @@ def orthonormalize(c) -> np.ndarray:
         u[:, -1] = -u[:, -1]
         r = u @ vt
     return r
-
-
-def is_rotation(c, tol: float = 1e-9) -> bool:
-    c = np.asarray(c, dtype=float)
-    if c.shape != (3, 3) or not np.all(np.isfinite(c)):
-        return False
-    ortho = np.linalg.norm(c @ c.T - np.eye(3)) <= tol
-    return bool(ortho and abs(np.linalg.det(c) - 1.0) <= tol)
 
 
 def rotation_to_quaternion(c) -> np.ndarray:
@@ -232,11 +225,6 @@ class Pose:
         m[:3, :3] = self.C
         m[:3, 3] = self.t
         return m
-
-    @staticmethod
-    def from_matrix(m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return Pose(m[:3, :3], m[:3, 3])
 
 
 def pose_boxplus(pose: Pose, delta) -> Pose:

@@ -8,10 +8,12 @@ the comparison.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .camera import DEFAULT_Z_MIN, Intrinsics
-from .ekf import measurement_jacobian, predict_keypoints
+from .ekf import _jacobian_blocks, predict_keypoints
 from .keypoints import KeypointSet, Measurement
 from .lie import Pose, pose_boxplus
 
@@ -24,35 +26,48 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
                 z_min: float = DEFAULT_Z_MIN) -> Pose | None:
     """Weighted Gauss-Newton pose refinement from the previous estimate.
 
+    The weights, the inverses of the reported covariances of the visible
+    keypoints, are computed once per call; if one of them is singular,
+    the whole call uses identity weights (`measure` adds a floor to every
+    reported covariance, so it never hands one over). Each iteration
+    makes exactly one `predict_keypoints` call, so counting those calls
+    counts iterations, and builds Jacobian blocks for the usable keypoints
+    only.
+
     Returns None when fewer than MIN_POINTS usable keypoints are visible;
     the caller then holds its previous pose.
     """
+    visible = meas.visible
+    try:
+        w_visible = np.linalg.inv(meas.cov[visible])
+    except np.linalg.LinAlgError:
+        w_visible = np.broadcast_to(np.eye(2), (int(visible.sum()), 2, 2))
+    reg = damping * np.eye(6)
     pose = prev
     for _ in range(iters):
         uv_pred, ok = predict_keypoints(pose, kps, intr, z_min)
-        usable = meas.visible & ok
-        if int(usable.sum()) < MIN_POINTS:
-            return None
-        blocks, _ = measurement_jacobian(pose, kps, intr, z_min)
+        usable = visible & ok
         idx = np.flatnonzero(usable)
+        if idx.size < MIN_POINTS:
+            return None
+        # C @ X of the usable keypoints, taken from the product over all
+        # of them so that the rows match predict_keypoints' bit for bit
+        rotated = (kps.points3d @ pose.C.T)[idx]
+        h = _jacobian_blocks(rotated, rotated + pose.t, intr)
 
         res = meas.uv[idx] - uv_pred[idx]
-        try:
-            w = np.linalg.inv(meas.cov[idx])
-        except np.linalg.LinAlgError:
-            w = np.broadcast_to(np.eye(2), (len(idx), 2, 2))
-        h = blocks[idx]
+        w = w_visible[usable[visible]]
         a = np.einsum("mji,mjk,mkl->il", h, w, h)
         b = np.einsum("mji,mjk,mk->i", h, w, res)
         # residual model after a step d is eps + H d, so the minimizer is
         # d = -(H^T W H)^-1 H^T W eps
         try:
-            delta = -np.linalg.solve(a + damping * np.eye(6), b)
+            delta = -np.linalg.solve(a + reg, b)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             return None
         pose = pose_boxplus(pose, delta)
-        if float(np.linalg.norm(delta)) < step_tol:
+        if math.sqrt(delta.dot(delta)) < step_tol:
             break
     return pose

@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's closed-form code paths: matrix
 exponentials come from a truncated power series, derivatives from central
-finite differences. The reference EKF update and keypoint measurement are
-the earlier straightforward implementations (a per-keypoint `solve` gate,
-a full-SVD condition number, a stacked-rotation `einsum` noise model),
-kept verbatim so the optimised library path can be checked bit for bit.
+finite differences. The reference EKF update, keypoint measurement, PnP
+refinement and SO(3)/projection kernels are the earlier straightforward
+implementations (a per-keypoint `solve` gate, a full-SVD condition number,
+a stacked-rotation `einsum` noise model, weights inverted and Jacobians
+filled for every keypoint on each Gauss-Newton iteration, `np.where`
+projection), kept verbatim so the optimised library path can be checked
+bit for bit.
 """
 import numpy as np
 from scipy.stats import chi2
@@ -18,7 +21,22 @@ from ekfservo.ekf import (
     UpdateResult,
 )
 from ekfservo.keypoints import REPORTED_SIGMA_FLOOR_PX, Measurement, _occluded
-from ekfservo.lie import Pose, clamp_psd, pose_boxminus, pose_boxplus
+from ekfservo.lie import (
+    _EXP_SERIES_EPS,
+    _JAC_SERIES_EPS,
+    Pose,
+    clamp_psd,
+    hat,
+    pose_boxminus,
+    pose_boxplus,
+)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: unlike array_equal, 0.0 and -0.0
+    differ and identical NaNs match."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def expm_series(a, terms: int = 30) -> np.ndarray:
@@ -213,3 +231,84 @@ def measure_reference(gt_pose, kps, intr, profile, rng, frame, z_min):
     uv[~visible] = np.nan
     cov[~visible] = np.nan
     return Measurement(uv=uv, cov=cov, visible=visible)
+
+
+def exp_so3_reference(phi) -> np.ndarray:
+    """Rodrigues formula; second-order series below the small-angle switch."""
+    phi = np.asarray(phi, dtype=float)
+    k = hat(phi)
+    theta = float(np.linalg.norm(phi))
+    if theta < _EXP_SERIES_EPS:
+        return np.eye(3) + k + 0.5 * (k @ k)
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / theta**2
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def left_jacobian_reference(phi) -> np.ndarray:
+    """Left Jacobian of SO(3); equals right_jacobian(-phi)."""
+    phi = np.asarray(phi, dtype=float)
+    k = hat(phi)
+    theta = float(np.linalg.norm(phi))
+    if theta < _JAC_SERIES_EPS:
+        return np.eye(3) + 0.5 * k + (k @ k) / 6.0
+    b = (1.0 - np.cos(theta)) / theta**2
+    cc = (theta - np.sin(theta)) / theta**3
+    return np.eye(3) + b * k + cc * (k @ k)
+
+
+def project_points_reference(points_c, intr, z_min=1e-3):
+    """Vectorized projection of an (N, 3) stack.
+
+    Returns (uv, in_front); rows with in_front == False hold NaN instead of
+    raising, so callers can keep keypoint indexing aligned.
+    """
+    pts = np.asarray(points_c, dtype=float).reshape(-1, 3)
+    z = pts[:, 2]
+    in_front = z > z_min
+    uv = np.full((pts.shape[0], 2), np.nan)
+    zs = np.where(in_front, z, 1.0)
+    uv[:, 0] = np.where(in_front, intr.fx * pts[:, 0] / zs + intr.cx, np.nan)
+    uv[:, 1] = np.where(in_front, intr.fy * pts[:, 1] / zs + intr.cy, np.nan)
+    return uv, in_front
+
+
+def _pose_boxplus_reference(pose, delta):
+    delta = np.asarray(delta, dtype=float).reshape(6)
+    return Pose(exp_so3_reference(delta[3:]) @ pose.C, pose.t + delta[:3])
+
+
+def refine_pose_reference(prev, meas, kps, intr, iters=10, damping=1e-9,
+                          step_tol=1e-12, z_min=1e-3):
+    """Weighted Gauss-Newton pose refinement as first written: weights
+    inverted and Jacobian blocks filled for every keypoint on each
+    iteration, the projection computed twice."""
+    pose = prev
+    for _ in range(iters):
+        uv_pred, ok = project_points_reference(pose.apply(kps.points3d), intr,
+                                               z_min)
+        usable = meas.visible & ok
+        if int(usable.sum()) < 4:
+            return None
+        blocks, _ = _measurement_jacobian_reference(FilterState(pose, None),
+                                                    kps, intr, z_min)
+        idx = np.flatnonzero(usable)
+
+        res = meas.uv[idx] - uv_pred[idx]
+        try:
+            w = np.linalg.inv(meas.cov[idx])
+        except np.linalg.LinAlgError:
+            w = np.broadcast_to(np.eye(2), (len(idx), 2, 2))
+        h = blocks[idx]
+        a = np.einsum("mji,mjk,mkl->il", h, w, h)
+        b = np.einsum("mji,mjk,mk->i", h, w, res)
+        try:
+            delta = -np.linalg.solve(a + damping * np.eye(6), b)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(delta)):
+            return None
+        pose = _pose_boxplus_reference(pose, delta)
+        if float(np.linalg.norm(delta)) < step_tol:
+            break
+    return pose

@@ -73,6 +73,25 @@ def test_missing_field_exit_2(tmp_path, capsys):
     assert "filter_noise" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("sensing", "blackout_frames", ["a", 3]),
+    (None, "dt", True),
+    ("sensing", "sigma_px", float("nan")),
+    ("filter_noise", "sigma_vp", float("inf")),
+])
+def test_invalid_field_value_exit_2(tmp_path, capsys, section, key, value):
+    raw = json.loads(Path(NOMINAL).read_text())
+    raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
+    (raw if section is None else raw[section])[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(bad), "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    path = key if section is None else f"{section}.{key}"
+    assert path in capsys.readouterr().err
+
+
 def test_emitted_files_conform_to_schemas(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", NOMINAL, "--trials", "2", "--seed", "3",

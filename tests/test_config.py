@@ -102,6 +102,40 @@ def test_blackout_frames_roundtrip(tmp_path):
         load_scenario(_write(tmp_path, raw))
 
 
+@pytest.mark.parametrize("frames", [["a", 3], [5, 2.5], [True, 3], [5, None]])
+def test_blackout_frames_must_be_integers(tmp_path, frames):
+    raw = _valid_dict()
+    raw["sensing"]["blackout_frames"] = frames
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_write(tmp_path, raw))
+    assert "sensing.blackout_frames" in str(err.value)
+
+
+@pytest.mark.parametrize("section, key", [
+    (None, "dt"), ("intrinsics", "fx"), ("intrinsics", "width"),
+    ("control", "entropy_threshold"), ("sensing", "sigma_px")])
+def test_bool_rejected_in_numeric_field(tmp_path, section, key):
+    raw = _valid_dict()
+    (raw if section is None else raw[section])[key] = True
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_write(tmp_path, raw))
+    path = key if section is None else f"{section}.{key}"
+    assert f"field {path} " in str(err.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section, key", [
+    ("sensing", "sigma_px"), ("filter_noise", "sigma_vp"),
+    ("control", "entropy_threshold"), (None, "dt")])
+def test_non_finite_number_rejected(tmp_path, section, key, value):
+    raw = _valid_dict()
+    (raw if section is None else raw[section])[key] = value
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_write(tmp_path, raw))
+    path = key if section is None else f"{section}.{key}"
+    assert f"field {path} " in str(err.value)
+
+
 def test_variant_field(tmp_path):
     raw = _valid_dict()
     raw["variant"] = "pbvs-perframe"

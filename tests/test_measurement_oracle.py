@@ -18,16 +18,11 @@ from ekfservo.ekf import SingularInnovation, gate, initialize, update
 from ekfservo.keypoints import SensingProfile, fps_select, measure
 from ekfservo.lie import Pose
 from ekfservo.simulator import LOOK_DOWN
-from oracles import measure_reference, update_reference
+from oracles import measure_reference, same_bits, update_reference
 
 SHIPPED = ("adverse", "consistency", "correlation", "noise_free", "nominal",
            "occlusion")
 RECORDED_FRAMES = 30
-
-
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _outcome(fn, *args):
@@ -41,12 +36,12 @@ def _assert_same_update(new, ref):
     if ref is SingularInnovation or new is SingularInnovation:
         assert new is ref
         return
-    assert _same_bits(new.state.mean.C, ref.state.mean.C)
-    assert _same_bits(new.state.mean.t, ref.state.mean.t)
-    assert _same_bits(new.state.P, ref.state.P)
-    assert _same_bits(new.used, ref.used)
+    assert same_bits(new.state.mean.C, ref.state.mean.C)
+    assert same_bits(new.state.mean.t, ref.state.mean.t)
+    assert same_bits(new.state.P, ref.state.P)
+    assert same_bits(new.used, ref.used)
     assert new.n_visible == ref.n_visible
-    assert _same_bits(new.residual_rms, ref.residual_rms)
+    assert same_bits(new.residual_rms, ref.residual_rms)
     assert new.all_rejected == ref.all_rejected
 
 
@@ -100,9 +95,9 @@ def test_measure_bit_identical_to_reference(recorded):
         new = measure(gt, kps, intr, profile, rng_new, frame=frame,
                       z_min=z_min)
         ref = measure_reference(gt, kps, intr, profile, rng_ref, frame, z_min)
-        assert _same_bits(new.uv, ref.uv)
-        assert _same_bits(new.cov, ref.cov)
-        assert _same_bits(new.visible, ref.visible)
+        assert same_bits(new.uv, ref.uv)
+        assert same_bits(new.cov, ref.cov)
+        assert same_bits(new.visible, ref.visible)
 
 
 def test_singular_innovation_matches_reference(intr, model):
