@@ -46,7 +46,6 @@ from .keypoints import (
 )
 from .lie import (
     Pose,
-    axis_angle,
     exp_se3,
     exp_so3,
     hat,
@@ -73,7 +72,6 @@ from .simulator import (
     BatchResult,
     EpisodeRecord,
     InfeasibleScenario,
-    NumericalFailure,
     PoseSampler,
     Scenario,
     geodesic_reference,

@@ -162,15 +162,13 @@ def _write_run_outputs(out: Path, scenario: Scenario, records, summary: Summary,
 
 def _episode_csv(rec: EpisodeRecord) -> str:
     lines = [EPISODE_HEADER]
-    for k in range(rec.frames):
-        gt_q = rotation_to_quaternion(rec.gt_C[k])
-        est_q = rotation_to_quaternion(rec.est_C[k])
-        fields = ([str(k)]
-                  + [_fmt(x) for x in gt_q] + [_fmt(x) for x in rec.gt_t[k]]
-                  + [_fmt(x) for x in est_q] + [_fmt(x) for x in rec.est_t[k]]
-                  + [_fmt(x) for x in rec.cmd[k]]
-                  + [_fmt(rec.entropy[k]), _fmt(rec.resid_rms[k])])
-        lines.append(",".join(fields))
+    rows = zip(rec.gt_t.tolist(), rec.est_t.tolist(), rec.cmd.tolist(),
+               rec.entropy.tolist(), rec.resid_rms.tolist())
+    for k, (gt_t, est_t, cmd, ent, rms) in enumerate(rows):
+        gt_q = rotation_to_quaternion(rec.gt_C[k]).tolist()
+        est_q = rotation_to_quaternion(rec.est_C[k]).tolist()
+        values = gt_q + gt_t + est_q + est_t + cmd + [ent, rms]
+        lines.append(",".join([str(k)] + [_fmt(x) for x in values]))
     return "\n".join(lines) + "\n"
 
 
@@ -182,15 +180,16 @@ def _write_series(out: Path, rec: EpisodeRecord) -> None:
     _write_text(out / "series_pose_error.csv", "\n".join(lines) + "\n")
 
     lines = ["frame,cmd_vx,cmd_vy,cmd_vz,cmd_wx,cmd_wy,cmd_wz,entropy"]
-    for k in range(rec.frames):
-        vals = [_fmt(x) for x in rec.cmd[k]] + [_fmt(rec.entropy[k])]
+    for k, (cmd, ent) in enumerate(zip(rec.cmd.tolist(),
+                                       rec.entropy.tolist())):
+        vals = [_fmt(x) for x in cmd] + [_fmt(ent)]
         lines.append(f"{k}," + ",".join(vals))
     _write_text(out / "series_velocity.csv", "\n".join(lines) + "\n")
 
     lines = ["path,frame,x,y,z"]
-    for k, p in enumerate(rec.camera_positions()):
+    for k, p in enumerate(rec.camera_positions().tolist()):
         lines.append(f"actual,{k},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}")
-    for k, p in enumerate(geodesic_reference_for(rec)):
+    for k, p in enumerate(geodesic_reference_for(rec).tolist()):
         lines.append(f"geodesic,{k},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}")
     _write_text(out / "series_trajectory.csv", "\n".join(lines) + "\n")
 

@@ -2,7 +2,7 @@
 subsystem. Paths inside the file resolve relative to the file's directory.
 
 Schema (defaults in parentheses; `null` means "not set"). Numbers must be
-finite, and a bool is not a number:
+finite, a bool is not a number, and a key not listed here is an error:
 
     seed                  int (0)
     dt                    float (0.0333...)
@@ -160,27 +160,33 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
         )
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
+    ctx.reject_unknown()
     return scenario
 
 
 class _Reader:
-    """Field access with path-qualified error messages."""
+    """Field access with path-qualified error messages. Every key asked
+    for is remembered, so that reject_unknown can report the rest."""
 
     def __init__(self, data: dict, label: str, prefix: str = ""):
         self.data = data
         self.label = label
         self.prefix = prefix
+        self.known = set()
+        self.sections = []
 
     def _path(self, key: str) -> str:
         return f"{self.prefix}{key}"
 
     def require(self, key: str, types):
+        self.known.add(key)
         if key not in self.data:
             raise ConfigError(
                 f"{self.label}: missing required field {self._path(key)}")
         return self._typed(key, types)
 
     def optional(self, key: str, types, default):
+        self.known.add(key)
         if key not in self.data or self.data[key] is None:
             return default
         return self._typed(key, types)
@@ -203,6 +209,7 @@ class _Reader:
         return value
 
     def section(self, key: str, required: bool = False) -> "_Reader":
+        self.known.add(key)
         if key not in self.data:
             if required:
                 raise ConfigError(
@@ -211,4 +218,20 @@ class _Reader:
         value = self.data[key]
         if not isinstance(value, dict):
             raise ConfigError(f"{self.label}: section {key} must be an object")
-        return _Reader(value, self.label, prefix=f"{key}.")
+        reader = _Reader(value, self.label, prefix=f"{key}.")
+        self.sections.append(reader)
+        return reader
+
+    def reject_unknown(self) -> None:
+        """Raise ConfigError naming the first key, here or in a section,
+        that no read asked for, with the closest known key as a hint."""
+        for key in self.data:
+            if key not in self.known:
+                import difflib  # only here, so loading a valid file skips it
+
+                close = difflib.get_close_matches(key, sorted(self.known), n=1)
+                hint = f" (did you mean {self._path(close[0])}?)" if close else ""
+                raise ConfigError(f"{self.label}: unknown field "
+                                  f"{self._path(key)}{hint}")
+        for reader in self.sections:
+            reader.reject_unknown()

@@ -19,6 +19,7 @@ import numpy as np
 
 from .ekf import FilterState
 from .lie import (
+    _EYE3,
     Pose,
     hat,
     log_so3,
@@ -88,11 +89,13 @@ class ControlConfig:
 def relative_pose(desired: Pose, current: Pose) -> Pose:
     """Transform from the current to the desired camera frame:
     desired-object pose composed with the inverse current-object pose."""
-    rel = desired.compose(current.inverse())
-    drift = np.linalg.norm(rel.C @ rel.C.T - np.eye(3))
-    if drift > 1e-9:
-        rel = Pose(orthonormalize(rel.C), rel.t)
-    return rel
+    c_inv = current.C.T
+    c = desired.C @ c_inv
+    t = desired.C @ -(c_inv @ current.t) + desired.t
+    drift = (c @ c.T - _EYE3).ravel()
+    if math.sqrt(drift.dot(drift)) > 1e-9:
+        c = orthonormalize(c)
+    return Pose(c, t)
 
 
 def pbvs_law(rel: Pose, lam: float) -> Twist:
@@ -106,8 +109,8 @@ def clamp_twist(twist: Twist, cfg: ControlConfig) -> Twist:
     """Uniformly scale the twist so every component respects the limits;
     direction is preserved."""
     s = 1.0
-    mv = float(np.max(np.abs(twist.v_p)))
-    mw = float(np.max(np.abs(twist.w)))
+    mv = _max_abs(twist.v_p)
+    mw = _max_abs(twist.w)
     if mv > cfg.v_max:
         s = min(s, cfg.v_max / mv)
     if mw > cfg.w_max:
@@ -115,15 +118,24 @@ def clamp_twist(twist: Twist, cfg: ControlConfig) -> Twist:
     return twist if s >= 1.0 else twist.scaled(s)
 
 
+def _max_abs(v) -> float:
+    """Largest magnitude of a 3-vector; NaN if any entry is NaN, as np.max."""
+    x, y, z = v.tolist()
+    if x != x or y != y or z != z:
+        return math.nan
+    return max(abs(x), abs(y), abs(z))
+
+
 def pbvs_velocity(rel: Pose, cfg: ControlConfig) -> Twist:
     """Servo law followed by the magnitude clamp."""
     return clamp_twist(pbvs_law(rel, cfg.lam), cfg)
 
 
-def velocity_jacobian(desired: Pose, state: FilterState,
+def velocity_jacobian(rel: Pose, current: Pose,
                       cfg: ControlConfig) -> np.ndarray:
     """Derivative of the raw servo law with respect to the filter error
-    state [dt, dphi] (left perturbation on the current object pose).
+    state [dt, dphi] (left perturbation on the current object pose), at
+    rel = relative_pose(desired, current).
 
     Perturbing the object pose perturbs the relative rotation on the right
     by -dphi, so the angular rows pick up lam * J_r^{-1}(theta*u); the
@@ -132,12 +144,11 @@ def velocity_jacobian(desired: Pose, state: FilterState,
         d v_p / d dt   = lam * I
         d v_p / d dphi = lam * (hat(t_obj) + hat(e_t))
     """
-    rel = relative_pose(desired, state.mean)
     e_t = rel.C.T @ rel.t
     theta_u = log_so3(rel.C)
     jac = np.zeros((6, 6))
-    jac[:3, :3] = cfg.lam * np.eye(3)
-    jac[:3, 3:] = cfg.lam * (hat(state.mean.t) + hat(e_t))
+    jac[:3, :3] = cfg.lam * _EYE3
+    jac[:3, 3:] = cfg.lam * (hat(current.t.tolist()) + hat(e_t.tolist()))
     jac[3:, 3:] = cfg.lam * right_jacobian_inv(theta_u)
     return jac
 
@@ -162,7 +173,7 @@ def twist_with_uncertainty(desired: Pose, state: FilterState,
                            cfg: ControlConfig) -> TwistWithUncertainty:
     """Clamped servo twist plus its covariance and entropy."""
     rel = relative_pose(desired, state.mean)
-    jac = velocity_jacobian(desired, state, cfg)
+    jac = velocity_jacobian(rel, state.mean, cfg)
     cov = velocity_covariance(jac, state.P)
     return TwistWithUncertainty(mean=clamp_twist(pbvs_law(rel, cfg.lam), cfg),
                                 cov=cov, entropy=entropy(cov))
@@ -171,6 +182,6 @@ def twist_with_uncertainty(desired: Pose, state: FilterState,
 def apply_policy(tw: TwistWithUncertainty, cfg: ControlConfig) -> Twist:
     """Reduce the twist when the entropy exceeds the threshold, then clamp."""
     mean = tw.mean
-    if np.isfinite(tw.entropy) and tw.entropy > cfg.entropy_threshold:
+    if math.isfinite(tw.entropy) and tw.entropy > cfg.entropy_threshold:
         mean = mean.scaled(cfg.reduced_scale)
     return clamp_twist(mean, cfg)

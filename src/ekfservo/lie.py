@@ -16,6 +16,13 @@ import numpy as np
 # low-order series (relative error < 1e-12 at the switch point) take over.
 _EXP_SERIES_EPS = 1e-6
 _JAC_SERIES_EPS = 1e-5
+# clamp_psd's margin, relative to the trace: far above the rounding errors
+# of a 6x6 Cholesky factorization and eigendecomposition (tens of eps),
+# far below the smallest eigenvalue of any covariance the filter keeps.
+_PSD_MARGIN = 1e3 * np.finfo(float).eps
+
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 def hat(v) -> np.ndarray:
@@ -35,10 +42,10 @@ def exp_so3(phi) -> np.ndarray:
     k = hat(phi.tolist())
     theta = math.sqrt(phi.dot(phi))
     if theta < _EXP_SERIES_EPS:
-        return np.eye(3) + k + 0.5 * (k @ k)
+        return _EYE3 + k + 0.5 * (k @ k)
     a = np.sin(theta) / theta
     b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * k + b * (k @ k)
+    return _EYE3 + a * k + b * (k @ k)
 
 
 def log_so3(c) -> np.ndarray:
@@ -50,11 +57,25 @@ def log_so3(c) -> np.ndarray:
     entry fixes the relative signs. The overall sign follows the
     antisymmetric part while it carries signal; at exactly pi it is pinned
     by making the first nonzero axis component positive.
+
+    Behaviour at and near pi (Sola, Deray & Atchuthan, "A micro Lie theory
+    for state estimation in robotics", arXiv:1812.01537, the SO(3)
+    appendix): the logarithm is single-valued only for theta < pi. There the
+    result inverts exp_so3 to rounding, with the angle taken from
+    arctan2(sin, cos), which stays well conditioned up to pi. At exactly
+    pi, phi and -phi give the same rotation, and the sign rule above
+    picks one of them, so log_so3(exp_so3(phi)) may return -phi. Within
+    1e-4 of pi the axis comes from the symmetric part, which still gives
+    exp_so3(log_so3(C)) == C to rounding.
     """
     c = np.asarray(c, dtype=float)
-    w = vee(c - c.T)  # 2 sin(theta) * axis
-    sin_t = 0.5 * float(np.linalg.norm(w))
-    cos_t = np.clip(0.5 * (np.trace(c) - 1.0), -1.0, 1.0)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c.tolist()
+    w = np.array([c21 - c12, c02 - c20, c10 - c01])  # 2 sin(theta) * axis
+    w_norm = math.sqrt(w.dot(w))
+    sin_t = 0.5 * w_norm
+    # the trace summed as np.trace sums it: (c00 + c11) + c22
+    cos_t = min(max(0.5 * (c00 + c11 + c22 - 1.0), -1.0), 1.0)
+    # np.arctan2, not math.atan2: the two round differently on some inputs
     theta = float(np.arctan2(sin_t, cos_t))  # well conditioned at 0 and pi
     if theta < 1e-7:
         return 0.5 * w
@@ -64,9 +85,8 @@ def log_so3(c) -> np.ndarray:
     aat = (0.5 * (c + c.T) - cos_t * np.eye(3)) / (1.0 - cos_t)
     k = int(np.argmax(np.diag(aat)))
     axis = aat[:, k] / np.sqrt(max(aat[k, k], 1e-16))
-    axis = axis / np.linalg.norm(axis)
-    w = vee(c - c.T)  # equals 2 sin(theta) * axis
-    if np.linalg.norm(w) > 1e-12:
+    axis = axis / math.sqrt(axis.dot(axis))
+    if w_norm > 1e-12:
         if float(np.dot(w, axis)) < 0.0:
             axis = -axis
     else:
@@ -76,11 +96,6 @@ def log_so3(c) -> np.ndarray:
                     axis = -axis
                 break
     return theta * axis
-
-
-def axis_angle(c) -> np.ndarray:
-    """Alias of log_so3; the control law is written in axis-angle terms."""
-    return log_so3(c)
 
 
 def right_jacobian(phi) -> np.ndarray:
@@ -96,14 +111,26 @@ def right_jacobian(phi) -> np.ndarray:
 
 
 def right_jacobian_inv(phi) -> np.ndarray:
-    """Inverse right Jacobian; requires ||phi|| < pi."""
+    """Inverse right Jacobian; requires ||phi|| < pi.
+
+    Behaviour at and near pi (Sola, Deray & Atchuthan, arXiv:1812.01537,
+    the SO(3) appendix): the closed-form coefficient
+    1/theta^2 - (1 + cos theta) / (2 theta sin theta) divides by sin theta,
+    but 1 + cos theta vanishes twice as fast, so the coefficient tends to
+    1/pi^2 and the result stays finite up to and at pi (at exactly pi the
+    floating-point 1 + cos theta is 0). Rounding in 1 + cos theta leaves
+    an absolute error of at most about eps / (pi - theta) in that
+    coefficient. The true inverse is singular only at 2 pi; callers pass
+    principal rotation vectors, whose norm log_so3 keeps <= pi.
+    """
     phi = np.asarray(phi, dtype=float)
-    k = hat(phi)
-    theta = float(np.linalg.norm(phi))
+    k = hat(phi.tolist())
+    theta = math.sqrt(phi.dot(phi))
     if theta < _JAC_SERIES_EPS:
-        return np.eye(3) + 0.5 * k + (k @ k) / 12.0
-    d = 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.eye(3) + 0.5 * k + d * (k @ k)
+        return _EYE3 + 0.5 * k + (k @ k) / 12.0
+    d = (1.0 / theta**2
+         - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta)))
+    return _EYE3 + 0.5 * k + d * (k @ k)
 
 
 def left_jacobian(phi) -> np.ndarray:
@@ -112,10 +139,10 @@ def left_jacobian(phi) -> np.ndarray:
     k = hat(phi.tolist())
     theta = math.sqrt(phi.dot(phi))
     if theta < _JAC_SERIES_EPS:
-        return np.eye(3) + 0.5 * k + (k @ k) / 6.0
+        return _EYE3 + 0.5 * k + (k @ k) / 6.0
     b = (1.0 - np.cos(theta)) / theta**2
     cc = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) + b * k + cc * (k @ k)
+    return _EYE3 + b * k + cc * (k @ k)
 
 
 def exp_se3(xi, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +163,11 @@ def orthonormalize(c) -> np.ndarray:
     """Nearest rotation matrix in the Frobenius sense (via SVD)."""
     u, _, vt = np.linalg.svd(np.asarray(c, dtype=float))
     r = u @ vt
-    if np.linalg.det(r) < 0.0:
+    # r is orthogonal, so its determinant is +-1 and a cofactor expansion
+    # gets its sign as surely as an LU factorization
+    x, y, z = r.tolist()
+    if (x[0] * (y[1] * z[2] - y[2] * z[1]) - x[1] * (y[0] * z[2] - y[2] * z[0])
+            + x[2] * (y[0] * z[1] - y[1] * z[0])) < 0.0:
         u = u.copy()
         u[:, -1] = -u[:, -1]
         r = u @ vt
@@ -145,35 +176,27 @@ def orthonormalize(c) -> np.ndarray:
 
 def rotation_to_quaternion(c) -> np.ndarray:
     """Unit quaternion (w, x, y, z); used for logging only."""
-    c = np.asarray(c, dtype=float)
-    tr = np.trace(c)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
+        np.asarray(c, dtype=float).tolist())
+    tr = c00 + c11 + c22  # summed in np.trace's order
+    # In each branch below the square root's argument is at least 1 (the
+    # largest diagonal entry picks the branch), so s >= 2.
     if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (c[2, 1] - c[1, 2]) / s,
-                      (c[0, 2] - c[2, 0]) / s,
-                      (c[1, 0] - c[0, 1]) / s])
-    elif c[0, 0] >= c[1, 1] and c[0, 0] >= c[2, 2]:
-        s = np.sqrt(1.0 + c[0, 0] - c[1, 1] - c[2, 2]) * 2.0
-        q = np.array([(c[2, 1] - c[1, 2]) / s,
-                      0.25 * s,
-                      (c[0, 1] + c[1, 0]) / s,
-                      (c[0, 2] + c[2, 0]) / s])
-    elif c[1, 1] >= c[2, 2]:
-        s = np.sqrt(1.0 + c[1, 1] - c[0, 0] - c[2, 2]) * 2.0
-        q = np.array([(c[0, 2] - c[2, 0]) / s,
-                      (c[0, 1] + c[1, 0]) / s,
-                      0.25 * s,
-                      (c[1, 2] + c[2, 1]) / s])
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (c21 - c12) / s, (c02 - c20) / s, (c10 - c01) / s]
+    elif c00 >= c11 and c00 >= c22:
+        s = math.sqrt(1.0 + c00 - c11 - c22) * 2.0
+        q = [(c21 - c12) / s, 0.25 * s, (c01 + c10) / s, (c02 + c20) / s]
+    elif c11 >= c22:
+        s = math.sqrt(1.0 + c11 - c00 - c22) * 2.0
+        q = [(c02 - c20) / s, (c01 + c10) / s, 0.25 * s, (c12 + c21) / s]
     else:
-        s = np.sqrt(1.0 + c[2, 2] - c[0, 0] - c[1, 1]) * 2.0
-        q = np.array([(c[1, 0] - c[0, 1]) / s,
-                      (c[0, 2] + c[2, 0]) / s,
-                      (c[1, 2] + c[2, 1]) / s,
-                      0.25 * s])
+        s = math.sqrt(1.0 + c22 - c00 - c11) * 2.0
+        q = [(c10 - c01) / s, (c02 + c20) / s, (c12 + c21) / s, 0.25 * s]
+    q = np.array(q)
     if q[0] < 0.0:
         q = -q
-    return q / np.linalg.norm(q)
+    return q / math.sqrt(q.dot(q))
 
 
 def symmetrize(m) -> np.ndarray:
@@ -186,8 +209,29 @@ def clamp_psd(m, tol: float = 1e-12) -> np.ndarray:
 
     Eigenvalues below -tol are still clamped, but indicate a bug upstream;
     callers that care assert on eigmin separately.
+
+    A filter covariance is almost always positive definite already, so the
+    eigendecomposition is skipped when a Cholesky factorization of
+    s - delta I succeeds, with delta = _PSD_MARGIN * trace(s). Success
+    bounds the smallest eigenvalue of s below by delta minus the
+    factorization's backward error (about n^2 eps ||s||), and eigh's
+    eigenvalues are off by at most a small multiple of eps ||s|| (Weyl), so
+    eigh would have found none below zero and returned s unchanged.
     """
     s = symmetrize(m)
+    rows = s.tolist()
+    n = len(rows)
+    tr = sum(rows[i][i] for i in range(n))
+    # a NaN need not stop the factorization, so only finite s qualifies
+    if tr > 0.0 and math.isfinite(sum(map(sum, rows))):
+        shifted = s.copy()
+        shifted.flat[::n + 1] -= _PSD_MARGIN * tr
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return s
     w, v = np.linalg.eigh(s)
     if w[0] >= 0.0:
         return s

@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import pbvs_law, relative_pose
 from .keypoints import ObjectModel
-from .lie import Pose, log_so3, pose_boxminus
+from .lie import Pose, log_so3
 from .simulator import EpisodeRecord, geodesic_reference_for
 
 
@@ -28,8 +28,9 @@ def te_re(final_gt: Pose, desired: Pose) -> tuple[float, float]:
     """Final translation error (mm) and rotation error (deg) from the
     current-to-desired camera transform."""
     rel = relative_pose(desired, final_gt)
-    te = float(np.linalg.norm(rel.t)) * 1000.0
-    re = float(np.linalg.norm(log_so3(rel.C))) * 180.0 / math.pi
+    theta_u = log_so3(rel.C)
+    te = math.sqrt(rel.t.dot(rel.t)) * 1000.0
+    re = math.sqrt(theta_u.dot(theta_u)) * 180.0 / math.pi
     return te, re
 
 
@@ -70,16 +71,14 @@ def uncertainty_correlation(records) -> float:
     """
     ents, errs = [], []
     for rec in records:
-        for k in range(rec.frames):
-            ent = rec.entropy[k]
-            if not np.isfinite(ent):
-                continue
+        finite = np.isfinite(rec.entropy)
+        ents.extend(rec.entropy[finite].tolist())
+        for k in np.flatnonzero(finite).tolist():
             gt = Pose(rec.gt_C[k], rec.gt_t[k])
             v_gt = pbvs_law(relative_pose(rec.desired, gt),
                             rec.control.lam).vector()
-            err = float(np.linalg.norm(rec.cmd[k] - v_gt))
-            ents.append(float(ent))
-            errs.append(err)
+            err = rec.cmd[k] - v_gt
+            errs.append(math.sqrt(err.dot(err)))
     if len(ents) < 2:
         return float("nan")
     ents_arr = np.array(ents)
@@ -108,15 +107,14 @@ def nees(records, lower: float = 5.39, upper: float = 6.64) -> NeesResult:
     estimate and the filter covariance of that frame."""
     values = []
     for rec in records:
-        for k in range(rec.frames):
-            p = rec.P[k]
-            if not np.all(np.isfinite(p)):
-                continue
-            gt = Pose(rec.gt_C[k], rec.gt_t[k])
-            est = Pose(rec.est_C[k], rec.est_t[k])
-            delta = pose_boxminus(gt, est)
+        finite = np.isfinite(rec.P).all(axis=(1, 2))
+        for k in np.flatnonzero(finite).tolist():
+            # pose_boxminus(gt, est), without building the two Poses
+            delta = np.concatenate([
+                rec.gt_t[k] - rec.est_t[k],
+                log_so3(rec.gt_C[k] @ rec.est_C[k].T)])
             try:
-                values.append(float(delta @ np.linalg.solve(p, delta)))
+                values.append(float(delta @ np.linalg.solve(rec.P[k], delta)))
             except np.linalg.LinAlgError:
                 continue
     if not values:

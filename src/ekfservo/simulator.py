@@ -16,6 +16,7 @@ parallelism level.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -64,10 +65,6 @@ LOOK_DOWN = np.diag([1.0, -1.0, -1.0])
 
 class InfeasibleScenario(RuntimeError):
     """Pose sampling could not produce a fully observable initial view."""
-
-
-class NumericalFailure(RuntimeError):
-    """An episode produced non-finite state; see the diagnostic message."""
 
 
 @dataclass(frozen=True)
@@ -196,12 +193,20 @@ def step_dynamics(gt_co: Pose, cmd: Twist, sigma_v: float, sigma_w: float,
     """
     noise = np.concatenate([sigma_v * rng.standard_normal(3),
                             sigma_w * rng.standard_normal(3)])
-    executed = cmd.vector() + noise
-    t_wc = gt_co.inverse()
-    d_c, d_t = exp_se3(executed, dt)
-    t_wc_new = t_wc.compose(Pose(d_c, d_t))
-    gt_new = t_wc_new.inverse()
-    return Pose(orthonormalize(gt_new.C), gt_new.t)
+    return Pose(*_advance(gt_co.C, gt_co.t, cmd.vector() + noise, dt))
+
+
+def _advance(c_co: np.ndarray, t_co: np.ndarray, xi: np.ndarray,
+             dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The object-in-camera pose (c_co, t_co) after the camera executes the
+    body twist xi for dt: the camera's world pose (the inverse) composed
+    with exp(xi * dt), inverted back and re-orthonormalized."""
+    c_wc = c_co.T
+    d_c, d_t = exp_se3(xi, dt)
+    c_new = c_wc @ d_c
+    t_new = c_wc @ d_t + -(c_wc @ t_co)
+    c_oc = c_new.T
+    return orthonormalize(c_oc), -(c_oc @ t_new)
 
 
 def run_episode(scenario: Scenario, seed: int | None = None) -> EpisodeRecord:
@@ -230,7 +235,7 @@ def run_episode(scenario: Scenario, seed: int | None = None) -> EpisodeRecord:
     gt = initial
     prev_cmd = np.zeros(6)
     hold = 0
-    rows = _FrameRows()
+    rows = _FrameRows(scenario.max_frames)
 
     for k in range(scenario.max_frames):
         if use_ekf and k > 0:
@@ -275,7 +280,7 @@ def run_episode(scenario: Scenario, seed: int | None = None) -> EpisodeRecord:
             rel = relative_pose(desired, est)
             raw_tw = pbvs_law(rel, scenario.control.lam)
             if use_ekf:
-                jac = velocity_jacobian(desired, state, scenario.control)
+                jac = velocity_jacobian(rel, est, scenario.control)
                 vcov = velocity_covariance(jac, state.P)
                 ent = entropy(vcov)
                 tw = TwistWithUncertainty(
@@ -325,15 +330,12 @@ def geodesic_reference(initial: Pose, desired: Pose, cfg: ControlConfig,
     hold = 0
     for _ in range(max_frames):
         positions.append(-(gt.C.T @ gt.t))
-        cmd = clamp_twist(pbvs_law(relative_pose(desired, gt), cfg.lam), cfg)
-        hold = hold + 1 if cmd.norm() < v_eps else 0
+        cmd = clamp_twist(pbvs_law(relative_pose(desired, gt), cfg.lam),
+                          cfg).vector()
+        hold = hold + 1 if math.sqrt(cmd.dot(cmd)) < v_eps else 0
         if hold >= k_hold:
             break
-        t_wc = gt.inverse()
-        d_c, d_t = exp_se3(cmd.vector(), dt)
-        t_wc = t_wc.compose(Pose(d_c, d_t))
-        gt = t_wc.inverse()
-        gt = Pose(orthonormalize(gt.C), gt.t)
+        gt = Pose(*_advance(gt.C, gt.t, cmd, dt))
     positions.append(-(gt.C.T @ gt.t))
     return np.array(positions)
 
@@ -372,44 +374,42 @@ def _episode_task(args) -> EpisodeRecord:
 
 
 class _FrameRows:
-    """Accumulates per-frame quantities and packs them into arrays."""
+    """Per-frame quantities, written into arrays preallocated to max_frames
+    and cut to the recorded frames when stored."""
 
-    def __init__(self):
-        self.gt_C, self.gt_t = [], []
-        self.est_C, self.est_t = [], []
-        self.P, self.cmd, self.raw, self.twist_cov = [], [], [], []
-        self.entropy, self.resid_rms = [], []
-        self.n_visible, self.n_used = [], []
+    def __init__(self, max_frames: int):
+        self.k = 0
+        self.gt_C = np.empty((max_frames, 3, 3))
+        self.gt_t = np.empty((max_frames, 3))
+        self.est_C = np.empty((max_frames, 3, 3))
+        self.est_t = np.empty((max_frames, 3))
+        self.P = np.empty((max_frames, 6, 6))
+        self.cmd = np.empty((max_frames, 6))
+        self.raw = np.empty((max_frames, 6))
+        self.twist_cov = np.empty((max_frames, 6, 6))
+        self.entropy = np.empty(max_frames)
+        self.resid_rms = np.empty(max_frames)
+        self.n_visible = np.empty(max_frames, dtype=int)
+        self.n_used = np.empty(max_frames, dtype=int)
 
     def append(self, gt, est, p, cmd, raw, vcov, ent, rms, n_vis, n_used):
-        self.gt_C.append(gt.C.copy())
-        self.gt_t.append(gt.t.copy())
-        self.est_C.append(est.C.copy())
-        self.est_t.append(est.t.copy())
-        self.P.append(np.asarray(p, dtype=float).copy())
-        self.cmd.append(np.asarray(cmd, dtype=float).copy())
-        self.raw.append(np.asarray(raw, dtype=float).copy())
-        self.twist_cov.append(np.asarray(vcov, dtype=float).copy())
-        self.entropy.append(float(ent))
-        self.resid_rms.append(float(rms))
-        self.n_visible.append(int(n_vis))
-        self.n_used.append(int(n_used))
+        k = self.k
+        self.gt_C[k] = gt.C
+        self.gt_t[k] = gt.t
+        self.est_C[k] = est.C
+        self.est_t[k] = est.t
+        self.P[k] = p
+        self.cmd[k] = cmd
+        self.raw[k] = raw
+        self.twist_cov[k] = vcov
+        self.entropy[k] = ent
+        self.resid_rms[k] = rms
+        self.n_visible[k] = n_vis
+        self.n_used[k] = n_used
+        self.k = k + 1
 
     def store(self, record: EpisodeRecord):
-        def pack(rows, shape):
-            if rows:
-                return np.array(rows)
-            return np.zeros((0,) + shape)
-
-        record.gt_C = pack(self.gt_C, (3, 3))
-        record.gt_t = pack(self.gt_t, (3,))
-        record.est_C = pack(self.est_C, (3, 3))
-        record.est_t = pack(self.est_t, (3,))
-        record.P = pack(self.P, (6, 6))
-        record.cmd = pack(self.cmd, (6,))
-        record.raw = pack(self.raw, (6,))
-        record.twist_cov = pack(self.twist_cov, (6, 6))
-        record.entropy = pack(self.entropy, ())
-        record.resid_rms = pack(self.resid_rms, ())
-        record.n_visible = np.array(self.n_visible, dtype=int)
-        record.n_used = np.array(self.n_used, dtype=int)
+        for name in ("gt_C", "gt_t", "est_C", "est_t", "P", "cmd", "raw",
+                     "twist_cov", "entropy", "resid_rms", "n_visible",
+                     "n_used"):
+            setattr(record, name, getattr(self, name)[:self.k].copy())

@@ -3,17 +3,20 @@
 These deliberately avoid the library's closed-form code paths: matrix
 exponentials come from a truncated power series, derivatives from central
 finite differences. The reference EKF update, keypoint measurement, PnP
-refinement and SO(3)/projection kernels are the earlier straightforward
-implementations (a per-keypoint `solve` gate, a full-SVD condition number,
-a stacked-rotation `einsum` noise model, weights inverted and Jacobians
-filled for every keypoint on each Gauss-Newton iteration, `np.where`
-projection), kept verbatim so the optimised library path can be checked
-bit for bit.
+refinement, SO(3)/projection kernels and servo-loop kernels are the
+earlier straightforward implementations (a per-keypoint `solve` gate, a
+full-SVD condition number, a stacked-rotation `einsum` noise model,
+weights inverted and Jacobians filled for every keypoint on each
+Gauss-Newton iteration, `np.where` projection, numpy norms and reductions
+with temporary Poses in the control and rollout code, an eigendecomposition
+on every covariance clamp), kept verbatim so the optimised library path can
+be checked bit for bit.
 """
 import numpy as np
 from scipy.stats import chi2
 
 from ekfservo.camera import in_image, projection_jacobians, project_points
+from ekfservo.control import ControlConfig, Twist
 from ekfservo.ekf import (
     INNOVATION_COND_LIMIT,
     FilterState,
@@ -25,10 +28,11 @@ from ekfservo.lie import (
     _EXP_SERIES_EPS,
     _JAC_SERIES_EPS,
     Pose,
-    clamp_psd,
     hat,
     pose_boxminus,
     pose_boxplus,
+    symmetrize,
+    vee,
 )
 
 
@@ -178,7 +182,7 @@ def update_reference(state, meas, kps, intr, gate_level, z_min) -> UpdateResult:
     k = np.linalg.solve(s, h @ state.P).T  # P H^T S^-1, using P symmetric
     delta = -(k @ eps)
     ikh = np.eye(6) - k @ h
-    p_new = clamp_psd(ikh @ state.P)
+    p_new = clamp_psd_reference(ikh @ state.P)
 
     mean = pose_boxplus(state.mean, delta)
     used = np.zeros(n, dtype=bool)
@@ -312,3 +316,240 @@ def refine_pose_reference(prev, meas, kps, intr, iters=10, damping=1e-9,
         if float(np.linalg.norm(delta)) < step_tol:
             break
     return pose
+
+
+# The servo loop's kernels as first written: numpy reductions and norms per
+# call, a temporary Pose per group operation, the relative pose computed
+# again inside the control Jacobian, and a separate SE(3) rollout in the
+# geodesic reference.
+
+def log_so3_reference(c) -> np.ndarray:
+    """Rotation vector of a rotation matrix, with norm <= pi."""
+    c = np.asarray(c, dtype=float)
+    w = vee(c - c.T)  # 2 sin(theta) * axis
+    sin_t = 0.5 * float(np.linalg.norm(w))
+    cos_t = np.clip(0.5 * (np.trace(c) - 1.0), -1.0, 1.0)
+    theta = float(np.arctan2(sin_t, cos_t))  # well conditioned at 0 and pi
+    if theta < 1e-7:
+        return 0.5 * w
+    if theta < np.pi - 1e-4:
+        return (0.5 * theta / sin_t) * w
+    # theta close to pi: (C + C^T)/2 = cos(theta) I + (1 - cos(theta)) a a^T
+    aat = (0.5 * (c + c.T) - cos_t * np.eye(3)) / (1.0 - cos_t)
+    k = int(np.argmax(np.diag(aat)))
+    axis = aat[:, k] / np.sqrt(max(aat[k, k], 1e-16))
+    axis = axis / np.linalg.norm(axis)
+    w = vee(c - c.T)  # equals 2 sin(theta) * axis
+    if np.linalg.norm(w) > 1e-12:
+        if float(np.dot(w, axis)) < 0.0:
+            axis = -axis
+    else:
+        for comp in axis:
+            if abs(comp) > 1e-12:
+                if comp < 0.0:
+                    axis = -axis
+                break
+    return theta * axis
+
+
+def right_jacobian_inv_reference(phi) -> np.ndarray:
+    """Inverse right Jacobian; requires ||phi|| < pi."""
+    phi = np.asarray(phi, dtype=float)
+    k = hat(phi)
+    theta = float(np.linalg.norm(phi))
+    if theta < _JAC_SERIES_EPS:
+        return np.eye(3) + 0.5 * k + (k @ k) / 12.0
+    d = 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+    return np.eye(3) + 0.5 * k + d * (k @ k)
+
+
+def orthonormalize_reference(c) -> np.ndarray:
+    """Nearest rotation matrix in the Frobenius sense (via SVD)."""
+    u, _, vt = np.linalg.svd(np.asarray(c, dtype=float))
+    r = u @ vt
+    if np.linalg.det(r) < 0.0:
+        u = u.copy()
+        u[:, -1] = -u[:, -1]
+        r = u @ vt
+    return r
+
+
+def relative_pose_reference(desired: Pose, current: Pose) -> Pose:
+    """Transform from the current to the desired camera frame:
+    desired-object pose composed with the inverse current-object pose."""
+    rel = desired.compose(current.inverse())
+    drift = np.linalg.norm(rel.C @ rel.C.T - np.eye(3))
+    if drift > 1e-9:
+        rel = Pose(orthonormalize_reference(rel.C), rel.t)
+    return rel
+
+
+def pbvs_law_reference(rel: Pose, lam: float) -> Twist:
+    """The raw (unclamped) servo law; requires the rotation angle < pi."""
+    v_p = -lam * (rel.C.T @ rel.t)
+    w = -lam * log_so3_reference(rel.C)
+    return Twist(v_p, w)
+
+
+def clamp_twist_reference(twist: Twist, cfg: ControlConfig) -> Twist:
+    """Uniformly scale the twist so every component respects the limits;
+    direction is preserved."""
+    s = 1.0
+    mv = float(np.max(np.abs(twist.v_p)))
+    mw = float(np.max(np.abs(twist.w)))
+    if mv > cfg.v_max:
+        s = min(s, cfg.v_max / mv)
+    if mw > cfg.w_max:
+        s = min(s, cfg.w_max / mw)
+    return twist if s >= 1.0 else twist.scaled(s)
+
+
+def velocity_jacobian_reference(desired: Pose, state: FilterState,
+                                cfg: ControlConfig) -> np.ndarray:
+    """Derivative of the raw servo law with respect to the filter error
+    state [dt, dphi], with the relative pose computed from scratch."""
+    rel = relative_pose_reference(desired, state.mean)
+    e_t = rel.C.T @ rel.t
+    theta_u = log_so3_reference(rel.C)
+    jac = np.zeros((6, 6))
+    jac[:3, :3] = cfg.lam * np.eye(3)
+    jac[:3, 3:] = cfg.lam * (hat(state.mean.t) + hat(e_t))
+    jac[3:, 3:] = cfg.lam * right_jacobian_inv_reference(theta_u)
+    return jac
+
+
+def step_dynamics_reference(gt_co: Pose, cmd: Twist, sigma_v: float,
+                            sigma_w: float, dt: float,
+                            rng: np.random.Generator) -> Pose:
+    """Execute a commanded twist corrupted by Gaussian actuation noise."""
+    noise = np.concatenate([sigma_v * rng.standard_normal(3),
+                            sigma_w * rng.standard_normal(3)])
+    executed = cmd.vector() + noise
+    t_wc = gt_co.inverse()
+    d_c, d_t = exp_se3_reference(executed, dt)
+    t_wc_new = t_wc.compose(Pose(d_c, d_t))
+    gt_new = t_wc_new.inverse()
+    return Pose(orthonormalize_reference(gt_new.C), gt_new.t)
+
+
+def geodesic_reference_reference(initial: Pose, desired: Pose,
+                                 cfg: ControlConfig, dt: float, v_eps: float,
+                                 k_hold: int, max_frames: int) -> np.ndarray:
+    """Camera positions of the noise-free, perfect-information servo
+    rollout, with its own copy of the SE(3) step."""
+    gt = initial
+    positions = []
+    hold = 0
+    for _ in range(max_frames):
+        positions.append(-(gt.C.T @ gt.t))
+        cmd = clamp_twist_reference(
+            pbvs_law_reference(relative_pose_reference(desired, gt), cfg.lam),
+            cfg)
+        hold = hold + 1 if float(np.linalg.norm(cmd.vector())) < v_eps else 0
+        if hold >= k_hold:
+            break
+        t_wc = gt.inverse()
+        d_c, d_t = exp_se3_reference(cmd.vector(), dt)
+        t_wc = t_wc.compose(Pose(d_c, d_t))
+        gt = t_wc.inverse()
+        gt = Pose(orthonormalize_reference(gt.C), gt.t)
+    positions.append(-(gt.C.T @ gt.t))
+    return np.array(positions)
+
+
+def exp_se3_reference(xi, dt: float = 1.0):
+    """SE(3) exponential of the scaled twist xi * dt."""
+    xi = np.asarray(xi, dtype=float)
+    rho = xi[:3] * dt
+    phi = xi[3:] * dt
+    return exp_so3_reference(phi), left_jacobian_reference(phi) @ rho
+
+
+def clamp_psd_reference(m, tol: float = 1e-12) -> np.ndarray:
+    """Symmetrize, then clamp negative eigenvalues to zero after a full
+    eigendecomposition on every call."""
+    s = symmetrize(m)
+    w, v = np.linalg.eigh(s)
+    if w[0] >= 0.0:
+        return s
+    w = np.clip(w, 0.0, None)
+    return symmetrize((v * w) @ v.T)
+
+
+def rotation_to_quaternion_reference(c) -> np.ndarray:
+    """Unit quaternion (w, x, y, z); used for logging only."""
+    c = np.asarray(c, dtype=float)
+    tr = np.trace(c)
+    if tr > 0.0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array([0.25 * s,
+                      (c[2, 1] - c[1, 2]) / s,
+                      (c[0, 2] - c[2, 0]) / s,
+                      (c[1, 0] - c[0, 1]) / s])
+    elif c[0, 0] >= c[1, 1] and c[0, 0] >= c[2, 2]:
+        s = np.sqrt(1.0 + c[0, 0] - c[1, 1] - c[2, 2]) * 2.0
+        q = np.array([(c[2, 1] - c[1, 2]) / s,
+                      0.25 * s,
+                      (c[0, 1] + c[1, 0]) / s,
+                      (c[0, 2] + c[2, 0]) / s])
+    elif c[1, 1] >= c[2, 2]:
+        s = np.sqrt(1.0 + c[1, 1] - c[0, 0] - c[2, 2]) * 2.0
+        q = np.array([(c[0, 2] - c[2, 0]) / s,
+                      (c[0, 1] + c[1, 0]) / s,
+                      0.25 * s,
+                      (c[1, 2] + c[2, 1]) / s])
+    else:
+        s = np.sqrt(1.0 + c[2, 2] - c[0, 0] - c[1, 1]) * 2.0
+        q = np.array([(c[1, 0] - c[0, 1]) / s,
+                      (c[0, 2] + c[2, 0]) / s,
+                      (c[1, 2] + c[2, 1]) / s,
+                      0.25 * s])
+    if q[0] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+def nees_reference(records) -> tuple[float, int]:
+    """Mean NEES and its sample count, with two Poses built and P tested
+    for finiteness on every frame."""
+    values = []
+    for rec in records:
+        for k in range(rec.frames):
+            p = rec.P[k]
+            if not np.all(np.isfinite(p)):
+                continue
+            gt = Pose(rec.gt_C[k], rec.gt_t[k])
+            est = Pose(rec.est_C[k], rec.est_t[k])
+            delta = np.concatenate([gt.t - est.t,
+                                    log_so3_reference(gt.C @ est.C.T)])
+            try:
+                values.append(float(delta @ np.linalg.solve(p, delta)))
+            except np.linalg.LinAlgError:
+                continue
+    if not values:
+        return float("nan"), 0
+    return float(np.mean(values)), len(values)
+
+
+def uncertainty_correlation_reference(records) -> float:
+    """Pearson correlation between per-frame twist entropy and the
+    commanded-twist error against the ground-truth servo law."""
+    ents, errs = [], []
+    for rec in records:
+        for k in range(rec.frames):
+            ent = rec.entropy[k]
+            if not np.isfinite(ent):
+                continue
+            gt = Pose(rec.gt_C[k], rec.gt_t[k])
+            v_gt = pbvs_law_reference(relative_pose_reference(rec.desired, gt),
+                                      rec.control.lam).vector()
+            err = float(np.linalg.norm(rec.cmd[k] - v_gt))
+            ents.append(float(ent))
+            errs.append(err)
+    if len(ents) < 2:
+        return float("nan")
+    ents_arr = np.array(ents)
+    errs_arr = np.array(errs)
+    if np.std(ents_arr) < 1e-15 or np.std(errs_arr) < 1e-15:
+        return float("nan")
+    return float(np.corrcoef(ents_arr, errs_arr)[0, 1])

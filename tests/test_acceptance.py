@@ -99,7 +99,7 @@ def test_criterion_1_jacobian_finite_difference_cross_checks(model, intr):
         desired = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.15])
                        + rng.uniform(-0.05, 0.05, 3))
         cfg = ControlConfig(lam=0.7)
-        jac = velocity_jacobian(desired, st, cfg)
+        jac = velocity_jacobian(relative_pose(desired, st.mean), st.mean, cfg)
 
         def vel(p):
             return pbvs_law(relative_pose(desired, p), cfg.lam).vector()

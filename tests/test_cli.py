@@ -211,3 +211,17 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_unknown_field_exit_2(tmp_path, capsys):
+    raw = json.loads(Path(NOMINAL).read_text())
+    raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
+    raw["sensing"]["dropout_prb"] = 0.9
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(bad), "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sensing.dropout_prb" in err and "sensing.dropout_prob" in err
+    assert not (tmp_path / "o").exists()

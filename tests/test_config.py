@@ -143,3 +143,32 @@ def test_variant_field(tmp_path):
     raw["variant"] = "hybrid"
     with pytest.raises(ConfigError):
         load_scenario(_write(tmp_path, raw))
+
+
+@pytest.mark.parametrize("section, key, hint", [
+    ("sensing", "dropout_prb", "sensing.dropout_prob"),
+    (None, "sed", "seed"),
+    ("control", "lamda", "control.lambda"),
+    ("init_prior", "zzz", None),
+    (None, "notes", None),
+])
+def test_unknown_field_rejected(tmp_path, section, key, hint):
+    raw = _valid_dict()
+    (raw if section is None else raw[section])[key] = 0.9
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_write(tmp_path, raw))
+    path = key if section is None else f"{section}.{key}"
+    msg = str(err.value)
+    assert f"unknown field {path}" in msg
+    if hint is None:
+        assert "did you mean" not in msg
+    else:
+        assert f"did you mean {hint}?" in msg
+
+
+def test_unknown_field_in_optional_section_rejected(tmp_path):
+    raw = _valid_dict()
+    raw["actuation"] = {"sigma_vv": 0.1}
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_write(tmp_path, raw))
+    assert "unknown field actuation.sigma_vv" in str(err.value)

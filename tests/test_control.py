@@ -106,7 +106,8 @@ def test_velocity_jacobian_matches_fd(rng):
         desired = _random_pose(rng, angle=0.3)
         state = FilterState(_random_pose(rng), 1e-4 * np.eye(6))
         cfg = ControlConfig(lam=0.7)
-        jac = velocity_jacobian(desired, state, cfg)
+        jac = velocity_jacobian(relative_pose(desired, state.mean),
+                                state.mean, cfg)
 
         def vel(p):
             return pbvs_law(relative_pose(desired, p), cfg.lam).vector()
@@ -122,7 +123,7 @@ def test_velocity_jacobian_translation_block(rng):
     current = Pose(LOOK_DOWN, [0.03, -0.02, 0.31])
     cfg = ControlConfig(lam=0.5)
     state = FilterState(current, np.eye(6) * 1e-6)
-    jac = velocity_jacobian(desired, state, cfg)
+    jac = velocity_jacobian(relative_pose(desired, current), current, cfg)
     assert np.allclose(jac[:3, :3], 0.5 * np.eye(3), atol=1e-12)
 
     def vel(p):
@@ -135,8 +136,9 @@ def test_velocity_jacobian_translation_block(rng):
 def test_velocity_jacobian_linear_in_gain(rng):
     desired = _random_pose(rng, 0.2)
     state = FilterState(_random_pose(rng), np.eye(6) * 1e-4)
-    j1 = velocity_jacobian(desired, state, ControlConfig(lam=0.5))
-    j2 = velocity_jacobian(desired, state, ControlConfig(lam=1.5))
+    rel = relative_pose(desired, state.mean)
+    j1 = velocity_jacobian(rel, state.mean, ControlConfig(lam=0.5))
+    j2 = velocity_jacobian(rel, state.mean, ControlConfig(lam=1.5))
     assert np.allclose(j2, 3.0 * j1, atol=1e-12)
 
 
@@ -159,7 +161,7 @@ def test_velocity_covariance_monte_carlo_pushforward(rng):
     a = rng.standard_normal((6, 6))
     p = 1e-6 * (a @ a.T + 6 * np.eye(6))  # sigma ~ 1e-3 scale
     state = FilterState(mean_pose, p)
-    jac = velocity_jacobian(desired, state, cfg)
+    jac = velocity_jacobian(relative_pose(desired, mean_pose), mean_pose, cfg)
     lin_trace = np.trace(velocity_covariance(jac, p))
 
     chol = np.linalg.cholesky(p)
@@ -267,7 +269,8 @@ def test_twist_with_uncertainty_bundles(rng):
     state = initialize(_random_pose(rng, 0.5), 0.01, 0.03)
     cfg = ControlConfig(lam=0.6)
     tw = twist_with_uncertainty(desired, state, cfg)
-    jac = velocity_jacobian(desired, state, cfg)
+    jac = velocity_jacobian(relative_pose(desired, state.mean), state.mean,
+                            cfg)
     assert np.allclose(tw.cov, velocity_covariance(jac, state.P))
     assert abs(tw.entropy - entropy(tw.cov)) < 1e-12
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekfservo.lie import (
     Pose,
-    axis_angle,
     clamp_psd,
     exp_se3,
     exp_so3,
@@ -122,9 +123,55 @@ def test_one_parameter_subgroup(rng):
         assert np.allclose(exp_so3(a) @ exp_so3(a), exp_so3(2 * a), atol=1e-12)
 
 
-def test_axis_angle_is_log_alias(rng):
-    c = exp_so3(random_rotvec(rng, 2.0))
-    assert np.array_equal(axis_angle(c), log_so3(c))
+# Rotation vectors as a direction and an angle: the near-pi properties
+# below are stated in terms of the angle (Sola, Deray & Atchuthan,
+# arXiv:1812.01537, the SO(3) appendix).
+_AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3)
+
+
+def _rotvec(axis, angle):
+    axis = np.asarray(axis)
+    return axis / np.linalg.norm(axis) * angle
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=_AXES, angle=st.floats(0.0, np.pi - 1e-3))
+def test_exp_log_roundtrip_property(axis, angle):
+    phi = _rotvec(axis, angle)
+    c = exp_so3(phi)
+    back = log_so3(c)
+    assert np.linalg.norm(back - phi) < 1e-9
+    assert np.abs(exp_so3(back) - c).max() < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=_AXES, angle=st.floats(np.pi - 1e-3, np.pi))
+def test_log_near_half_turn_property(axis, angle):
+    """Up to and at pi, log_so3 stays on the principal branch and inverts
+    exp_so3 up to the sign of phi, which is ambiguous only at pi."""
+    phi = _rotvec(axis, angle)
+    c = exp_so3(phi)
+    back = log_so3(c)
+    assert np.linalg.norm(back) <= np.pi + 1e-12
+    assert min(np.linalg.norm(back - phi), np.linalg.norm(back + phi)) < 1e-7
+    assert np.abs(exp_so3(back) - c).max() < 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=_AXES, angle=st.floats(0.0, np.pi - 1e-3))
+def test_right_jacobian_inverse_property_near_pi(axis, angle):
+    phi = _rotvec(axis, angle)
+    assert np.abs(right_jacobian(phi) @ right_jacobian_inv(phi)
+                  - np.eye(3)).max() < 1e-9
+
+
+def test_right_jacobian_inv_finite_at_pi():
+    """The coefficient of hat(phi)^2 tends to 1/pi^2 at a half turn."""
+    phi = np.array([0.0, 0.0, np.pi])
+    k = hat(phi)
+    expected = np.eye(3) + 0.5 * k + (k @ k) / np.pi**2
+    assert np.abs(right_jacobian_inv(phi) - expected).max() < 1e-12
 
 
 def test_right_jacobian_inv_at_zero():

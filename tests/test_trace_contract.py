@@ -1,0 +1,76 @@
+"""The contract between the program and the benchmark's tracer
+(bench/tracer.py): every name it wraps exists where it looks, and the
+servo loop and the geodesic rollout call the counted control names as
+often as the benchmark's attribution check expects. A rename or a fused
+step fails here, not only under `bench/run.py --trace 1`."""
+import importlib
+import importlib.util
+from dataclasses import replace
+
+import pytest
+
+import ekfservo.simulator as sim
+from conftest import REPO, scenario
+
+
+def _tracer():
+    """bench/tracer.py, loaded from its file; it imports only the
+    standard library."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", REPO / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _counting(monkeypatch, names):
+    """Count the calls made through ekfservo.simulator's names."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(sim, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, name, spy)
+    return counts
+
+
+def test_traced_names_resolve():
+    tracer = _tracer()
+    pairs = [(mod, attr) for mod, attr, *_ in tracer.SPANS]
+    pairs += [(mod, attr) for mod, attr, _ in tracer.COUNTERS]
+    assert len(pairs) > 10
+    for mod, attr in pairs:
+        module = importlib.import_module(f"ekfservo.{mod}")
+        assert callable(getattr(module, attr, None)), f"ekfservo.{mod}.{attr}"
+
+
+@pytest.mark.parametrize("variant", ["coupled-ekf", "pbvs-perframe"])
+def test_loop_calls_pbvs_law_once_per_recorded_frame(monkeypatch, variant):
+    counts = _counting(monkeypatch, ("pbvs_law", "relative_pose"))
+    rec = sim.run_episode(replace(scenario("adverse"), variant=variant,
+                                  max_frames=40))
+    assert rec.failure is None and rec.frames > 0
+    assert counts == {"pbvs_law": rec.frames, "relative_pose": rec.frames}
+
+
+def test_loop_without_servoing_calls_no_control(monkeypatch):
+    counts = _counting(monkeypatch, ("pbvs_law", "relative_pose"))
+    rec = sim.run_episode(replace(scenario("consistency"), max_frames=20))
+    assert rec.variant == "none" and rec.frames == 20
+    assert counts == {"pbvs_law": 0, "relative_pose": 0}
+
+
+def test_geodesic_rollout_calls_control_once_per_step(monkeypatch):
+    sc = scenario("nominal")
+    rec = sim.run_episode(replace(sc, max_frames=5))
+    counts = _counting(monkeypatch,
+                       ("relative_pose", "pbvs_law", "clamp_twist"))
+    positions = sim.geodesic_reference(rec.initial_gt, rec.desired,
+                                       sc.control, sc.dt, sc.v_eps, sc.k_hold,
+                                       sc.max_frames)
+    steps = len(positions) - 1
+    assert steps > 10
+    assert counts == dict.fromkeys(counts, steps)
