@@ -77,6 +77,7 @@ from .simulator import (
     geodesic_reference,
     run_batch,
     run_episode,
+    run_episodes,
     sample_poses,
     step_dynamics,
 )

@@ -24,7 +24,6 @@ finite, a bool is not a number, and a key not listed here is an error:
     convergence           {v_eps, k_hold} (1e-3, 10)
     gate_level            float (0.999)
     z_min                 float (1e-3)
-    propagation_variant   "left" | "mixed-jr" ("left")
     uncertainty_policy    bool (true)
     variant               "coupled-ekf" | "pbvs-perframe" | "none"
 """
@@ -153,7 +152,6 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
             k_hold=conv.optional("k_hold", int, 10),
             gate_level=ctx.optional("gate_level", (int, float), 0.999),
             z_min=ctx.optional("z_min", (int, float), 1e-3),
-            propagation_variant=ctx.optional("propagation_variant", str, "left"),
             uncertainty_policy=ctx.optional("uncertainty_policy", bool, True),
             variant=ctx.optional("variant", str, "coupled-ekf"),
             seed=ctx.optional("seed", int, 0),

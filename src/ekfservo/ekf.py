@@ -12,10 +12,7 @@ commanded camera twist:
     t' = exp(-hat(w) dt) t - v dt,    C' = exp(-hat(w) dt) C,
 
 whose error transition under the left convention is block-diagonal with
-both blocks equal to exp(-hat(w) dt). An alternative rotation block,
-J_r^{-1}(log(exp(-hat(w) dt) C)), is kept behind `variant="mixed-jr"` for
-comparison; it mixes error conventions and fails the finite-difference
-cross-check, which is exactly why it is not the default.
+both blocks equal to exp(-hat(w) dt).
 
 Covariance propagation adds R * dt with R = diag(sigma_vp^2 I, sigma_vw^2 I)
 and an identity noise Jacobian, i.e. the velocity-noise stds are treated as
@@ -27,6 +24,12 @@ reads its blocks off the same innovation S = H P H^T that the gain uses.
 S counts as singular when it is non-finite or when its condition number,
 the ratio of the largest to the smallest eigenvalue magnitude of the
 symmetric S, exceeds INNOVATION_COND_LIMIT.
+
+`propagate` and `update` take one belief (mean a Pose, P 6x6) or a stack
+of N beliefs (mean a Pose of (N, 3, 3) and (N, 3) arrays, P (N, 6, 6))
+with an (N, 6) twist or a stacked Measurement; the single form is the
+N = 1 case of the stacked one, and slice i of a stacked result has the
+same bits as the single call on slice i.
 """
 from __future__ import annotations
 
@@ -38,18 +41,11 @@ import numpy as np
 
 from .camera import DEFAULT_Z_MIN, Intrinsics, projection_jacobians, project_points
 from .keypoints import KeypointSet, Measurement
-from .lie import (
-    Pose,
-    clamp_psd,
-    exp_so3,
-    log_so3,
-    pose_boxplus,
-    right_jacobian_inv,
-    symmetrize,
-)
+from .lie import Pose, clamp_psd, exp_so3, symmetrize
 
-PROPAGATION_VARIANTS = ("left", "mixed-jr")
 INNOVATION_COND_LIMIT = 1e12
+_EYE6 = np.eye(6)
+_EYE6.setflags(write=False)
 
 
 class SingularInnovation(RuntimeError):
@@ -93,26 +89,36 @@ def initialize(prior: Pose, init_sigma_t: float, init_sigma_phi: float) -> Filte
     return FilterState(prior, p)
 
 
-def propagate(state: FilterState, twist, dt: float, noise: NoiseParams,
-              variant: str = "left") -> FilterState:
-    """Constant-velocity prediction with the commanded camera twist."""
+def propagate(state: FilterState, twist, dt: float,
+              noise: NoiseParams) -> FilterState:
+    """Constant-velocity prediction with the commanded camera twist: one
+    belief and a twist (a Twist or 6-vector), or a stack of N beliefs and
+    an (N, 6) array of twists."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if variant not in PROPAGATION_VARIANTS:
-        raise ValueError(f"variant must be one of {PROPAGATION_VARIANTS}")
-    v, w = _twist_parts(twist)
-    r = exp_so3(-w * dt)
-    t_new = r @ state.mean.t - v * dt
+    if state.P.ndim == 2:
+        out = propagate(_stack_one(state), _twist_vector(twist)[None], dt,
+                        noise)
+        return _unstack_one(out)
+    twist = np.asarray(twist, dtype=float)
+    r = exp_so3(-twist[:, 3:] * dt)
+    t_new = (r @ state.mean.t[:, :, None])[:, :, 0] - twist[:, :3] * dt
     c_new = r @ state.mean.C
 
-    f = np.zeros((6, 6))
-    f[:3, :3] = r
-    if variant == "left":
-        f[3:, 3:] = r
-    else:
-        f[3:, 3:] = right_jacobian_inv(log_so3(c_new))
-    p_new = f @ state.P @ f.T + noise.rate_covariance * dt
+    f = np.zeros((r.shape[0], 6, 6))
+    f[:, :3, :3] = r
+    f[:, 3:, 3:] = r
+    p_new = f @ state.P @ f.swapaxes(1, 2) + noise.rate_covariance * dt
     return FilterState(Pose(c_new, t_new), symmetrize(p_new))
+
+
+def _stack_one(state: FilterState) -> FilterState:
+    return FilterState(Pose(state.mean.C[None], state.mean.t[None]),
+                       state.P[None])
+
+
+def _unstack_one(state: FilterState) -> FilterState:
+    return FilterState(Pose(state.mean.C[0], state.mean.t[0]), state.P[0])
 
 
 def predict_keypoints(pose: Pose, kps: KeypointSet, intr: Intrinsics,
@@ -170,10 +176,11 @@ def _gate_threshold(level: float) -> float:
 
 def _mahalanobis_keep(residuals, s_blocks, thresh: float) -> np.ndarray:
     """r^T S^-1 r <= thresh per keypoint, with S^-1 = adj(S) / det(S) for
-    each 2x2 block; a keypoint with det(S) == 0 or a NaN distance fails."""
-    a, b = s_blocks[:, 0, 0], s_blocks[:, 0, 1]
-    c, d = s_blocks[:, 1, 0], s_blocks[:, 1, 1]
-    r0, r1 = residuals[:, 0], residuals[:, 1]
+    each 2x2 block; a keypoint with det(S) == 0 or a NaN distance fails.
+    residuals (..., 2) and s_blocks (..., 2, 2) share their leading axes."""
+    a, b = s_blocks[..., 0, 0], s_blocks[..., 0, 1]
+    c, d = s_blocks[..., 1, 0], s_blocks[..., 1, 1]
+    r0, r1 = residuals[..., 0], residuals[..., 1]
     det = a * d - b * c
     with np.errstate(divide="ignore", invalid="ignore"):
         m2 = (d * r0 * r0 - (b + c) * r0 * r1 + a * r1 * r1) / det
@@ -194,16 +201,22 @@ def gate(residuals, h_blocks, p_prior, covs, level: float = 0.999) -> np.ndarray
 
 @dataclass
 class UpdateResult:
+    """One update's outcome; for a stack of N beliefs every per-keypoint
+    or per-frame field gains a leading axis of N."""
+
     state: FilterState
     used: np.ndarray          # per-keypoint flag: entered the update
     n_visible: int            # measured-visible keypoints this frame
     residual_rms: float       # RMS of used residual components, NaN if none
     all_rejected: bool        # visible keypoints existed but all were gated
+    # stacked updates only: per belief, None or the exception that failed
+    # it (its row of `state` then holds the prior)
+    errors: list | None = None
 
 
 def update(state: FilterState, meas: Measurement, kps: KeypointSet,
            intr: Intrinsics, gate_level: float = 0.999,
-           joseph: bool = False, z_min: float = DEFAULT_Z_MIN) -> UpdateResult:
+           z_min: float = DEFAULT_Z_MIN) -> UpdateResult:
     """Keypoint update with on-manifold injection.
 
     K = P H^T (H P H^T + Q)^-1 with H the *residual* Jacobian; since
@@ -213,64 +226,162 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     measured-visible, predictable, gated keypoints enter; with none, the
     prediction is returned unchanged. A non-finite or ill-conditioned
     innovation raises SingularInnovation.
+
+    A stack of N beliefs with a stacked measurement raises nothing for
+    one belief's numerical trouble: that belief's entry of `errors` holds
+    the exception the single update would have raised (SingularInnovation,
+    or a LinAlgError or FloatingPointError from numpy), and the others are
+    unaffected. The beliefs are grouped by their count of usable
+    keypoints, and each group by its count after gating, so that every
+    group runs as one stacked product, solve and eigvalsh.
     """
-    n = len(kps)
-    n_visible = int(meas.visible.sum())
-    rotated = kps.points3d @ state.mean.C.T  # C @ X per keypoint
-    pts_c = rotated + state.mean.t
+    if state.P.ndim == 2:
+        res = update(_stack_one(state),
+                     Measurement(meas.uv[None], meas.cov[None],
+                                 meas.visible[None]),
+                     kps, intr, gate_level, z_min)
+        if res.errors[0] is not None:
+            raise res.errors[0]
+        return UpdateResult(_unstack_one(res.state), res.used[0],
+                            int(res.n_visible[0]), float(res.residual_rms[0]),
+                            bool(res.all_rejected[0]))
+
+    n_beliefs, n = meas.visible.shape
+    rotated = kps.points3d @ state.mean.C.swapaxes(1, 2)  # C @ X per keypoint
+    pts_c = rotated + state.mean.t[:, None, :]
     uv_pred, ok = project_points(pts_c, intr, z_min)
-    idx = np.flatnonzero(meas.visible & ok)
-    if idx.size == 0:
-        return UpdateResult(state.copy(), np.zeros(n, dtype=bool),
-                            n_visible, float("nan"), False)
+    usable = meas.visible & ok.reshape(n_beliefs, n)
+    out = _StackedUpdate(state, meas, rotated, pts_c, uv_pred, usable, intr,
+                         _gate_threshold(gate_level))
+    counts = usable.sum(axis=1)
+    for m in sorted(set(counts.tolist()) - {0}):
+        out.run(np.flatnonzero(counts == m))
+    return UpdateResult(FilterState(Pose(out.c, out.t), out.p), out.used,
+                        meas.visible.sum(axis=1), out.rms, out.all_rejected,
+                        out.errors)
 
-    m = idx.size
-    h = _jacobian_blocks(rotated[idx], pts_c[idx], intr).reshape(2 * m, 6)
-    hp = h @ state.P
-    s = hp @ h.T
-    if not np.isfinite(s).all():
-        raise SingularInnovation("non-finite innovation")
-    residuals = meas.uv[idx] - uv_pred[idx]
-    covs = meas.cov[idx]
-    diag = np.arange(m)
-    s_blocks = s.reshape(m, 2, m, 2)[diag, :, diag, :] + covs  # per keypoint
-    keep = _mahalanobis_keep(residuals, s_blocks, _gate_threshold(gate_level))
-    if not keep.any():
-        return UpdateResult(state.copy(), np.zeros(n, dtype=bool),
-                            n_visible, float("nan"), True)
-    if not keep.all():
-        rows = np.flatnonzero(np.repeat(keep, 2))
-        h, hp, s = h[rows], hp[rows], s[np.ix_(rows, rows)]
-        idx, residuals, covs = idx[keep], residuals[keep], covs[keep]
-        m = idx.size
+
+class _StackedUpdate:
+    """One stacked update in progress: the inputs, with keypoint rows
+    flattened over (belief, keypoint); the outputs, initialised to the
+    prior (the outcome of a belief with no usable keypoint); and the
+    computation of one group of beliefs."""
+
+    def __init__(self, state, meas, rotated, pts_c, uv_pred, usable, intr,
+                 thresh):
+        self.prior, self.usable, self.intr, self.thresh = (state, usable,
+                                                           intr, thresh)
+        self.rotated = rotated.reshape(-1, 3)
+        self.pts_c = pts_c.reshape(-1, 3)
+        self.uv_pred = uv_pred
+        self.uv = meas.uv.reshape(-1, 2)
+        self.cov = meas.cov.reshape(-1, 2, 2)
+        n_beliefs = usable.shape[0]
+        self.c = state.mean.C.copy()
+        self.t = state.mean.t.copy()
+        self.p = state.P.copy()
+        self.used = np.zeros(usable.shape, dtype=bool)
+        self.rms = np.full(n_beliefs, np.nan)
+        self.all_rejected = np.zeros(n_beliefs, dtype=bool)
+        self.errors = [None] * n_beliefs
+
+    def run(self, group: np.ndarray) -> None:
+        """Update the beliefs in `group`, which share their count of usable
+        keypoints; when numpy raises for the stack, redo it one belief at a
+        time, so that only the belief that raises fails."""
+        try:
+            self._usable_group(group)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            if group.size == 1:
+                self.errors[group[0]] = exc
+            else:
+                for i in range(group.size):
+                    self.run(group[i:i + 1])
+
+    def _usable_group(self, g: np.ndarray) -> None:
+        # flat (belief, keypoint) rows of each belief's usable keypoints
+        if g.size == self.rms.size:
+            rows = np.flatnonzero(self.usable).reshape(g.size, -1)
+        else:
+            rows = (g[:, None] * self.usable.shape[1]
+                    + np.nonzero(self.usable[g])[1].reshape(g.size, -1))
+        m = rows.shape[1]
+        h = _jacobian_blocks(self.rotated[rows.ravel()],
+                             self.pts_c[rows.ravel()],
+                             self.intr).reshape(g.size, 2 * m, 6)
+        hp = h @ self.prior.P[self._at(g)]
+        s = hp @ h.swapaxes(1, 2)
+        if not np.isfinite(s).all():
+            finite = np.isfinite(s).all(axis=(1, 2))
+            for i in g[~finite].tolist():
+                self.errors[i] = SingularInnovation("non-finite innovation")
+            if not finite.any():
+                return
+            g, rows, h, hp, s = (g[finite], rows[finite], h[finite],
+                                 hp[finite], s[finite])
+        residuals = self.uv[rows] - self.uv_pred[rows]
+        covs = self.cov[rows]
+        # each keypoint's 2x2 block of S, as (belief, keypoint, 2, 2)
+        s_blocks = s.reshape(-1, m, 2, m, 2).diagonal(axis1=1, axis2=3)
+        keep = _mahalanobis_keep(residuals,
+                                 s_blocks.transpose(0, 3, 1, 2) + covs,
+                                 self.thresh)
+        if keep.all():
+            self._gated_group(g, rows, h, hp, s, residuals, covs)
+            return
+        kept = keep.sum(axis=1)
+        self.all_rejected[g[kept == 0]] = True
+        for m_kept in sorted(set(kept.tolist()) - {0}):
+            sub = np.flatnonzero(kept == m_kept)
+            if m_kept == m:
+                self._gated_group(g[sub], rows[sub], h[sub], hp[sub], s[sub],
+                                  residuals[sub], covs[sub])
+                continue
+            pos = np.nonzero(keep[sub])[1].reshape(sub.size, m_kept)
+            r2 = (2 * pos[:, :, None] + (0, 1)).reshape(sub.size, 2 * m_kept)
+            at = sub[:, None]
+            self._gated_group(g[sub], rows[at, pos], h[at, r2], hp[at, r2],
+                              s[sub[:, None, None], r2[:, :, None],
+                                r2[:, None, :]],
+                              residuals[at, pos], covs[at, pos])
+
+    def _gated_group(self, g, rows, h, hp, s, residuals, covs) -> None:
+        """Gain, correction and covariance of beliefs that keep the same
+        count of keypoints after gating."""
+        n_g, m = rows.shape
+        eps = residuals.reshape(n_g, 2 * m)
+        q = np.zeros((n_g, m, 2, m, 2))
         diag = np.arange(m)
+        q[:, diag, :, diag, :] = covs.swapaxes(0, 1)
+        s = s + q.reshape(n_g, 2 * m, 2 * m)
+        eig = np.abs(np.linalg.eigvalsh(s))
+        bad = eig.max(axis=1) > INNOVATION_COND_LIMIT * eig.min(axis=1)
+        if bad.any():
+            for i in g[bad].tolist():
+                self.errors[i] = SingularInnovation(
+                    "innovation condition number exceeds "
+                    f"{INNOVATION_COND_LIMIT:.0e}")
+            if bad.all():
+                return
+            good = ~bad
+            g, rows, h, hp, s, eps = (g[good], rows[good], h[good],
+                                      hp[good], s[good], eps[good])
+        k = np.linalg.solve(s, hp).swapaxes(1, 2)  # P H^T S^-1, P symmetric
+        delta = -(k @ eps[:, :, None])[:, :, 0]
+        at = self._at(g)
+        self.p[at] = clamp_psd((_EYE6 - k @ h) @ self.prior.P[at])
+        self.c[at] = exp_so3(delta[:, 3:]) @ self.prior.mean.C[at]
+        self.t[at] = self.prior.mean.t[at] + delta[:, :3]
+        self.used.reshape(-1)[rows] = True
+        # the mean of eps**2 per belief, as np.mean computes it
+        self.rms[at] = np.sqrt((eps**2).sum(axis=1) / (2 * m))
 
-    eps = residuals.reshape(2 * m)
-    q = np.zeros((2 * m, 2 * m))
-    q.reshape(m, 2, m, 2)[diag, :, diag, :] = covs
-    s = s + q
-    eig = np.abs(np.linalg.eigvalsh(s))
-    if eig.max() > INNOVATION_COND_LIMIT * eig.min():
-        raise SingularInnovation(
-            f"innovation condition number exceeds {INNOVATION_COND_LIMIT:.0e}")
-    k = np.linalg.solve(s, hp).T  # P H^T S^-1, using P symmetric
-    delta = -(k @ eps)
-    ikh = np.eye(6) - k @ h
-    if joseph:
-        p_new = ikh @ state.P @ ikh.T + k @ q @ k.T
-    else:
-        p_new = ikh @ state.P
-    p_new = clamp_psd(p_new)
-
-    mean = pose_boxplus(state.mean, delta)
-    used = np.zeros(n, dtype=bool)
-    used[idx] = True
-    rms = float(np.sqrt(np.mean(eps**2)))
-    return UpdateResult(FilterState(mean, p_new), used, n_visible, rms, False)
+    def _at(self, g: np.ndarray):
+        """Index of the sorted beliefs g: a slice when g holds them all."""
+        return slice(None) if g.size == self.rms.size else g
 
 
-def _twist_parts(twist) -> tuple[np.ndarray, np.ndarray]:
+def _twist_vector(twist) -> np.ndarray:
     if hasattr(twist, "vector"):
         twist = twist.vector()
-    vec = np.asarray(twist, dtype=float).reshape(6)
-    return vec[:3], vec[3:]
+    return np.asarray(twist, dtype=float).reshape(6)

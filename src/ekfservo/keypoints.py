@@ -173,7 +173,8 @@ class SensingProfile:
 class Measurement:
     """One frame of detected keypoints, aligned with a KeypointSet.
 
-    Rows with visible == False carry NaN for uv and cov.
+    Rows with visible == False carry NaN for uv and cov. A stacked
+    measurement of N poses has a leading axis of N on every field.
     """
 
     uv: np.ndarray
@@ -185,7 +186,7 @@ class Measurement:
 
 
 def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
-            profile: SensingProfile, rng: np.random.Generator,
+            profile: SensingProfile, rng,
             frame: int | None = None,
             z_min: float = DEFAULT_Z_MIN) -> Measurement:
     """Synthesize one frame of noisy keypoint detections.
@@ -193,25 +194,42 @@ def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
     The per-keypoint random draws happen in a fixed order and count
     regardless of visibility outcomes, so the stream stays bit-identical
     for a given seed, independent of what gets occluded.
-    """
-    n = len(kps)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    gauss = rng.standard_normal((n, 2))
-    u_drop = rng.uniform(size=n)
-    u_out = rng.uniform(size=n)
-    out_dir = rng.uniform(0.0, 2.0 * np.pi, size=n)
 
-    pts_c = gt_pose.apply(kps.points3d)
+    `rng` is one Generator for one pose, or a sequence of N Generators for
+    a stack of N poses (C (N, 3, 3), t (N, 3)); then every field of the
+    Measurement gains a leading axis of N, and pose i draws from rng[i]
+    exactly what a single call would.
+    """
+    if isinstance(rng, np.random.Generator):
+        one = measure(Pose(gt_pose.C[None], gt_pose.t[None]), kps, intr,
+                      profile, (rng,), frame, z_min)
+        return Measurement(one.uv[0], one.cov[0], one.visible[0])
+    n_poses, n = len(rng), len(kps)
+    # uniform(0, b) draws b * random() (plus 0.0), and the three uniform
+    # draws after the Gaussian pairs are consecutive
+    angles = np.empty((n_poses, n))
+    gauss = np.empty((n_poses, n, 2))
+    later = np.empty((n_poses, 3, n))
+    for i, gen in enumerate(rng):
+        gen.random(out=angles[i])
+        gen.standard_normal(out=gauss[i])
+        gen.random(out=later[i])
+    angles *= 2.0 * np.pi
+    u_drop, u_out = later[:, 0], later[:, 1]
+    out_dir = later[:, 2] * (2.0 * np.pi)
+
+    pts_c = kps.points3d @ gt_pose.C.swapaxes(1, 2) + gt_pose.t[:, None, :]
     uv_true, in_front = project_points(pts_c, intr, z_min)
     geometric = in_front & in_image(uv_true, intr)
     if profile.occluder_half is not None:
         geometric &= ~_occluded(uv_true, intr, profile.occluder_half)
+    uv_true = uv_true.reshape(n_poses, n, 2)
 
-    visible = geometric & (u_drop >= profile.dropout_prob)
+    visible = geometric.reshape(n_poses, n) & (u_drop >= profile.dropout_prob)
     if profile.blackout_frames is not None and frame is not None:
         start, stop = profile.blackout_frames
         if start <= frame < stop:
-            visible = np.zeros(n, dtype=bool)
+            visible = np.zeros((n_poses, n), dtype=bool)
 
     # True sampling covariance: random orientation, axis stds s0 = sigma_px
     # and s1 = anisotropy * sigma_px. With the rotation's columns r0, r1,
@@ -220,18 +238,18 @@ def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     s0 = profile.sigma_px
     s1 = profile.anisotropy * profile.sigma_px
-    r0 = np.empty((n, 2))
-    r0[:, 0], r0[:, 1] = cos_a, sin_a
-    r1 = np.empty((n, 2))
-    r1[:, 0], r1[:, 1] = -sin_a, cos_a
-    noise = (s0 * gauss[:, :1]) * r0 + (s1 * gauss[:, 1:]) * r1
-    cov_true = ((r0 * (s0 * s0))[:, :, None] * r0[:, None, :]
-                + (r1 * (s1 * s1))[:, :, None] * r1[:, None, :])
+    r0 = np.empty((n_poses, n, 2))
+    r0[..., 0], r0[..., 1] = cos_a, sin_a
+    r1 = np.empty((n_poses, n, 2))
+    r1[..., 0], r1[..., 1] = -sin_a, cos_a
+    noise = (s0 * gauss[..., :1]) * r0 + (s1 * gauss[..., 1:]) * r1
+    cov_true = ((r0 * (s0 * s0))[..., :, None] * r0[..., None, :]
+                + (r1 * (s1 * s1))[..., :, None] * r1[..., None, :])
 
     is_outlier = u_out < profile.outlier_prob
     outlier_vec = profile.outlier_px * np.stack([np.cos(out_dir),
-                                                 np.sin(out_dir)], axis=1)
-    noise = np.where(is_outlier[:, None], outlier_vec, noise)
+                                                 np.sin(out_dir)], axis=-1)
+    noise = np.where(is_outlier[..., None], outlier_vec, noise)
 
     uv = uv_true + noise
     cov = cov_true * profile.reported_scale

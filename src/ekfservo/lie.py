@@ -4,6 +4,15 @@ Rotations are plain 3x3 orthonormal matrices with determinant +1; rotation
 vectors are axis * angle in radians. Twists are 6-vectors ordered
 [translational, angular]. All functions are pure and allocate fresh arrays,
 so they are safe to call concurrently.
+
+`exp_so3`, `exp_se3`, `orthonormalize` and `clamp_psd` also take a stack
+with a leading axis of N (rotation vectors (N, 3), twists (N, 6), matrices
+(N, 3, 3) or (N, n, n)) and then run once for all N: slice i of the result
+has the same bits as the call on slice i alone, because each slice takes
+its own series or closed-form branch and numpy's stacked matmul, svd,
+cholesky and sin/cos equal their per-slice forms. A stack of one runs the
+single-slice code. A `Pose` may likewise hold a stack, C (N, 3, 3) and
+t (N, 3); its methods take single poses.
 """
 from __future__ import annotations
 
@@ -23,6 +32,9 @@ _PSD_MARGIN = 1e3 * np.finfo(float).eps
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
+# hat(v) flattened row-major: the entries -v2, -v0, -v1 and v1, v2, v0
+_HAT_NEG = ([1, 5, 6], [2, 0, 1])
+_HAT_POS = ([2, 3, 7], [1, 2, 0])
 
 
 def hat(v) -> np.ndarray:
@@ -31,14 +43,26 @@ def hat(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def _hat_stacked(v) -> np.ndarray:
+    """(N, 3) -> (N, 3, 3) cross-product matrices, as hat per row."""
+    k = np.zeros((v.shape[0], 9))
+    k[:, _HAT_NEG[0]] = -v[:, _HAT_NEG[1]]
+    k[:, _HAT_POS[0]] = v[:, _HAT_POS[1]]
+    return k.reshape(-1, 3, 3)
+
+
 def vee(m) -> np.ndarray:
     """Inverse of hat on antisymmetric matrices."""
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def exp_so3(phi) -> np.ndarray:
-    """Rodrigues formula; second-order series below the small-angle switch."""
+    """Rodrigues formula; second-order series below the small-angle switch.
+    phi is one rotation vector or an (N, 3) stack."""
     phi = np.asarray(phi, dtype=float)
+    if phi.ndim == 2:
+        return (_exp_so3_stacked(phi) if phi.shape[0] != 1
+                else exp_so3(phi[0])[None])
     k = hat(phi.tolist())
     theta = math.sqrt(phi.dot(phi))
     if theta < _EXP_SERIES_EPS:
@@ -46,6 +70,21 @@ def exp_so3(phi) -> np.ndarray:
     a = np.sin(theta) / theta
     b = (1.0 - np.cos(theta)) / theta**2
     return _EYE3 + a * k + b * (k @ k)
+
+
+def _exp_so3_stacked(phi) -> np.ndarray:
+    k = _hat_stacked(phi)
+    kk = k @ k
+    theta = np.sqrt(np.vecdot(phi, phi))
+    series = theta < _EXP_SERIES_EPS
+    # a series slice computes on 1.0 instead of its angle and takes the
+    # series coefficients 1 and 1/2, so no slice divides by zero;
+    # float_power is Python's pow, as theta**2 is in exp_so3, where numpy's
+    # ** rounds apart on some inputs
+    th = np.where(series, 1.0, theta)
+    a = np.where(series, 1.0, np.sin(th) / th)
+    b = np.where(series, 0.5, (1.0 - np.cos(th)) / np.float_power(th, 2))
+    return _EYE3 + a[:, None, None] * k + b[:, None, None] * kk
 
 
 def log_so3(c) -> np.ndarray:
@@ -148,21 +187,73 @@ def left_jacobian(phi) -> np.ndarray:
 def exp_se3(xi, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """SE(3) exponential of the scaled twist xi * dt.
 
-    xi is ordered [v, w]; returns (rotation, translation) of the resulting
-    rigid transform.
+    xi is ordered [v, w], one twist or an (N, 6) stack; returns (rotation,
+    translation) of the resulting rigid transform: exp_so3(phi) and
+    left_jacobian(phi) @ rho, which share hat, the angle, its sine and
+    cosine, and hat squared.
     """
     xi = np.asarray(xi, dtype=float)
+    if xi.ndim == 2:
+        if xi.shape[0] != 1:
+            return _exp_se3_stacked(xi, dt)
+        c, t = exp_se3(xi[0], dt)
+        return c[None], t[None]
     rho = xi[:3] * dt
     phi = xi[3:] * dt
-    c = exp_so3(phi)
-    t = left_jacobian(phi) @ rho
-    return c, t
+    k = hat(phi.tolist())
+    kk = k @ k
+    theta = math.sqrt(phi.dot(phi))
+    if theta < _EXP_SERIES_EPS:
+        return _EYE3 + k + 0.5 * kk, (_EYE3 + 0.5 * k + kk / 6.0) @ rho
+    sin_t = np.sin(theta)
+    b = (1.0 - np.cos(theta)) / theta**2
+    c = _EYE3 + (sin_t / theta) * k + b * kk
+    if theta < _JAC_SERIES_EPS:
+        jac = _EYE3 + 0.5 * k + kk / 6.0
+    else:
+        jac = _EYE3 + b * k + ((theta - sin_t) / theta**3) * kk
+    return c, jac @ rho
+
+
+def _exp_se3_stacked(xi, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    rho = xi[:, :3] * dt
+    phi = xi[:, 3:] * dt
+    k = _hat_stacked(phi)
+    kk = k @ k
+    theta = np.sqrt(np.vecdot(phi, phi))
+    series_exp = theta < _EXP_SERIES_EPS
+    series_jac = theta < _JAC_SERIES_EPS
+    th = np.where(series_exp, 1.0, theta)
+    sin_t = np.sin(th)
+    b = (1.0 - np.cos(th)) / np.float_power(th, 2)
+    a = np.where(series_exp, 1.0, sin_t / th)
+    b_exp = np.where(series_exp, 0.5, b)
+    c = _EYE3 + a[:, None, None] * k + b_exp[:, None, None] * kk
+    # the series term is kk / 6, the closed one cc * kk (divided by 1)
+    b_jac = np.where(series_jac, 0.5, b)
+    cc = np.where(series_jac, 1.0, (th - sin_t) / np.float_power(th, 3))
+    den = np.where(series_jac, 6.0, 1.0)
+    jac = (_EYE3 + b_jac[:, None, None] * k
+           + (cc[:, None, None] * kk) / den[:, None, None])
+    return c, (jac @ rho[:, :, None])[:, :, 0]
 
 
 def orthonormalize(c) -> np.ndarray:
-    """Nearest rotation matrix in the Frobenius sense (via SVD)."""
-    u, _, vt = np.linalg.svd(np.asarray(c, dtype=float))
+    """Nearest rotation matrix in the Frobenius sense (via SVD); c is one
+    matrix or an (N, 3, 3) stack."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 3 and c.shape[0] == 1:
+        return orthonormalize(c[0])[None]
+    u, _, vt = np.linalg.svd(c)
     r = u @ vt
+    if r.ndim == 3:
+        # r is orthogonal, so its determinant is +-1 and LU's sign is the
+        # cofactor expansion's
+        flip = np.linalg.det(r) < 0.0
+        if flip.any():
+            u[flip, :, -1] = -u[flip, :, -1]
+            r[flip] = u[flip] @ vt[flip]
+        return r
     # r is orthogonal, so its determinant is +-1 and a cofactor expansion
     # gets its sign as surely as an LU factorization
     x, y, z = r.tolist()
@@ -200,12 +291,14 @@ def rotation_to_quaternion(c) -> np.ndarray:
 
 
 def symmetrize(m) -> np.ndarray:
+    """0.5 (m + m^T), per slice of a stack."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def clamp_psd(m, tol: float = 1e-12) -> np.ndarray:
-    """Symmetrize and clamp slightly negative eigenvalues to zero.
+    """Symmetrize and clamp slightly negative eigenvalues to zero; m is one
+    matrix or an (N, n, n) stack, clamped slice by slice.
 
     Eigenvalues below -tol are still clamped, but indicate a bug upstream;
     callers that care assert on eigmin separately.
@@ -216,22 +309,55 @@ def clamp_psd(m, tol: float = 1e-12) -> np.ndarray:
     bounds the smallest eigenvalue of s below by delta minus the
     factorization's backward error (about n^2 eps ||s||), and eigh's
     eigenvalues are off by at most a small multiple of eps ||s|| (Weyl), so
-    eigh would have found none below zero and returned s unchanged.
+    eigh would have found none below zero and returned s unchanged. The
+    stack is factorized at once; only when that raises is each slice
+    factorized alone.
     """
     s = symmetrize(m)
+    if s.ndim == 2:
+        return _clamp_one(s)
+    if s.shape[0] == 1:
+        return _clamp_one(s[0])[None]
+    n = s.shape[-1]
+    # the margin dwarfs the rounding of any summation order of the trace
+    tr = s.reshape(-1, n * n)[:, ::n + 1].sum(axis=1)
+    # a NaN need not stop the factorization, so only finite s qualifies
+    cand = np.flatnonzero((tr > 0.0) & np.isfinite(s).all(axis=(1, 2)))
+    shifted = s[cand]
+    shifted.reshape(-1, n * n)[:, ::n + 1] -= (_PSD_MARGIN * tr[cand])[:, None]
+    try:
+        np.linalg.cholesky(shifted)
+        definite = cand.tolist()
+    except np.linalg.LinAlgError:
+        definite = [i for i in cand.tolist() if _definite(s[i])]
+    if len(definite) < s.shape[0]:
+        for i in sorted(set(range(s.shape[0])) - set(definite)):
+            s[i] = _clamp_eigh(s[i])
+    return s
+
+
+def _clamp_one(s: np.ndarray) -> np.ndarray:
+    return s if _definite(s) else _clamp_eigh(s)
+
+
+def _definite(s: np.ndarray) -> bool:
+    """A Cholesky factorization of the symmetric s - delta I succeeds."""
     rows = s.tolist()
     n = len(rows)
     tr = sum(rows[i][i] for i in range(n))
     # a NaN need not stop the factorization, so only finite s qualifies
-    if tr > 0.0 and math.isfinite(sum(map(sum, rows))):
-        shifted = s.copy()
-        shifted.flat[::n + 1] -= _PSD_MARGIN * tr
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return s
+    if not (tr > 0.0 and math.isfinite(sum(map(sum, rows)))):
+        return False
+    shifted = s.copy()
+    shifted.flat[::n + 1] -= _PSD_MARGIN * tr
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _clamp_eigh(s: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(s)
     if w[0] >= 0.0:
         return s
@@ -248,7 +374,8 @@ class Pose:
 
     def __post_init__(self):
         object.__setattr__(self, "C", np.asarray(self.C, dtype=float))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3))
+        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(
+            self.C.shape[:-1]))
 
     @staticmethod
     def identity() -> "Pose":

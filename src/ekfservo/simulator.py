@@ -10,8 +10,18 @@ propagates with the *commanded* twist; the executed one is unobserved,
 which is what makes actuation noise a filter disturbance.
 
 Episodes are pure functions of (scenario, seed); batches give each trial
-seed = base seed + trial index, so results are identical at any
-parallelism level.
+seed = base seed + trial index.
+
+One engine, `run_episodes`, runs any number of trials in lockstep: frame k
+of every active trial is computed together, with the filter, sensing and
+dynamics stacked along a leading trial axis (one `propagate`, `measure`,
+`update` and `step_dynamics` call per frame for all active trials). A
+trial leaves the active set when it converges or fails. Each trial keeps
+its own Generator and draws from it in the order a lone run does, and the
+stacked kernels give every trial the bits of its lone run, so a record
+does not depend on the batch width or on `--parallelism`. The control
+step and the PnP refinement still run once per active trial.
+`run_episode` is the one-trial call of the same engine.
 """
 from __future__ import annotations
 
@@ -25,7 +35,6 @@ import numpy as np
 from .camera import DEFAULT_Z_MIN, Intrinsics, in_image, project_points
 from .control import (
     ControlConfig,
-    Twist,
     TwistWithUncertainty,
     apply_policy,
     clamp_twist,
@@ -36,6 +45,7 @@ from .control import (
     velocity_jacobian,
 )
 from .ekf import (
+    FilterState,
     NoiseParams,
     SingularInnovation,
     initialize,
@@ -45,6 +55,7 @@ from .ekf import (
 )
 from .keypoints import (
     KeypointSet,
+    Measurement,
     ObjectModel,
     SensingProfile,
     fps_select,
@@ -111,7 +122,6 @@ class Scenario:
     # few updates therefore accept everything.
     gate_warmup_frames: int = 10
     z_min: float = DEFAULT_Z_MIN
-    propagation_variant: str = "left"
     uncertainty_policy: bool = True
     variant: str = "coupled-ekf"
     seed: int = 0
@@ -142,7 +152,7 @@ class EpisodeRecord:
     max_frames: int
     converged: bool = False
     failure: str | None = None
-    # per-frame arrays, filled by run_episode
+    # per-frame arrays, filled by the episode engine
     gt_C: np.ndarray = field(default=None)
     gt_t: np.ndarray = field(default=None)
     est_C: np.ndarray = field(default=None)
@@ -184,140 +194,256 @@ def sample_poses(scenario: Scenario, kps: KeypointSet,
         f"no fully observable initial pose in {max_tries} draws")
 
 
-def step_dynamics(gt_co: Pose, cmd: Twist, sigma_v: float, sigma_w: float,
-                  dt: float, rng: np.random.Generator) -> Pose:
+def step_dynamics(gt_co: Pose, cmd, sigma_v: float, sigma_w: float,
+                  dt: float, rng) -> Pose:
     """Execute a commanded twist corrupted by Gaussian actuation noise.
 
     The camera world pose integrates the executed body twist exactly on
-    SE(3); the object stays fixed in the world.
+    SE(3); the object stays fixed in the world. One pose, a Twist and a
+    Generator; or a stack of N poses, an (N, 6) array of commands and N
+    Generators, pose i drawing from rng[i] what a single call would.
     """
-    noise = np.concatenate([sigma_v * rng.standard_normal(3),
-                            sigma_w * rng.standard_normal(3)])
-    return Pose(*_advance(gt_co.C, gt_co.t, cmd.vector() + noise, dt))
+    if isinstance(rng, np.random.Generator):
+        out = step_dynamics(Pose(gt_co.C[None], gt_co.t[None]),
+                            cmd.vector()[None], sigma_v, sigma_w, dt, (rng,))
+        return Pose(out.C[0], out.t[0])
+    noise = np.empty((len(rng), 6))
+    for i, gen in enumerate(rng):
+        gen.standard_normal(out=noise[i])
+    noise[:, :3] *= sigma_v
+    noise[:, 3:] *= sigma_w
+    return Pose(*_advance(gt_co.C, gt_co.t, cmd + noise, dt))
 
 
 def _advance(c_co: np.ndarray, t_co: np.ndarray, xi: np.ndarray,
              dt: float) -> tuple[np.ndarray, np.ndarray]:
     """The object-in-camera pose (c_co, t_co) after the camera executes the
     body twist xi for dt: the camera's world pose (the inverse) composed
-    with exp(xi * dt), inverted back and re-orthonormalized."""
-    c_wc = c_co.T
+    with exp(xi * dt), inverted back and re-orthonormalized. One pose, or a
+    stack of N with xi (N, 6)."""
+    c_wc = c_co.swapaxes(-1, -2)
     d_c, d_t = exp_se3(xi, dt)
     c_new = c_wc @ d_c
-    t_new = c_wc @ d_t + -(c_wc @ t_co)
-    c_oc = c_new.T
-    return orthonormalize(c_oc), -(c_oc @ t_new)
+    t_new = _matvec(c_wc, d_t) + -_matvec(c_wc, t_co)
+    c_oc = c_new.swapaxes(-1, -2)
+    return orthonormalize(c_oc), -_matvec(c_oc, t_new)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for one matrix, or per slice of a stack."""
+    return a @ x if a.ndim == 2 else (a @ x[:, :, None])[:, :, 0]
 
 
 def run_episode(scenario: Scenario, seed: int | None = None) -> EpisodeRecord:
     """Run one closed-loop trial; deterministic given (scenario, seed)."""
     seed = scenario.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    return run_episodes(scenario, [seed])[0]
+
+
+def run_episodes(scenario: Scenario, seeds) -> list:
+    """Run one trial per seed in lockstep; record i is the record that
+    `seeds[i]` gives alone, bit for bit."""
     kps = fps_select(scenario.model, scenario.n_keypoints)
-    initial, desired = sample_poses(scenario, kps, rng)
+    records, rngs, priors = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        initial, desired = sample_poses(scenario, kps, rng)
+        records.append(EpisodeRecord(
+            seed=seed, variant=scenario.variant, desired=desired,
+            initial_gt=initial, control=scenario.control, dt=scenario.dt,
+            v_eps=scenario.v_eps, k_hold=scenario.k_hold,
+            max_frames=scenario.max_frames))
+        init_delta = np.concatenate([
+            scenario.init_sigma_t * rng.standard_normal(3),
+            scenario.init_sigma_phi * rng.standard_normal(3)])
+        priors.append(pose_boxplus(initial, init_delta))
+        rngs.append(rng)
+    if records:
+        _Lockstep(scenario, kps, records, rngs, priors).run()
+    for record in records:
+        if record.failure:
+            logger.debug("episode seed=%d failed: %s", record.seed,
+                         record.failure)
+    return records
 
-    record = EpisodeRecord(seed=seed, variant=scenario.variant,
-                           desired=desired, initial_gt=initial,
-                           control=scenario.control, dt=scenario.dt,
-                           v_eps=scenario.v_eps, k_hold=scenario.k_hold,
-                           max_frames=scenario.max_frames)
 
-    init_delta = np.concatenate([
-        scenario.init_sigma_t * rng.standard_normal(3),
-        scenario.init_sigma_phi * rng.standard_normal(3)])
-    prior = pose_boxplus(initial, init_delta)
+class _Lockstep:
+    """The active trials of `run_episodes` as stacked arrays, row j being
+    trial `ids[j]`; rows are dropped as their trials end."""
 
-    use_ekf = scenario.variant in ("coupled-ekf", "none")
-    servo = scenario.variant != "none"
-    state = initialize(prior, scenario.init_sigma_t, scenario.init_sigma_phi)
-    pnp_pose = prior
+    def __init__(self, scenario, kps, records, rngs, priors):
+        self.sc, self.kps, self.records = scenario, kps, records
+        n = len(records)
+        self.ids = np.arange(n)
+        self.rngs = rngs
+        self.desired = [rec.desired for rec in records]
+        self.use_ekf = scenario.variant in ("coupled-ekf", "none")
+        self.servo = scenario.variant != "none"
+        p0 = initialize(priors[0], scenario.init_sigma_t,
+                        scenario.init_sigma_phi).P
+        self.state = FilterState(
+            Pose(np.array([p.C for p in priors]),
+                 np.array([p.t for p in priors])),
+            np.repeat(p0[None], n, axis=0))
+        self.pnp_poses = priors
+        self.gt = Pose(np.array([rec.initial_gt.C for rec in records]),
+                       np.array([rec.initial_gt.t for rec in records]))
+        self.prev_cmd = np.zeros((n, 6))
+        self.hold = [0] * n  # frames in a row with a command below v_eps
+        self.rows = _FrameRows(scenario.max_frames, n)
 
-    gt = initial
-    prev_cmd = np.zeros(6)
-    hold = 0
-    rows = _FrameRows(scenario.max_frames)
-
-    for k in range(scenario.max_frames):
-        if use_ekf and k > 0:
-            state = propagate(state, prev_cmd, scenario.dt,
-                              scenario.filter_noise,
-                              scenario.propagation_variant)
-        meas = measure(gt, kps, scenario.intrinsics, scenario.sensing, rng,
-                       frame=k, z_min=scenario.z_min)
-
-        if use_ekf:
-            level = (1.0 if k < scenario.gate_warmup_frames
-                     else scenario.gate_level)
-            try:
-                res = update(state, meas, kps, scenario.intrinsics,
-                             level, z_min=scenario.z_min)
-            except SingularInnovation as exc:
-                record.failure = f"frame {k}: {exc}"
-                break
-            state = res.state
-            est, p_est = state.mean, state.P
-            n_vis, n_used = res.n_visible, int(res.used.sum())
-            rms = res.residual_rms
-        else:
-            refined = refine_pose(pnp_pose, meas, kps, scenario.intrinsics,
-                                  z_min=scenario.z_min)
-            n_vis = int(meas.visible.sum())
-            if refined is not None:
-                pnp_pose = refined
-                n_used = n_vis
-                uv, ok = predict_keypoints(pnp_pose, kps, scenario.intrinsics,
-                                           scenario.z_min)
-                usable = meas.visible & ok
-                rms = (float(np.sqrt(np.mean(
-                    (meas.uv[usable] - uv[usable]).ravel()**2)))
-                    if np.any(usable) else float("nan"))
+    def run(self) -> None:
+        sc = self.sc
+        for k in range(sc.max_frames):
+            if self.use_ekf and k > 0:
+                self.state = propagate(self.state, self.prev_cmd, sc.dt,
+                                       sc.filter_noise)
+            meas = measure(self.gt, self.kps, sc.intrinsics, sc.sensing,
+                           self.rngs, frame=k, z_min=sc.z_min)
+            failures = {}  # row -> failure text
+            if self.use_ekf:
+                est, p_est, n_vis, n_used, rms = self._update(k, meas,
+                                                              failures)
             else:
-                n_used = 0
-                rms = float("nan")
-            est, p_est = pnp_pose, np.full((6, 6), np.nan)
-
-        if servo:
-            rel = relative_pose(desired, est)
-            raw_tw = pbvs_law(rel, scenario.control.lam)
-            if use_ekf:
-                jac = velocity_jacobian(rel, est, scenario.control)
-                vcov = velocity_covariance(jac, state.P)
-                ent = entropy(vcov)
-                tw = TwistWithUncertainty(
-                    clamp_twist(raw_tw, scenario.control), vcov, ent)
-                cmd_tw = (apply_policy(tw, scenario.control)
-                          if scenario.uncertainty_policy else tw.mean)
+                est, p_est, n_vis, n_used, rms = self._refine(meas)
+            cmd, raw, vcov, ent, converged = self._control(est, p_est,
+                                                           failures)
+            finite = (np.isfinite(est.t).all(axis=1)
+                      & np.isfinite(cmd).all(axis=1))
+            if not finite.all():
+                for j in np.flatnonzero(~finite).tolist():
+                    failures.setdefault(
+                        j, f"frame {k}: non-finite estimate or command")
+            if failures:
+                at = np.ones(self.ids.size, dtype=bool)
+                at[list(failures)] = False
             else:
-                vcov = np.full((6, 6), np.nan)
-                ent = float("nan")
-                cmd_tw = clamp_twist(raw_tw, scenario.control)
+                at = slice(None)
+            self.rows.append(k, self.ids[at], self.gt.C[at], self.gt.t[at],
+                             est.C[at], est.t[at], p_est[at], cmd[at],
+                             raw[at], vcov[at], ent[at], rms[at], n_vis[at],
+                             n_used[at])
+            for j, text in failures.items():
+                self.records[self.ids[j]].failure = text
+            converged = [j for j in converged if j not in failures]
+            for j in converged:
+                self.records[self.ids[j]].converged = True
+            self.prev_cmd = cmd
+            if failures or converged:
+                done = np.zeros(self.ids.size, dtype=bool)
+                done[list(failures) + converged] = True
+                self._finish(done)
+                self._keep(~done)
+                if not self.ids.size:
+                    break
+            self.gt = step_dynamics(self.gt, self.prev_cmd,
+                                    sc.actuation_sigma_v,
+                                    sc.actuation_sigma_w, sc.dt, self.rngs)
         else:
-            raw_tw = cmd_tw = Twist.zero()
-            vcov = np.full((6, 6), np.nan)
-            ent = float("nan")
+            self._finish(np.ones(self.ids.size, dtype=bool))
+        self.rows.store(self.records)
 
-        cmd_vec = cmd_tw.vector()
-        if not (np.all(np.isfinite(est.t)) and np.all(np.isfinite(cmd_vec))):
-            record.failure = f"frame {k}: non-finite estimate or command"
-            break
+    def _update(self, k, meas, failures):
+        sc = self.sc
+        level = 1.0 if k < sc.gate_warmup_frames else sc.gate_level
+        res = update(self.state, meas, self.kps, sc.intrinsics, level,
+                     z_min=sc.z_min)
+        for j, exc in enumerate(res.errors):
+            if exc is not None:
+                failures[j] = _failure_text(k, exc)
+        self.state = res.state
+        return (res.state.mean, res.state.P, res.n_visible,
+                res.used.sum(axis=1), res.residual_rms)
 
-        rows.append(gt, est, p_est, cmd_vec, raw_tw.vector(), vcov, ent,
-                    rms, n_vis, n_used)
+    def _refine(self, meas):
+        """The PnP baseline, one refine_pose call per active trial."""
+        sc, kps = self.sc, self.kps
+        n = self.ids.size
+        n_vis = meas.visible.sum(axis=1)
+        n_used = np.zeros(n, dtype=int)
+        rms = np.full(n, np.nan)
+        for j in range(n):
+            one = Measurement(meas.uv[j], meas.cov[j], meas.visible[j])
+            refined = refine_pose(self.pnp_poses[j], one, kps, sc.intrinsics,
+                                  z_min=sc.z_min)
+            if refined is None:
+                continue
+            self.pnp_poses[j] = refined
+            n_used[j] = n_vis[j]
+            uv, ok = predict_keypoints(refined, kps, sc.intrinsics, sc.z_min)
+            usable = one.visible & ok
+            if np.any(usable):
+                rms[j] = float(np.sqrt(np.mean(
+                    (one.uv[usable] - uv[usable]).ravel()**2)))
+        est = Pose(np.array([p.C for p in self.pnp_poses]),
+                   np.array([p.t for p in self.pnp_poses]))
+        return est, np.full((n, 6, 6), np.nan), n_vis, n_used, rms
 
-        if servo:
-            hold = hold + 1 if np.linalg.norm(cmd_vec) < scenario.v_eps else 0
-            if hold >= scenario.k_hold:
-                record.converged = True
-                break
-        prev_cmd = cmd_vec
-        gt = step_dynamics(gt, cmd_tw, scenario.actuation_sigma_v,
-                           scenario.actuation_sigma_w, scenario.dt, rng)
+    def _control(self, est, p_est, failures):
+        """Commanded and raw twists, twist covariance and entropy per
+        active trial, and the rows whose command has stayed below v_eps
+        for k_hold frames; the control step runs per trial through this
+        module's names."""
+        sc, cfg = self.sc, self.sc.control
+        n = self.ids.size
+        cmd = np.zeros((n, 6))
+        raw = np.zeros((n, 6))
+        vcov = np.full((n, 6, 6), np.nan)
+        ent = np.full(n, np.nan)
+        converged = []
+        if not self.servo:
+            return cmd, raw, vcov, ent, converged
+        for j, (desired, c, t, p) in enumerate(zip(self.desired, est.C, est.t,
+                                                   p_est)):
+            if j in failures:
+                continue
+            pose = Pose(c, t)
+            rel = relative_pose(desired, pose)
+            raw_tw = pbvs_law(rel, cfg.lam)
+            if self.use_ekf:
+                jac = velocity_jacobian(rel, pose, cfg)
+                vcov[j] = cov = velocity_covariance(jac, p)
+                ent[j] = h = entropy(cov)
+                tw = TwistWithUncertainty(clamp_twist(raw_tw, cfg), cov, h)
+                cmd_tw = (apply_policy(tw, cfg) if sc.uncertainty_policy
+                          else tw.mean)
+            else:
+                cmd_tw = clamp_twist(raw_tw, cfg)
+            cmd[j] = cmd_vec = cmd_tw.vector()
+            raw[j] = raw_tw.vector()
+            hold = (self.hold[j] + 1
+                    if math.sqrt(cmd_vec.dot(cmd_vec)) < sc.v_eps else 0)
+            self.hold[j] = hold
+            if hold >= sc.k_hold:
+                converged.append(j)
+        return cmd, raw, vcov, ent, converged
 
-    record.final_gt = gt
-    rows.store(record)
-    if record.failure:
-        logger.debug("episode seed=%d failed: %s", seed, record.failure)
-    return record
+    def _finish(self, done: np.ndarray) -> None:
+        """The final ground truth of the trials in rows `done`: the pose of
+        their last frame, before any step."""
+        for j in np.flatnonzero(done).tolist():
+            self.records[self.ids[j]].final_gt = Pose(self.gt.C[j].copy(),
+                                                      self.gt.t[j].copy())
+
+    def _keep(self, keep: np.ndarray) -> None:
+        rows = np.flatnonzero(keep)
+        self.ids = self.ids[rows]
+        kept = rows.tolist()
+        self.rngs = [self.rngs[j] for j in kept]
+        self.desired = [self.desired[j] for j in kept]
+        self.pnp_poses = [self.pnp_poses[j] for j in kept]
+        self.state = FilterState(Pose(self.state.mean.C[rows],
+                                      self.state.mean.t[rows]),
+                                 self.state.P[rows])
+        self.gt = Pose(self.gt.C[rows], self.gt.t[rows])
+        self.prev_cmd = self.prev_cmd[rows]
+        self.hold = [self.hold[j] for j in kept]
+
+
+def _failure_text(k: int, exc: Exception) -> str:
+    if isinstance(exc, SingularInnovation):
+        return f"frame {k}: {exc}"
+    return f"frame {k}: {type(exc).__name__}: {exc}"
 
 
 def geodesic_reference(initial: Pose, desired: Pose, cfg: ControlConfig,
@@ -355,61 +481,58 @@ class BatchResult:
 def run_batch(scenario: Scenario, trials: int,
               parallelism: int = 1) -> BatchResult:
     """Independent trials with seeds base+0 .. base+trials-1, merged in
-    trial order; the result is identical at any parallelism level."""
+    trial order and run in lockstep; with parallelism > 1, each worker
+    process runs one contiguous chunk of the seeds. The result is identical
+    at any parallelism level."""
     from .metrics import summarize  # local import: metrics depends on us
 
     seeds = [scenario.seed + i for i in range(trials)]
-    if parallelism <= 1 or trials <= 1:
-        records = [run_episode(scenario, s) for s in seeds]
+    workers = min(parallelism, trials)
+    if workers <= 1:
+        records = run_episodes(scenario, seeds)
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(_episode_task,
-                                    [(scenario, s) for s in seeds]))
+        bounds = [trials * w // workers for w in range(workers + 1)]
+        chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_episodes_task,
+                             [(scenario, chunk) for chunk in chunks])
+            records = [rec for part in parts for rec in part]
     return BatchResult(records, summarize(records, scenario.model))
 
 
-def _episode_task(args) -> EpisodeRecord:
-    scenario, seed = args
-    return run_episode(scenario, seed)
+def _episodes_task(args) -> list:
+    scenario, seeds = args
+    return run_episodes(scenario, seeds)
 
 
 class _FrameRows:
-    """Per-frame quantities, written into arrays preallocated to max_frames
-    and cut to the recorded frames when stored."""
+    """Per-frame quantities of N trials, written at (trial, frame) into
+    arrays preallocated to max_frames. A trial's recorded frames are the
+    leading rows of its slice, which its record keeps as views: the pages
+    behind frames no trial reached are never touched."""
 
-    def __init__(self, max_frames: int):
-        self.k = 0
-        self.gt_C = np.empty((max_frames, 3, 3))
-        self.gt_t = np.empty((max_frames, 3))
-        self.est_C = np.empty((max_frames, 3, 3))
-        self.est_t = np.empty((max_frames, 3))
-        self.P = np.empty((max_frames, 6, 6))
-        self.cmd = np.empty((max_frames, 6))
-        self.raw = np.empty((max_frames, 6))
-        self.twist_cov = np.empty((max_frames, 6, 6))
-        self.entropy = np.empty(max_frames)
-        self.resid_rms = np.empty(max_frames)
-        self.n_visible = np.empty(max_frames, dtype=int)
-        self.n_used = np.empty(max_frames, dtype=int)
+    _FIELDS = (("gt_C", (3, 3), float), ("gt_t", (3,), float),
+               ("est_C", (3, 3), float), ("est_t", (3,), float),
+               ("P", (6, 6), float), ("cmd", (6,), float),
+               ("raw", (6,), float), ("twist_cov", (6, 6), float),
+               ("entropy", (), float), ("resid_rms", (), float),
+               ("n_visible", (), int), ("n_used", (), int))
 
-    def append(self, gt, est, p, cmd, raw, vcov, ent, rms, n_vis, n_used):
-        k = self.k
-        self.gt_C[k] = gt.C
-        self.gt_t[k] = gt.t
-        self.est_C[k] = est.C
-        self.est_t[k] = est.t
-        self.P[k] = p
-        self.cmd[k] = cmd
-        self.raw[k] = raw
-        self.twist_cov[k] = vcov
-        self.entropy[k] = ent
-        self.resid_rms[k] = rms
-        self.n_visible[k] = n_vis
-        self.n_used[k] = n_used
-        self.k = k + 1
+    def __init__(self, max_frames: int, trials: int):
+        self.frames = np.zeros(trials, dtype=int)
+        self.arrays = [np.empty((trials, max_frames) + shape, dtype=dtype)
+                       for _, shape, dtype in self._FIELDS]
 
-    def store(self, record: EpisodeRecord):
-        for name in ("gt_C", "gt_t", "est_C", "est_t", "P", "cmd", "raw",
-                     "twist_cov", "entropy", "resid_rms", "n_visible",
-                     "n_used"):
-            setattr(record, name, getattr(self, name)[:self.k].copy())
+    def append(self, k: int, ids: np.ndarray, *values) -> None:
+        """Frame k of the trials `ids`, one value stack per field."""
+        if ids.size == self.frames.size:  # every trial: a cheaper slice
+            ids = slice(None)
+        for array, value in zip(self.arrays, values):
+            array[ids, k] = value
+        self.frames[ids] = k + 1
+
+    def store(self, records: list) -> None:
+        for i, record in enumerate(records):
+            n = self.frames[i]
+            for (name, _, _), array in zip(self._FIELDS, self.arrays):
+                setattr(record, name, array[i, :n])

@@ -10,20 +10,34 @@ weights inverted and Jacobians filled for every keypoint on each
 Gauss-Newton iteration, `np.where` projection, numpy norms and reductions
 with temporary Poses in the control and rollout code, an eigendecomposition
 on every covariance clamp), kept verbatim so the optimised library path can
-be checked bit for bit.
+be checked bit for bit. `run_episode_reference` is the single-trial
+episode loop that the lockstep engine replaced, with the single-trial
+`propagate`, `measure` and `step_dynamics` it called.
 """
 import numpy as np
 from scipy.stats import chi2
 
 from ekfservo.camera import in_image, projection_jacobians, project_points
-from ekfservo.control import ControlConfig, Twist
+from ekfservo.control import (
+    ControlConfig,
+    Twist,
+    TwistWithUncertainty,
+    apply_policy,
+    entropy,
+    velocity_covariance,
+)
 from ekfservo.ekf import (
     INNOVATION_COND_LIMIT,
     FilterState,
     SingularInnovation,
     UpdateResult,
 )
-from ekfservo.keypoints import REPORTED_SIGMA_FLOOR_PX, Measurement, _occluded
+from ekfservo.keypoints import (
+    REPORTED_SIGMA_FLOOR_PX,
+    Measurement,
+    _occluded,
+    fps_select,
+)
 from ekfservo.lie import (
     _EXP_SERIES_EPS,
     _JAC_SERIES_EPS,
@@ -553,3 +567,259 @@ def uncertainty_correlation_reference(records) -> float:
     if np.std(ents_arr) < 1e-15 or np.std(errs_arr) < 1e-15:
         return float("nan")
     return float(np.corrcoef(ents_arr, errs_arr)[0, 1])
+
+
+def propagate_reference(state, twist, dt, noise):
+    """Constant-velocity prediction of one belief, left variant."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if hasattr(twist, "vector"):
+        twist = twist.vector()
+    vec = np.asarray(twist, dtype=float).reshape(6)
+    v, w = vec[:3], vec[3:]
+    r = exp_so3_reference(-w * dt)
+    t_new = r @ state.mean.t - v * dt
+    c_new = r @ state.mean.C
+
+    f = np.zeros((6, 6))
+    f[:3, :3] = r
+    f[3:, 3:] = r
+    p_new = f @ state.P @ f.T + noise.rate_covariance * dt
+    return FilterState(Pose(c_new, t_new), symmetrize(p_new))
+
+
+def measure_scalar_reference(gt_pose, kps, intr, profile, rng, frame=None,
+                             z_min=1e-3):
+    """One pose's keypoint detections, noise and covariance built from the
+    two rotation columns."""
+    n = len(kps)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    gauss = rng.standard_normal((n, 2))
+    u_drop = rng.uniform(size=n)
+    u_out = rng.uniform(size=n)
+    out_dir = rng.uniform(0.0, 2.0 * np.pi, size=n)
+
+    pts_c = gt_pose.apply(kps.points3d)
+    uv_true, in_front = project_points(pts_c, intr, z_min)
+    geometric = in_front & in_image(uv_true, intr)
+    if profile.occluder_half is not None:
+        geometric &= ~_occluded(uv_true, intr, profile.occluder_half)
+
+    visible = geometric & (u_drop >= profile.dropout_prob)
+    if profile.blackout_frames is not None and frame is not None:
+        start, stop = profile.blackout_frames
+        if start <= frame < stop:
+            visible = np.zeros(n, dtype=bool)
+
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    s0 = profile.sigma_px
+    s1 = profile.anisotropy * profile.sigma_px
+    r0 = np.empty((n, 2))
+    r0[:, 0], r0[:, 1] = cos_a, sin_a
+    r1 = np.empty((n, 2))
+    r1[:, 0], r1[:, 1] = -sin_a, cos_a
+    noise = (s0 * gauss[:, :1]) * r0 + (s1 * gauss[:, 1:]) * r1
+    cov_true = ((r0 * (s0 * s0))[:, :, None] * r0[:, None, :]
+                + (r1 * (s1 * s1))[:, :, None] * r1[:, None, :])
+
+    is_outlier = u_out < profile.outlier_prob
+    outlier_vec = profile.outlier_px * np.stack([np.cos(out_dir),
+                                                 np.sin(out_dir)], axis=1)
+    noise = np.where(is_outlier[:, None], outlier_vec, noise)
+
+    uv = uv_true + noise
+    cov = cov_true * profile.reported_scale
+    cov += REPORTED_SIGMA_FLOOR_PX**2 * np.eye(2)
+    uv[~visible] = np.nan
+    cov[~visible] = np.nan
+    return Measurement(uv=uv, cov=cov, visible=visible)
+
+
+def step_dynamics_scalar_reference(gt_co, cmd, sigma_v, sigma_w, dt, rng):
+    """One pose's actuation step through the array-level SE(3) advance."""
+    noise = np.concatenate([sigma_v * rng.standard_normal(3),
+                            sigma_w * rng.standard_normal(3)])
+    return Pose(*_advance_reference(gt_co.C, gt_co.t, cmd.vector() + noise,
+                                    dt))
+
+
+def _advance_reference(c_co, t_co, xi, dt):
+    c_wc = c_co.T
+    d_c, d_t = exp_se3_reference(xi, dt)
+    c_new = c_wc @ d_c
+    t_new = c_wc @ d_t + -(c_wc @ t_co)
+    c_oc = c_new.T
+    return orthonormalize_reference(c_oc), -(c_oc @ t_new)
+
+
+def run_episode_reference(scenario, seed):
+    """One closed-loop trial, run alone frame by frame."""
+    from ekfservo.ekf import initialize, predict_keypoints
+    from ekfservo.simulator import EpisodeRecord, sample_poses
+
+    rng = np.random.default_rng(seed)
+    kps = fps_select(scenario.model, scenario.n_keypoints)
+    initial, desired = sample_poses(scenario, kps, rng)
+
+    record = EpisodeRecord(seed=seed, variant=scenario.variant,
+                           desired=desired, initial_gt=initial,
+                           control=scenario.control, dt=scenario.dt,
+                           v_eps=scenario.v_eps, k_hold=scenario.k_hold,
+                           max_frames=scenario.max_frames)
+
+    init_delta = np.concatenate([
+        scenario.init_sigma_t * rng.standard_normal(3),
+        scenario.init_sigma_phi * rng.standard_normal(3)])
+    prior = _pose_boxplus_reference(initial, init_delta)
+
+    use_ekf = scenario.variant in ("coupled-ekf", "none")
+    servo = scenario.variant != "none"
+    state = initialize(prior, scenario.init_sigma_t, scenario.init_sigma_phi)
+    pnp_pose = prior
+
+    gt = initial
+    prev_cmd = np.zeros(6)
+    hold = 0
+    rows = _FrameRowsReference(scenario.max_frames)
+
+    for k in range(scenario.max_frames):
+        if use_ekf and k > 0:
+            state = propagate_reference(state, prev_cmd, scenario.dt,
+                                        scenario.filter_noise)
+        meas = measure_scalar_reference(gt, kps, scenario.intrinsics,
+                                        scenario.sensing, rng, frame=k,
+                                        z_min=scenario.z_min)
+
+        if use_ekf:
+            level = (1.0 if k < scenario.gate_warmup_frames
+                     else scenario.gate_level)
+            try:
+                res = update_reference(state, meas, kps, scenario.intrinsics,
+                                       level, scenario.z_min)
+            except SingularInnovation as exc:
+                record.failure = f"frame {k}: {exc}"
+                break
+            state = res.state
+            est, p_est = state.mean, state.P
+            n_vis, n_used = res.n_visible, int(res.used.sum())
+            rms = res.residual_rms
+        else:
+            refined = refine_pose_reference(pnp_pose, meas, kps,
+                                            scenario.intrinsics,
+                                            z_min=scenario.z_min)
+            n_vis = int(meas.visible.sum())
+            if refined is not None:
+                pnp_pose = refined
+                n_used = n_vis
+                uv, ok = predict_keypoints(pnp_pose, kps, scenario.intrinsics,
+                                           scenario.z_min)
+                usable = meas.visible & ok
+                rms = (float(np.sqrt(np.mean(
+                    (meas.uv[usable] - uv[usable]).ravel()**2)))
+                    if np.any(usable) else float("nan"))
+            else:
+                n_used = 0
+                rms = float("nan")
+            est, p_est = pnp_pose, np.full((6, 6), np.nan)
+
+        if servo:
+            rel = relative_pose_reference(desired, est)
+            raw_tw = pbvs_law_reference(rel, scenario.control.lam)
+            if use_ekf:
+                jac = velocity_jacobian_reference(desired, state,
+                                                  scenario.control)
+                vcov = velocity_covariance(jac, state.P)
+                ent = entropy(vcov)
+                tw = TwistWithUncertainty(
+                    clamp_twist_reference(raw_tw, scenario.control), vcov,
+                    ent)
+                cmd_tw = (apply_policy(tw, scenario.control)
+                          if scenario.uncertainty_policy else tw.mean)
+            else:
+                vcov = np.full((6, 6), np.nan)
+                ent = float("nan")
+                cmd_tw = clamp_twist_reference(raw_tw, scenario.control)
+        else:
+            raw_tw = cmd_tw = Twist.zero()
+            vcov = np.full((6, 6), np.nan)
+            ent = float("nan")
+
+        cmd_vec = cmd_tw.vector()
+        if not (np.all(np.isfinite(est.t)) and np.all(np.isfinite(cmd_vec))):
+            record.failure = f"frame {k}: non-finite estimate or command"
+            break
+
+        rows.append(gt, est, p_est, cmd_vec, raw_tw.vector(), vcov, ent,
+                    rms, n_vis, n_used)
+
+        if servo:
+            hold = hold + 1 if np.linalg.norm(cmd_vec) < scenario.v_eps else 0
+            if hold >= scenario.k_hold:
+                record.converged = True
+                break
+        prev_cmd = cmd_vec
+        gt = step_dynamics_scalar_reference(
+            gt, cmd_tw, scenario.actuation_sigma_v,
+            scenario.actuation_sigma_w, scenario.dt, rng)
+
+    record.final_gt = gt
+    rows.store(record)
+    return record
+
+
+class _FrameRowsReference:
+    """Per-frame quantities of one trial, preallocated to max_frames."""
+
+    def __init__(self, max_frames: int):
+        self.k = 0
+        self.gt_C = np.empty((max_frames, 3, 3))
+        self.gt_t = np.empty((max_frames, 3))
+        self.est_C = np.empty((max_frames, 3, 3))
+        self.est_t = np.empty((max_frames, 3))
+        self.P = np.empty((max_frames, 6, 6))
+        self.cmd = np.empty((max_frames, 6))
+        self.raw = np.empty((max_frames, 6))
+        self.twist_cov = np.empty((max_frames, 6, 6))
+        self.entropy = np.empty(max_frames)
+        self.resid_rms = np.empty(max_frames)
+        self.n_visible = np.empty(max_frames, dtype=int)
+        self.n_used = np.empty(max_frames, dtype=int)
+
+    def append(self, gt, est, p, cmd, raw, vcov, ent, rms, n_vis, n_used):
+        k = self.k
+        self.gt_C[k] = gt.C
+        self.gt_t[k] = gt.t
+        self.est_C[k] = est.C
+        self.est_t[k] = est.t
+        self.P[k] = p
+        self.cmd[k] = cmd
+        self.raw[k] = raw
+        self.twist_cov[k] = vcov
+        self.entropy[k] = ent
+        self.resid_rms[k] = rms
+        self.n_visible[k] = n_vis
+        self.n_used[k] = n_used
+        self.k = k + 1
+
+    def store(self, record):
+        for name in ("gt_C", "gt_t", "est_C", "est_t", "P", "cmd", "raw",
+                     "twist_cov", "entropy", "resid_rms", "n_visible",
+                     "n_used"):
+            setattr(record, name, getattr(self, name)[:self.k].copy())
+
+
+def same_record(a, b) -> bool:
+    """Every field of two EpisodeRecords, arrays and poses by their bytes."""
+    from dataclasses import fields
+
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, Pose):
+            if not (same_bits(x.C, y.C) and same_bits(x.t, y.t)):
+                return False
+        elif isinstance(x, np.ndarray):
+            if not same_bits(x, y):
+                return False
+        elif x != y or type(x) is not type(y):
+            return False
+    return True

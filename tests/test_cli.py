@@ -213,6 +213,18 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "[]"
 
 
+def test_propagation_variant_exit_2(tmp_path, capsys):
+    raw = json.loads(Path(NOMINAL).read_text())
+    raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
+    raw["propagation_variant"] = "mixed-jr"
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(bad), "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "unknown field propagation_variant" in capsys.readouterr().err
+
+
 def test_unknown_field_exit_2(tmp_path, capsys):
     raw = json.loads(Path(NOMINAL).read_text())
     raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")

@@ -166,6 +166,17 @@ def test_unknown_field_rejected(tmp_path, section, key, hint):
         assert f"did you mean {hint}?" in msg
 
 
+@pytest.mark.parametrize("value", ["left", "mixed-jr"])
+def test_propagation_variant_is_unknown(tmp_path, value):
+    """The filter has one propagation path; the field that chose between
+    two is gone, so a config that still sets it names it as unknown."""
+    raw = _valid_dict()
+    raw["propagation_variant"] = value
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_write(tmp_path, raw))
+    assert "unknown field propagation_variant" in str(err.value)
+
+
 def test_unknown_field_in_optional_section_rejected(tmp_path):
     raw = _valid_dict()
     raw["actuation"] = {"sigma_vv": 0.1}

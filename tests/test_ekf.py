@@ -85,21 +85,6 @@ def test_propagate_transition_matches_fd(rng):
     assert worst < 1e-4
 
 
-def test_propagate_mixed_jr_variant_runs_but_differs(rng):
-    """The alternative rotation block mixes error conventions; it stays
-    available for comparison but disagrees with the finite-difference
-    transition whenever the attitude is far from identity."""
-    st = _random_state(rng)
-    twist = np.array([0.02, 0.0, 0.0, 0.3, -0.2, 0.1])
-    left = propagate(st, twist, DT, NOISE, variant="left")
-    mixed = propagate(st, twist, DT, NOISE, variant="mixed-jr")
-    assert np.allclose(left.mean.t, mixed.mean.t)
-    assert np.allclose(left.mean.C, mixed.mean.C)
-    assert not np.allclose(left.P, mixed.P, atol=1e-9)
-    with pytest.raises(ValueError):
-        propagate(st, twist, DT, NOISE, variant="bogus")
-
-
 def test_propagate_rejects_bad_dt():
     st = initialize(Pose.identity(), 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -271,20 +256,6 @@ def test_update_trace_never_grows(intr, model, rng):
         eig = np.linalg.eigvalsh(res.state.P)
         assert eig.min() > -1e-10
         st = res.state
-
-
-def test_update_joseph_form_agrees(intr, model):
-    gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
-    kps = fps_select(model, 8)
-    prior = pose_boxplus(gt, np.array([0.01, 0.0, -0.005, 0.02, 0.0, 0.01]))
-    st = initialize(prior, 0.02, 0.05)
-    meas = measure(gt, kps, intr, SensingProfile(sigma_px=1.0),
-                   np.random.default_rng(4))
-    plain = update(st, meas, kps, intr, gate_level=1.0)
-    joseph = update(st, meas, kps, intr, gate_level=1.0, joseph=True)
-    assert np.allclose(plain.state.mean.t, joseph.state.mean.t, atol=1e-12)
-    assert np.allclose(plain.state.P, joseph.state.P, atol=1e-10)
-    assert np.linalg.eigvalsh(joseph.state.P).min() >= -1e-12
 
 
 def test_update_all_invisible_is_identity(intr, model, rng):

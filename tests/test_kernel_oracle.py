@@ -1,12 +1,22 @@
 """The SO(3) and projection kernels against their reference copies in
-oracles.py, bit for bit on seeded random inputs."""
+oracles.py, bit for bit on seeded random inputs, and the stacked forms of
+the Lie kernels against their single-slice calls."""
 import numpy as np
 import pytest
 
 from ekfservo.camera import Intrinsics, project_points
-from ekfservo.lie import _EXP_SERIES_EPS, _JAC_SERIES_EPS, exp_so3, left_jacobian
+from ekfservo.lie import (
+    _EXP_SERIES_EPS,
+    _JAC_SERIES_EPS,
+    exp_se3,
+    exp_so3,
+    left_jacobian,
+    orthonormalize,
+)
 from oracles import (
+    exp_se3_reference,
     exp_so3_reference,
+    orthonormalize_reference,
     left_jacobian_reference,
     project_points_reference,
     same_bits,
@@ -56,3 +66,45 @@ def test_project_points_bit_identical(behind):
         assert same_bits(uv, uv_ref)
         assert same_bits(ok, ok_ref)
     assert (masked > 100) == behind
+
+
+def _stacks(rng, values, width=7):
+    """`values` in shuffled stacks of `width` (the last may be shorter)."""
+    order = rng.permutation(len(values))
+    return [values[order[i:i + width]] for i in range(0, len(values), width)]
+
+
+def test_stacked_exp_maps_bit_identical():
+    """A stack mixes slices on either side of both series switches, and
+    exact zeros; every slice equals the single call and its reference."""
+    rng = np.random.default_rng(23)
+    # angles uniform on [1e-3, pi] as well: numpy's theta**2 on an array
+    # rounds apart from Python's on about 1 in 1500 of them
+    axes = rng.standard_normal((20000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    uniform = axes * rng.uniform(1e-3, np.pi, size=(20000, 1))
+    phis = np.concatenate([_rotvecs(rng, 4000), uniform, np.zeros((20, 3)),
+                           [[0.0, 0.0, _EXP_SERIES_EPS],
+                            [0.0, _JAC_SERIES_EPS, 0.0], [np.pi, 0, 0]]])
+    twists = np.concatenate([rng.standard_normal((len(phis), 3)), phis],
+                            axis=1)
+    for stack in _stacks(rng, phis):
+        for got, phi in zip(exp_so3(stack), stack, strict=True):
+            assert same_bits(got, exp_so3_reference(phi))
+    for dt in (1.0, 1.0 / 30.0):
+        for stack in _stacks(rng, twists):
+            c, t = exp_se3(stack, dt)
+            for c_i, t_i, xi in zip(c, t, stack, strict=True):
+                c_ref, t_ref = exp_se3_reference(xi, dt)
+                one_c, one_t = exp_se3(xi, dt)
+                assert same_bits(c_i, c_ref) and same_bits(t_i, t_ref)
+                assert same_bits(one_c, c_ref) and same_bits(one_t, t_ref)
+
+
+def test_stacked_orthonormalize_bit_identical():
+    rng = np.random.default_rng(24)
+    mats = rng.standard_normal((700, 3, 3))
+    mats[::3] *= -1.0  # improper: the determinant's sign flips a column
+    for stack in _stacks(rng, mats):
+        for got, m in zip(orthonormalize(stack), stack, strict=True):
+            assert same_bits(got, orthonormalize_reference(m))

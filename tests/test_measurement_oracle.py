@@ -14,8 +14,14 @@ from scipy.stats import chi2
 
 import ekfservo.simulator as sim
 from conftest import scenario
-from ekfservo.ekf import SingularInnovation, gate, initialize, update
-from ekfservo.keypoints import SensingProfile, fps_select, measure
+from ekfservo.ekf import (
+    FilterState,
+    SingularInnovation,
+    gate,
+    initialize,
+    update,
+)
+from ekfservo.keypoints import Measurement, SensingProfile, fps_select, measure
 from ekfservo.lie import Pose
 from ekfservo.simulator import LOOK_DOWN
 from oracles import measure_reference, same_bits, update_reference
@@ -52,14 +58,23 @@ def recorded():
     updates, measures = [], []
     real_update, real_measure = sim.update, sim.measure
 
+    # the loop makes stacked calls, one row per trial; each row is
+    # recorded as the single call it stands for
     def spy_update(state, meas, kps, intr, level, z_min):
-        updates.append((state.copy(), meas, kps, intr, level, z_min))
+        for j in range(state.P.shape[0]):
+            one = FilterState(Pose(state.mean.C[j], state.mean.t[j]),
+                              state.P[j].copy())
+            updates.append((one, Measurement(meas.uv[j], meas.cov[j],
+                                             meas.visible[j]),
+                            kps, intr, level, z_min))
         return real_update(state, meas, kps, intr, level, z_min=z_min)
 
-    def spy_measure(gt, kps, intr, profile, rng, frame, z_min):
-        rng_state = copy.deepcopy(rng.bit_generator.state)
-        measures.append((gt, kps, intr, profile, rng_state, frame, z_min))
-        return real_measure(gt, kps, intr, profile, rng, frame=frame,
+    def spy_measure(gt, kps, intr, profile, rngs, frame, z_min):
+        for j, rng in enumerate(rngs):
+            rng_state = copy.deepcopy(rng.bit_generator.state)
+            measures.append((Pose(gt.C[j], gt.t[j]), kps, intr, profile,
+                             rng_state, frame, z_min))
+        return real_measure(gt, kps, intr, profile, rngs, frame=frame,
                             z_min=z_min)
 
     sim.update, sim.measure = spy_update, spy_measure
@@ -77,13 +92,73 @@ def test_update_bit_identical_to_reference(recorded):
     partial = 0
     for state, meas, kps, intr, level, z_min in updates:
         ref = update_reference(state, meas, kps, intr, level, z_min)
-        new = _outcome(update, state, meas, kps, intr, level, False, z_min)
+        new = _outcome(update, state, meas, kps, intr, level, z_min)
         _assert_same_update(new, ref)
         if 0 < ref.used.sum() < ref.n_visible:
             partial += 1
     # the gated sub-block path of the innovation is exercised, not only
     # the all-accepted one
     assert partial > 0
+
+
+def _stack(pairs):
+    states, meas = zip(*pairs)
+    return (FilterState(Pose(np.array([st.mean.C for st in states]),
+                             np.array([st.mean.t for st in states])),
+                        np.array([st.P for st in states])),
+            Measurement(np.array([m.uv for m in meas]),
+                        np.array([m.cov for m in meas]),
+                        np.array([m.visible for m in meas])))
+
+
+def test_stacked_update_matches_single_updates(recorded):
+    """The recorded updates of each scenario and gate level, stacked:
+    beliefs with different counts of usable and gated keypoints run in
+    their groups, and each slice equals the single update."""
+    updates, _ = recorded
+    groups = {}
+    for state, meas, kps, intr, level, z_min in updates:
+        groups.setdefault((id(kps), level), []).append(
+            (state, meas, kps, intr, level, z_min))
+    mixed = partial = 0
+    for calls in groups.values():
+        _, _, kps, intr, level, z_min = calls[0]
+        stacked, meas = _stack([(c[0], c[1]) for c in calls])
+        res = update(stacked, meas, kps, intr, level, z_min)
+        assert res.errors == [None] * len(calls)
+        counts = set()
+        for j, (state, one, *_) in enumerate(calls):
+            ref = update(state, one, kps, intr, level, z_min)
+            assert same_bits(res.state.mean.C[j], ref.state.mean.C)
+            assert same_bits(res.state.mean.t[j], ref.state.mean.t)
+            assert same_bits(res.state.P[j], ref.state.P)
+            assert same_bits(res.used[j], ref.used)
+            assert res.n_visible[j] == ref.n_visible
+            assert same_bits(res.residual_rms[j], ref.residual_rms)
+            assert res.all_rejected[j] == ref.all_rejected
+            counts.add(int(one.visible.sum()))
+            partial += 0 < ref.used.sum() < ref.n_visible
+        mixed += len(counts) > 1
+    assert mixed > 0 and partial > 0
+
+
+def test_stacked_update_fails_one_belief(recorded):
+    """A belief whose innovation is non-finite gets SingularInnovation in
+    `errors` and keeps its prior; the others are updated as alone."""
+    updates, _ = recorded
+    calls = updates[5:9]
+    _, _, kps, intr, level, z_min = calls[0]
+    stacked, meas = _stack([(c[0], c[1]) for c in calls])
+    stacked.P[2] = np.nan
+    res = update(stacked, meas, kps, intr, level, z_min)
+    assert isinstance(res.errors[2], SingularInnovation)
+    assert str(res.errors[2]) == "non-finite innovation"
+    assert same_bits(res.state.mean.C[2], stacked.mean.C[2])
+    for j in (0, 1, 3):
+        assert res.errors[j] is None
+        ref = update(calls[j][0], calls[j][1], kps, intr, level, z_min)
+        assert same_bits(res.state.P[j], ref.state.P)
+        assert same_bits(res.state.mean.t[j], ref.state.mean.t)
 
 
 def test_measure_bit_identical_to_reference(recorded):
@@ -111,7 +186,7 @@ def test_singular_innovation_matches_reference(intr, model):
         ref = _outcome(update_reference, st_prior, meas, kps, intr, 1.0, 1e-3)
         assert (ref is SingularInnovation) == singular
         _assert_same_update(
-            _outcome(update, st_prior, meas, kps, intr, 1.0, False, 1e-3), ref)
+            _outcome(update, st_prior, meas, kps, intr, 1.0, 1e-3), ref)
 
 
 def _psd(m):

@@ -77,13 +77,18 @@ def recorded():
         calls["clamp_twist"].append((twist, cfg))
         return real["clamp_twist"](twist, cfg)
 
-    def spy_step_dynamics(gt, cmd, sigma_v, sigma_w, dt, rng):
-        state = copy.deepcopy(rng.bit_generator.state)
-        calls["step_dynamics"].append((gt, cmd, sigma_v, sigma_w, dt, state))
-        return real["step_dynamics"](gt, cmd, sigma_v, sigma_w, dt, rng)
+    # step_dynamics and clamp_psd are called on stacks, one row per
+    # trial; each row is recorded as the single call it stands for
+    def spy_step_dynamics(gt, cmd, sigma_v, sigma_w, dt, rngs):
+        for j, rng in enumerate(rngs):
+            state = copy.deepcopy(rng.bit_generator.state)
+            calls["step_dynamics"].append((
+                Pose(gt.C[j], gt.t[j]), Twist.from_vector(cmd[j]), sigma_v,
+                sigma_w, dt, state))
+        return real["step_dynamics"](gt, cmd, sigma_v, sigma_w, dt, rngs)
 
     def spy_clamp_psd(m):
-        calls["clamp_psd"].append(np.array(m))
+        calls["clamp_psd"].extend(np.array(m))
         return real["clamp_psd"](m)
 
     sim.relative_pose = spy_relative_pose
@@ -204,6 +209,14 @@ def test_clamp_psd_bit_identical_on_edge_cases():
         assert same_bits(new, ref)
         clamped += not same_bits(ref, 0.5 * (m + m.T))
     assert clamped > 100
+    # stacked, the same cases in shuffled stacks of 7: a stack mixes slices
+    # that factorize with slices that make the stacked Cholesky raise
+    finite = [m for m in cases if np.isfinite(m).all()]
+    order = rng.permutation(len(finite))
+    for start in range(0, len(finite), 7):
+        stack = np.array([finite[i] for i in order[start:start + 7]])
+        for got, m in zip(clamp_psd(stack), stack, strict=True):
+            assert same_bits(got, clamp_psd_reference(m))
 
 
 def _outcome(fn, m):

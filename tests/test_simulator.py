@@ -148,9 +148,9 @@ def test_motion_prior_is_previous_command(nominal_scenario, monkeypatch):
     captured = []
     real_propagate = sim.propagate
 
-    def spy(state, twist, dt, noise, variant="left"):
-        captured.append(np.array(twist, dtype=float))
-        return real_propagate(state, twist, dt, noise, variant)
+    def spy(state, twist, dt, noise):
+        captured.extend(np.array(twist, dtype=float))  # one row per trial
+        return real_propagate(state, twist, dt, noise)
 
     monkeypatch.setattr(sim, "propagate", spy)
     sc = replace(nominal_scenario, max_frames=40)
@@ -213,9 +213,9 @@ def test_nonfinite_covariance_fails_episode_not_batch(nominal_scenario,
     next update, with a labelled reason; the batch itself completes."""
     real_propagate = sim.propagate
 
-    def poisoned(state, twist, dt, noise, variant="left"):
-        out = real_propagate(state, twist, dt, noise, variant)
-        return FilterState(out.mean, np.full((6, 6), np.nan))
+    def poisoned(state, twist, dt, noise):
+        out = real_propagate(state, twist, dt, noise)
+        return FilterState(out.mean, np.full_like(out.P, np.nan))
 
     monkeypatch.setattr(sim, "propagate", poisoned)
     res = run_batch(replace(nominal_scenario, max_frames=20), 3)

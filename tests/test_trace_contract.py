@@ -1,8 +1,9 @@
 """The contract between the program and the benchmark's tracer
 (bench/tracer.py): every name it wraps exists where it looks, and the
-servo loop and the geodesic rollout call the counted control names as
-often as the benchmark's attribution check expects. A rename or a fused
-step fails here, not only under `bench/run.py --trace 1`."""
+servo loop, single or lockstep over a batch, and the geodesic rollout
+call the counted control names as often as the benchmark's attribution
+check expects. A rename or a fused step fails here, not only under
+`bench/run.py --trace 1`."""
 import importlib
 import importlib.util
 from dataclasses import replace
@@ -61,6 +62,35 @@ def test_loop_without_servoing_calls_no_control(monkeypatch):
     rec = sim.run_episode(replace(scenario("consistency"), max_frames=20))
     assert rec.variant == "none" and rec.frames == 20
     assert counts == {"pbvs_law": 0, "relative_pose": 0}
+
+
+@pytest.mark.parametrize("variant", ["coupled-ekf", "pbvs-perframe"])
+def test_batch_calls_control_once_per_recorded_trial_frame(monkeypatch,
+                                                          variant):
+    """The lockstep engine still runs the control step and the PnP
+    refinement once per active trial and frame, through the simulator's
+    names."""
+    counts = _counting(monkeypatch,
+                       ("pbvs_law", "relative_pose", "refine_pose"))
+    res = sim.run_batch(replace(scenario("adverse"), variant=variant,
+                                max_frames=40), 3)
+    frames = sum(rec.frames for rec in res.records)
+    # no failure, and no success whose geodesic rollout would add calls
+    assert all(rec.failure is None and not rec.converged
+               for rec in res.records)
+    assert frames == 3 * 40
+    refines = frames if variant == "pbvs-perframe" else 0
+    assert counts == {"pbvs_law": frames, "relative_pose": frames,
+                      "refine_pose": refines}
+
+
+def test_batch_without_servoing_calls_no_control(monkeypatch):
+    counts = _counting(monkeypatch,
+                       ("pbvs_law", "relative_pose", "refine_pose"))
+    res = sim.run_batch(replace(scenario("consistency"), max_frames=20), 3)
+    assert {rec.variant for rec in res.records} == {"none"}
+    assert sum(rec.frames for rec in res.records) == 3 * 20
+    assert counts == {"pbvs_law": 0, "relative_pose": 0, "refine_pose": 0}
 
 
 def test_geodesic_rollout_calls_control_once_per_step(monkeypatch):
