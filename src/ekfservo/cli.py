@@ -20,10 +20,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, load_scenario
 from .lie import Pose, rotation_to_quaternion
 from .metrics import Summary, te_re
 from .simulator import (
+    BatchResult,
     EpisodeRecord,
     InfeasibleScenario,
     Scenario,
@@ -48,6 +51,11 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag, value, least in (("--trials", args.trials, 0),
+                               ("--parallelism", args.parallelism, 1)):
+        if value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return 2
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -104,28 +112,21 @@ def _prepare_scenario(args, variant=None) -> Scenario:
 
 
 def _cmd_run(args) -> int:
-    if args.trials < 0:
-        print("error: --trials must be >= 0", file=sys.stderr)
-        return 2
     scenario = _prepare_scenario(args)
     out = Path(args.out)
     result = run_batch(scenario, args.trials, args.parallelism)
-    _write_run_outputs(out, scenario, result.records, result.summary, args)
+    _write_run_outputs(out, scenario, result, args)
     logger.info("wrote %d episodes to %s", len(result.records), out)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    if args.trials < 0:
-        print("error: --trials must be >= 0", file=sys.stderr)
-        return 2
     out = Path(args.out)
     summaries = {}
     for variant in ("coupled-ekf", "pbvs-perframe"):
         scenario = _prepare_scenario(args, variant=variant)
         result = run_batch(scenario, args.trials, args.parallelism)
-        _write_run_outputs(out / variant, scenario, result.records,
-                           result.summary, args)
+        _write_run_outputs(out / variant, scenario, result, args)
         summaries[variant] = result.summary
     _write_json(out / "comparison.json",
                 {v: s.to_dict() for v, s in summaries.items()})
@@ -136,8 +137,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _write_run_outputs(out: Path, scenario: Scenario, records, summary: Summary,
+def _write_run_outputs(out: Path, scenario: Scenario, result: BatchResult,
                        args) -> None:
+    records, summary = result.records, result.summary
     out.mkdir(parents=True, exist_ok=True)
     (out / "episodes").mkdir(exist_ok=True)
     for i, rec in enumerate(records):
@@ -157,41 +159,46 @@ def _write_run_outputs(out: Path, scenario: Scenario, records, summary: Summary,
     _write_text(out / "summary.csv",
                 SUMMARY_HEADER + "\n" + _summary_row(summary) + "\n")
     if records:
-        _write_series(out, records[0])
+        reference = result.reference
+        if reference is None:
+            reference = geodesic_reference_for(records[0])
+        _write_series(out, records[0], reference)
 
 
 def _episode_csv(rec: EpisodeRecord) -> str:
-    lines = [EPISODE_HEADER]
-    rows = zip(rec.gt_t.tolist(), rec.est_t.tolist(), rec.cmd.tolist(),
-               rec.entropy.tolist(), rec.resid_rms.tolist())
-    for k, (gt_t, est_t, cmd, ent, rms) in enumerate(rows):
-        gt_q = rotation_to_quaternion(rec.gt_C[k]).tolist()
-        est_q = rotation_to_quaternion(rec.est_C[k]).tolist()
-        values = gt_q + gt_t + est_q + est_t + cmd + [ent, rms]
-        lines.append(",".join([str(k)] + [_fmt(x) for x in values]))
-    return "\n".join(lines) + "\n"
+    gt_q, est_q = np.split(
+        rotation_to_quaternion(np.concatenate([rec.gt_C, rec.est_C])), 2)
+    table = np.concatenate([gt_q, rec.gt_t, est_q, rec.est_t, rec.cmd,
+                            rec.entropy[:, None], rec.resid_rms[:, None]],
+                           axis=1)
+    return _csv(EPISODE_HEADER, _rows(table))
 
 
-def _write_series(out: Path, rec: EpisodeRecord) -> None:
-    lines = ["frame,te_mm,re_deg"]
-    for k in range(rec.frames):
-        te, re = te_re(Pose(rec.gt_C[k], rec.gt_t[k]), rec.desired)
-        lines.append(f"{k},{_fmt(te)},{_fmt(re)}")
-    _write_text(out / "series_pose_error.csv", "\n".join(lines) + "\n")
+def _write_series(out: Path, rec: EpisodeRecord, reference) -> None:
+    """The pose error, commanded twist and camera path of one episode, and
+    its geodesic reference path."""
+    te, re = te_re(Pose(rec.gt_C, rec.gt_t), rec.desired)
+    _write_text(out / "series_pose_error.csv",
+                _csv("frame,te_mm,re_deg", _rows(np.stack([te, re], axis=1))))
+    _write_text(out / "series_velocity.csv", _csv(
+        "frame,cmd_vx,cmd_vy,cmd_vz,cmd_wx,cmd_wy,cmd_wz,entropy",
+        _rows(np.concatenate([rec.cmd, rec.entropy[:, None]], axis=1))))
+    _write_text(out / "series_trajectory.csv", _csv(
+        "path,frame,x,y,z", _rows(rec.camera_positions(), "actual,")
+        + _rows(reference, "geodesic,")))
 
-    lines = ["frame,cmd_vx,cmd_vy,cmd_vz,cmd_wx,cmd_wy,cmd_wz,entropy"]
-    for k, (cmd, ent) in enumerate(zip(rec.cmd.tolist(),
-                                       rec.entropy.tolist())):
-        vals = [_fmt(x) for x in cmd] + [_fmt(ent)]
-        lines.append(f"{k}," + ",".join(vals))
-    _write_text(out / "series_velocity.csv", "\n".join(lines) + "\n")
 
-    lines = ["path,frame,x,y,z"]
-    for k, p in enumerate(rec.camera_positions().tolist()):
-        lines.append(f"actual,{k},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}")
-    for k, p in enumerate(geodesic_reference_for(rec).tolist()):
-        lines.append(f"geodesic,{k},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}")
-    _write_text(out / "series_trajectory.csv", "\n".join(lines) + "\n")
+def _rows(table: np.ndarray, prefix: str = "") -> list:
+    """One CSV line per row of a float table: the prefix, the row index,
+    then each value as _fmt writes it (repr of a float). Rows become
+    Python floats one at a time, which keeps the peak memory of a long
+    episode down."""
+    return [f"{prefix}{k}," + ",".join(map(repr, row.tolist()))
+            for k, row in enumerate(table)]
+
+
+def _csv(header: str, lines: list) -> str:
+    return "\n".join([header] + lines) + "\n"
 
 
 def _summary_row(s: Summary) -> str:

@@ -21,6 +21,7 @@ from .ekf import FilterState
 from .lie import (
     _EYE3,
     Pose,
+    _log_so3_stacked,
     hat,
     log_so3,
     orthonormalize,
@@ -103,6 +104,27 @@ def pbvs_law(rel: Pose, lam: float) -> Twist:
     v_p = -lam * (rel.C.T @ rel.t)
     w = -lam * log_so3(rel.C)
     return Twist(v_p, w)
+
+
+def relative_pose_stacked(desired: Pose, current: Pose) -> Pose:
+    """relative_pose for a stack of current poses, C (N, 3, 3) and t (N, 3),
+    against one desired pose; slice i has the bits of the single call. The
+    metrics use it, the servo loop the single form."""
+    c_inv = current.C.swapaxes(-1, -2)
+    c = desired.C @ c_inv
+    t = (desired.C @ -(c_inv @ current.t[:, :, None]))[:, :, 0] + desired.t
+    drift = (c @ c.swapaxes(-1, -2) - _EYE3).reshape(-1, 9)
+    redo = np.sqrt(np.vecdot(drift, drift)) > 1e-9
+    if redo.any():
+        c[redo] = orthonormalize(c[redo])
+    return Pose(c, t)
+
+
+def pbvs_law_stacked(rel: Pose, lam: float) -> np.ndarray:
+    """pbvs_law for a stack of relative poses: the raw twists as (N, 6)
+    rows [v_p, w], row i with the bits of pbvs_law(rel_i, lam).vector()."""
+    v_p = -lam * (rel.C.swapaxes(-1, -2) @ rel.t[:, :, None])[:, :, 0]
+    return np.concatenate([v_p, -lam * _log_so3_stacked(rel.C)], axis=1)
 
 
 def clamp_twist(twist: Twist, cfg: ControlConfig) -> Twist:

@@ -5,14 +5,16 @@ vectors are axis * angle in radians. Twists are 6-vectors ordered
 [translational, angular]. All functions are pure and allocate fresh arrays,
 so they are safe to call concurrently.
 
-`exp_so3`, `exp_se3`, `orthonormalize` and `clamp_psd` also take a stack
-with a leading axis of N (rotation vectors (N, 3), twists (N, 6), matrices
-(N, 3, 3) or (N, n, n)) and then run once for all N: slice i of the result
-has the same bits as the call on slice i alone, because each slice takes
-its own series or closed-form branch and numpy's stacked matmul, svd,
-cholesky and sin/cos equal their per-slice forms. A stack of one runs the
-single-slice code. A `Pose` may likewise hold a stack, C (N, 3, 3) and
-t (N, 3); its methods take single poses.
+`exp_so3`, `exp_se3`, `orthonormalize`, `clamp_psd` and
+`rotation_to_quaternion` also take a stack with a leading axis of N
+(rotation vectors (N, 3), twists (N, 6), matrices (N, 3, 3) or (N, n, n))
+and then run once for all N, as does the private `_log_so3_stacked`: slice
+i of the result has the same bits as the call on slice i alone, because
+each slice takes its own series or closed-form branch and numpy's stacked
+matmul, vecdot, svd, cholesky, sin/cos and arctan2 equal their per-slice
+forms. A stack of one runs the single-slice code (rotation_to_quaternion
+has only the stacked one). A `Pose` may likewise hold a stack,
+C (N, 3, 3) and t (N, 3); its methods take single poses.
 """
 from __future__ import annotations
 
@@ -35,6 +37,10 @@ _EYE3.setflags(write=False)
 # hat(v) flattened row-major: the entries -v2, -v0, -v1 and v1, v2, v0
 _HAT_NEG = ([1, 5, 6], [2, 0, 1])
 _HAT_POS = ([2, 3, 7], [1, 2, 0])
+# Per branch of rotation_to_quaternion (positive trace, then c00, c11 or
+# c22 largest), the columns of its terms that make (w, x, y, z).
+_QUAT_SLOTS = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6],
+                        [3, 5, 6, 0]])
 
 
 def hat(v) -> np.ndarray:
@@ -135,6 +141,26 @@ def log_so3(c) -> np.ndarray:
                     axis = -axis
                 break
     return theta * axis
+
+
+def _log_so3_stacked(c) -> np.ndarray:
+    """(N, 3, 3) -> (N, 3), slice i with the bits of log_so3(c[i]): the
+    small-angle and general branches as masks, and the slices within 1e-4
+    of pi, rare in a servo loop, by log_so3 itself."""
+    f = c.reshape(-1, 9)
+    w = f[:, [7, 2, 3]] - f[:, [5, 6, 1]]  # 2 sin(theta) * axis
+    sin_t = 0.5 * np.sqrt(np.vecdot(w, w))
+    cos_t = np.clip(0.5 * (f[:, 0] + f[:, 4] + f[:, 8] - 1.0), -1.0, 1.0)
+    theta = np.arctan2(sin_t, cos_t)
+    small = theta < 1e-7
+    general = ~small & (theta < np.pi - 1e-4)
+    # only a general slice divides by its sine; the others take 0.5
+    scale = np.where(general, 0.5 * theta / np.where(general, sin_t, 1.0),
+                     0.5)
+    out = scale[:, None] * w
+    for i in np.flatnonzero(~(small | general)).tolist():
+        out[i] = log_so3(c[i])
+    return out
 
 
 def right_jacobian(phi) -> np.ndarray:
@@ -266,28 +292,36 @@ def orthonormalize(c) -> np.ndarray:
 
 
 def rotation_to_quaternion(c) -> np.ndarray:
-    """Unit quaternion (w, x, y, z); used for logging only."""
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
-        np.asarray(c, dtype=float).tolist())
+    """Unit quaternion (w, x, y, z); used for logging only. c is one
+    rotation or an (N, 3, 3) stack, which gives (N, 4).
+
+    Each slice takes the branch its trace and diagonal pick: positive
+    trace, else the largest diagonal entry (the first of equal ones). In
+    each branch the square root's argument is at least 1, so s >= 2.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 2:
+        return rotation_to_quaternion(c[None])[0]
+    f = c.reshape(-1, 9)
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = f.T
     tr = c00 + c11 + c22  # summed in np.trace's order
-    # In each branch below the square root's argument is at least 1 (the
-    # largest diagonal entry picks the branch), so s >= 2.
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = [0.25 * s, (c21 - c12) / s, (c02 - c20) / s, (c10 - c01) / s]
-    elif c00 >= c11 and c00 >= c22:
-        s = math.sqrt(1.0 + c00 - c11 - c22) * 2.0
-        q = [(c21 - c12) / s, 0.25 * s, (c01 + c10) / s, (c02 + c20) / s]
-    elif c11 >= c22:
-        s = math.sqrt(1.0 + c11 - c00 - c22) * 2.0
-        q = [(c02 - c20) / s, (c01 + c10) / s, 0.25 * s, (c12 + c21) / s]
-    else:
-        s = math.sqrt(1.0 + c22 - c00 - c11) * 2.0
-        q = [(c10 - c01) / s, (c02 + c20) / s, (c12 + c21) / s, 0.25 * s]
-    q = np.array(q)
-    if q[0] < 0.0:
-        q = -q
-    return q / math.sqrt(q.dot(q))
+    # branch 0: positive trace; 1, 2, 3: c00, c11 or c22 largest
+    first = tr > 0.0
+    second = ~first & (c00 >= c11) & (c00 >= c22)
+    branch = np.where(first, 0, np.where(second, 1,
+                                         np.where(c11 >= c22, 2, 3)))
+    arg = np.where(first, tr + 1.0, np.where(
+        second, 1.0 + c00 - c11 - c22, np.where(
+            branch == 2, 1.0 + c11 - c00 - c22, 1.0 + c22 - c00 - c11)))
+    s = np.sqrt(arg) * 2.0
+    # the branch's 0.25 s and the six differences and sums over s, placed
+    # per branch by _QUAT_SLOTS
+    terms = np.stack([0.25 * s, (c21 - c12) / s, (c02 - c20) / s,
+                      (c10 - c01) / s, (c01 + c10) / s, (c02 + c20) / s,
+                      (c12 + c21) / s], axis=1)
+    q = terms[np.arange(len(s))[:, None], _QUAT_SLOTS[branch]]
+    q = np.where(q[:, :1] < 0.0, -q, q)
+    return q / np.sqrt(np.vecdot(q, q))[:, None]
 
 
 def symmetrize(m) -> np.ndarray:

@@ -12,9 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .control import pbvs_law, relative_pose
+from .control import pbvs_law_stacked, relative_pose_stacked
 from .keypoints import ObjectModel
-from .lie import Pose, log_so3
+from .lie import Pose, _log_so3_stacked
 from .simulator import EpisodeRecord, geodesic_reference_for
 
 
@@ -24,13 +24,17 @@ def add_metric(pose_a: Pose, pose_b: Pose, model: ObjectModel) -> float:
                                         - pose_b.apply(model.points), axis=1)))
 
 
-def te_re(final_gt: Pose, desired: Pose) -> tuple[float, float]:
+def te_re(final_gt: Pose, desired: Pose):
     """Final translation error (mm) and rotation error (deg) from the
-    current-to-desired camera transform."""
-    rel = relative_pose(desired, final_gt)
-    theta_u = log_so3(rel.C)
-    te = math.sqrt(rel.t.dot(rel.t)) * 1000.0
-    re = math.sqrt(theta_u.dot(theta_u)) * 180.0 / math.pi
+    current-to-desired camera transform. final_gt is one pose, giving two
+    floats, or a stack of N, giving two (N,) arrays."""
+    if final_gt.C.ndim == 2:
+        te, re = te_re(Pose(final_gt.C[None], final_gt.t[None]), desired)
+        return float(te[0]), float(re[0])
+    rel = relative_pose_stacked(desired, final_gt)
+    theta_u = _log_so3_stacked(rel.C)
+    te = np.sqrt(np.vecdot(rel.t, rel.t)) * 1000.0
+    re = np.sqrt(np.vecdot(theta_u, theta_u)) * 180.0 / math.pi
     return te, re
 
 
@@ -58,31 +62,27 @@ def length_ratio(positions, reference_positions) -> float:
     return trajectory_length(positions) / ref
 
 
-def length_ratio_for(record: EpisodeRecord) -> float:
-    return length_ratio(record.camera_positions(),
-                        geodesic_reference_for(record))
-
-
 def uncertainty_correlation(records) -> float:
     """Pearson correlation between the per-frame twist entropy and the
     commanded-twist error against the ground-truth servo law.
 
     Returns NaN when either stream has no variance (or too few frames).
     """
-    ents, errs = [], []
+    ents, errs = [np.empty(0)], [np.empty(0)]
     for rec in records:
         finite = np.isfinite(rec.entropy)
-        ents.extend(rec.entropy[finite].tolist())
-        for k in np.flatnonzero(finite).tolist():
-            gt = Pose(rec.gt_C[k], rec.gt_t[k])
-            v_gt = pbvs_law(relative_pose(rec.desired, gt),
-                            rec.control.lam).vector()
-            err = rec.cmd[k] - v_gt
-            errs.append(math.sqrt(err.dot(err)))
-    if len(ents) < 2:
+        if not finite.any():
+            continue
+        gt = Pose(rec.gt_C[finite], rec.gt_t[finite])
+        v_gt = pbvs_law_stacked(relative_pose_stacked(rec.desired, gt),
+                                rec.control.lam)
+        err = rec.cmd[finite] - v_gt
+        ents.append(rec.entropy[finite])
+        errs.append(np.sqrt(np.vecdot(err, err)))
+    ents_arr = np.concatenate(ents)
+    errs_arr = np.concatenate(errs)
+    if len(ents_arr) < 2:
         return float("nan")
-    ents_arr = np.array(ents)
-    errs_arr = np.array(errs)
     if np.std(ents_arr) < 1e-15 or np.std(errs_arr) < 1e-15:
         return float("nan")
     return float(np.corrcoef(ents_arr, errs_arr)[0, 1])
@@ -104,22 +104,39 @@ class NeesResult:
 def nees(records, lower: float = 5.39, upper: float = 6.64) -> NeesResult:
     """Mean normalized estimation error squared across all frames of all
     records, using the tangent-space error of ground truth relative to the
-    estimate and the filter covariance of that frame."""
-    values = []
+    estimate and the filter covariance of that frame. Frames with a
+    non-finite or singular covariance are left out."""
+    values = [np.empty(0)]
     for rec in records:
         finite = np.isfinite(rec.P).all(axis=(1, 2))
-        for k in np.flatnonzero(finite).tolist():
-            # pose_boxminus(gt, est), without building the two Poses
-            delta = np.concatenate([
-                rec.gt_t[k] - rec.est_t[k],
-                log_so3(rec.gt_C[k] @ rec.est_C[k].T)])
-            try:
-                values.append(float(delta @ np.linalg.solve(rec.P[k], delta)))
-            except np.linalg.LinAlgError:
-                continue
-    if not values:
+        if not finite.any():
+            continue
+        # pose_boxminus(gt, est) per frame, without building the Poses
+        rot = rec.gt_C[finite] @ rec.est_C[finite].swapaxes(-1, -2)
+        delta = np.concatenate([rec.gt_t[finite] - rec.est_t[finite],
+                                _log_so3_stacked(rot)], axis=1)
+        values.append(_mahalanobis_squared(rec.P[finite], delta))
+    vals = np.concatenate(values)
+    if not len(vals):
         return NeesResult(float("nan"), 0, lower, upper)
-    return NeesResult(float(np.mean(values)), len(values), lower, upper)
+    return NeesResult(float(np.mean(vals)), len(vals), lower, upper)
+
+
+def _mahalanobis_squared(p: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """delta_k^T p_k^-1 delta_k per frame, by one stacked solve; a frame
+    whose p is singular is dropped, found by solving frame by frame when
+    the stacked solve raises."""
+    try:
+        return np.vecdot(delta, np.linalg.solve(p, delta[:, :, None])[:, :, 0])
+    except np.linalg.LinAlgError:
+        pass
+    out = []
+    for p_k, d_k in zip(p, delta):
+        try:
+            out.append(d_k @ np.linalg.solve(p_k, d_k))
+        except np.linalg.LinAlgError:
+            continue
+    return np.array(out, dtype=float)
 
 
 @dataclass
@@ -142,24 +159,32 @@ class Summary:
         return asdict(self)
 
 
-def summarize(records, model: ObjectModel) -> Summary:
-    """Aggregate a batch of episode records.
+def summarize(records, model: ObjectModel, variant: str,
+              rollouts: dict | None = None) -> Summary:
+    """Aggregate a batch of episode records of one variant.
 
     TE/RE/LR statistics cover successful trials only; the success rate
     covers all trials, and episodes that aborted with a failure count as
-    unsuccessful rather than being dropped.
+    unsuccessful rather than being dropped. The geodesic rollout behind
+    each length ratio goes into `rollouts`, when given, under its record's
+    index in `records`.
     """
     records = list(records)
     trials = len(records)
-    variant = records[0].variant if records else ""
     failures = sum(1 for r in records if r.failure)
-    succ = [r for r in records if success(r, model)]
+    successes = 0
     te_vals, re_vals, lr_vals = [], [], []
-    for r in succ:
+    for i, r in enumerate(records):
+        if not success(r, model):
+            continue
+        successes += 1
         te, re = te_re(r.final_gt, r.desired)
         te_vals.append(te)
         re_vals.append(re)
-        lr = length_ratio_for(r)
+        reference = geodesic_reference_for(r)
+        if rollouts is not None:
+            rollouts[i] = reference
+        lr = length_ratio(r.camera_positions(), reference)
         if np.isfinite(lr):
             lr_vals.append(lr)
     te_mean, te_std = _stats(te_vals)
@@ -170,9 +195,9 @@ def summarize(records, model: ObjectModel) -> Summary:
     return Summary(
         variant=variant,
         trials=trials,
-        successes=len(succ),
+        successes=successes,
         failures=failures,
-        sr_percent=(100.0 * len(succ) / trials) if trials else 0.0,
+        sr_percent=(100.0 * successes / trials) if trials else 0.0,
         te_mm_mean=te_mean, te_mm_std=te_std,
         re_deg_mean=re_mean, re_deg_std=re_std,
         lr_mean=lr_mean, lr_std=lr_std,

@@ -173,9 +173,9 @@ class EpisodeRecord:
 
     def camera_positions(self) -> np.ndarray:
         """World-frame camera positions per frame plus the terminal pose."""
-        pos = [-(self.gt_C[k].T @ self.gt_t[k]) for k in range(self.frames)]
-        pos.append(-(self.final_gt.C.T @ self.final_gt.t))
-        return np.array(pos)
+        c = np.concatenate([self.gt_C, self.final_gt.C[None]])
+        t = np.concatenate([self.gt_t, self.final_gt.t[None]])
+        return -_matvec(c.swapaxes(-1, -2), t)
 
 
 def sample_poses(scenario: Scenario, kps: KeypointSet,
@@ -476,6 +476,9 @@ def geodesic_reference_for(record: EpisodeRecord) -> np.ndarray:
 class BatchResult:
     records: list
     summary: "object"  # metrics.Summary; typed loosely to avoid a cycle
+    # episode 0's geodesic rollout, when the summary computed it (episode 0
+    # succeeded); the series writer reuses it
+    reference: np.ndarray | None = None
 
 
 def run_batch(scenario: Scenario, trials: int,
@@ -497,7 +500,9 @@ def run_batch(scenario: Scenario, trials: int,
             parts = pool.map(_episodes_task,
                              [(scenario, chunk) for chunk in chunks])
             records = [rec for part in parts for rec in part]
-    return BatchResult(records, summarize(records, scenario.model))
+    rollouts = {}
+    summary = summarize(records, scenario.model, scenario.variant, rollouts)
+    return BatchResult(records, summary, rollouts.get(0))
 
 
 def _episodes_task(args) -> list:

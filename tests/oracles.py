@@ -12,12 +12,18 @@ with temporary Poses in the control and rollout code, an eigendecomposition
 on every covariance clamp), kept verbatim so the optimised library path can
 be checked bit for bit. `run_episode_reference` is the single-trial
 episode loop that the lockstep engine replaced, with the single-trial
-`propagate`, `measure` and `step_dynamics` it called.
+`propagate`, `measure` and `step_dynamics` it called. `run_tree_reference`
+and `comparison_reference` are the per-frame summaries and writers that
+the stacked output path replaced.
 """
+import json
+import math
+
 import numpy as np
 from scipy.stats import chi2
 
 from ekfservo.camera import in_image, projection_jacobians, project_points
+from ekfservo.cli import EPISODE_HEADER, SUMMARY_HEADER, _summary_row
 from ekfservo.control import (
     ControlConfig,
     Twist,
@@ -48,6 +54,8 @@ from ekfservo.lie import (
     symmetrize,
     vee,
 )
+from ekfservo.metrics import Summary, length_ratio, success
+from ekfservo.simulator import geodesic_reference_for
 
 
 def same_bits(a, b) -> bool:
@@ -55,6 +63,12 @@ def same_bits(a, b) -> bool:
     differ and identical NaNs match."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def shuffled_stacks(rng, values, width=7):
+    """`values` in shuffled stacks of `width` (the last may be shorter)."""
+    order = rng.permutation(len(values))
+    return [values[order[i:i + width]] for i in range(0, len(values), width)]
 
 
 def expm_series(a, terms: int = 30) -> np.ndarray:
@@ -823,3 +837,136 @@ def same_record(a, b) -> bool:
         elif x != y or type(x) is not type(y):
             return False
     return True
+
+
+# The output path as written before the stacked kernels: summaries, episode
+# logs and series files computed one frame at a time with the scalar
+# kernels. nees_reference, uncertainty_correlation_reference and
+# rotation_to_quaternion_reference above are its per-frame NEES,
+# correlation and quaternion bodies.
+
+def te_re_reference(final_gt: Pose, desired: Pose) -> tuple[float, float]:
+    """Translation (mm) and rotation (deg) error of one pose."""
+    rel = relative_pose_reference(desired, final_gt)
+    theta_u = log_so3_reference(rel.C)
+    te = math.sqrt(rel.t.dot(rel.t)) * 1000.0
+    re = math.sqrt(theta_u.dot(theta_u)) * 180.0 / math.pi
+    return te, re
+
+
+def camera_positions_reference(rec) -> np.ndarray:
+    pos = [-(rec.gt_C[k].T @ rec.gt_t[k]) for k in range(rec.frames)]
+    pos.append(-(rec.final_gt.C.T @ rec.final_gt.t))
+    return np.array(pos)
+
+
+def summarize_reference(records, model, variant: str) -> Summary:
+    """The batch summary, every statistic from the per-frame kernels."""
+    def stats(values):
+        if not values:
+            return None, None
+        arr = np.array(values, dtype=float)
+        return float(arr.mean()), float(arr.std())
+
+    def finite_or_none(x):
+        return None if not np.isfinite(x) else float(x)
+
+    succ = [r for r in records if success(r, model)]
+    te_vals, re_vals, lr_vals = [], [], []
+    for r in succ:
+        te, re = te_re_reference(r.final_gt, r.desired)
+        te_vals.append(te)
+        re_vals.append(re)
+        lr = length_ratio(camera_positions_reference(r),
+                          geodesic_reference_for(r))
+        if np.isfinite(lr):
+            lr_vals.append(lr)
+    trials = len(records)
+    (te_mean, te_std), (re_mean, re_std), (lr_mean, lr_std) = (
+        stats(te_vals), stats(re_vals), stats(lr_vals))
+    return Summary(
+        variant=variant, trials=trials, successes=len(succ),
+        failures=sum(1 for r in records if r.failure),
+        sr_percent=(100.0 * len(succ) / trials) if trials else 0.0,
+        te_mm_mean=te_mean, te_mm_std=te_std,
+        re_deg_mean=re_mean, re_deg_std=re_std,
+        lr_mean=lr_mean, lr_std=lr_std,
+        correlation_r=finite_or_none(
+            uncertainty_correlation_reference(records) if records
+            else float("nan")),
+        nees_mean=finite_or_none(
+            nees_reference(records)[0] if records else float("nan")))
+
+
+def _fmt_reference(x) -> str:
+    return repr(float(x))
+
+
+def episode_csv_reference(rec) -> str:
+    lines = [EPISODE_HEADER]
+    rows = zip(rec.gt_t.tolist(), rec.est_t.tolist(), rec.cmd.tolist(),
+               rec.entropy.tolist(), rec.resid_rms.tolist())
+    for k, (gt_t, est_t, cmd, ent, rms) in enumerate(rows):
+        gt_q = rotation_to_quaternion_reference(rec.gt_C[k]).tolist()
+        est_q = rotation_to_quaternion_reference(rec.est_C[k]).tolist()
+        values = gt_q + gt_t + est_q + est_t + cmd + [ent, rms]
+        lines.append(",".join([str(k)] + [_fmt_reference(x) for x in values]))
+    return "\n".join(lines) + "\n"
+
+
+def series_reference(rec) -> dict:
+    """The three series files of one episode, by file name."""
+    files = {}
+    lines = ["frame,te_mm,re_deg"]
+    for k in range(rec.frames):
+        te, re = te_re_reference(Pose(rec.gt_C[k], rec.gt_t[k]), rec.desired)
+        lines.append(f"{k},{_fmt_reference(te)},{_fmt_reference(re)}")
+    files["series_pose_error.csv"] = "\n".join(lines) + "\n"
+
+    lines = ["frame,cmd_vx,cmd_vy,cmd_vz,cmd_wx,cmd_wy,cmd_wz,entropy"]
+    for k, (cmd, ent) in enumerate(zip(rec.cmd.tolist(),
+                                       rec.entropy.tolist())):
+        vals = [_fmt_reference(x) for x in cmd] + [_fmt_reference(ent)]
+        lines.append(f"{k}," + ",".join(vals))
+    files["series_velocity.csv"] = "\n".join(lines) + "\n"
+
+    lines = ["path,frame,x,y,z"]
+    for path, points in (("actual", camera_positions_reference(rec)),
+                         ("geodesic", geodesic_reference_for(rec))):
+        for k, p in enumerate(points.tolist()):
+            lines.append(f"{path},{k},{_fmt_reference(p[0])},"
+                         f"{_fmt_reference(p[1])},{_fmt_reference(p[2])}")
+    files["series_trajectory.csv"] = "\n".join(lines) + "\n"
+    return files
+
+
+def _json_reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def run_tree_reference(records, scenario, config: str, trials: int):
+    """The files `ekfservo run` writes for these records, by path relative
+    to its output directory, and the summary."""
+    summary = summarize_reference(records, scenario.model, scenario.variant)
+    files = {f"episodes/episode_{i:04d}.csv": episode_csv_reference(rec)
+             for i, rec in enumerate(records)}
+    files["summary.json"] = _json_reference({
+        "summary": summary.to_dict(),
+        "invocation": {"config": config, "trials": trials,
+                       "base_seed": scenario.seed,
+                       "variant": scenario.variant,
+                       "uncertainty_policy": scenario.uncertainty_policy}})
+    files["summary.csv"] = (SUMMARY_HEADER + "\n" + _summary_row(summary)
+                            + "\n")
+    if records:
+        files.update(series_reference(records[0]))
+    return files, summary
+
+
+def comparison_reference(summaries: dict) -> dict:
+    """comparison.json and comparison.csv of `ekfservo compare`."""
+    return {"comparison.json": _json_reference(
+                {v: s.to_dict() for v, s in summaries.items()}),
+            "comparison.csv": "\n".join(
+                [SUMMARY_HEADER] + [_summary_row(s)
+                                    for s in summaries.values()]) + "\n"}

@@ -21,14 +21,18 @@ def _tree(root: Path) -> dict:
 
 
 def test_zero_trials_valid_empty_summary(tmp_path):
+    """An empty batch still names the variant it would have run."""
     out = tmp_path / "out"
     rc = main(["run", "--config", NOMINAL, "--trials", "0",
-               "--out", str(out)])
+               "--variant", "pbvs-perframe", "--out", str(out)])
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["summary"]["trials"] == 0
+    assert summary["summary"]["variant"] == "pbvs-perframe"
     assert summary["summary"]["te_mm_mean"] is None
-    assert (out / "summary.csv").read_text().startswith(SUMMARY_HEADER)
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert rows[0] == SUMMARY_HEADER
+    assert rows[1].startswith("pbvs-perframe,0,0,0,")
 
 
 def test_identical_invocations_byte_identical(tmp_path):
@@ -185,6 +189,16 @@ def test_negative_trials_rejected(tmp_path, capsys):
     rc = main(["run", "--config", NOMINAL, "--trials", "-1",
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_parallelism_below_one_rejected(tmp_path, capsys, command, value):
+    rc = main([command, "--config", NOMINAL, "--trials", "1",
+               "--parallelism", value, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "--parallelism must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_log_level_env_var(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from oracles import (
     left_jacobian_reference,
     project_points_reference,
     same_bits,
+    shuffled_stacks,
 )
 
 
@@ -68,12 +69,6 @@ def test_project_points_bit_identical(behind):
     assert (masked > 100) == behind
 
 
-def _stacks(rng, values, width=7):
-    """`values` in shuffled stacks of `width` (the last may be shorter)."""
-    order = rng.permutation(len(values))
-    return [values[order[i:i + width]] for i in range(0, len(values), width)]
-
-
 def test_stacked_exp_maps_bit_identical():
     """A stack mixes slices on either side of both series switches, and
     exact zeros; every slice equals the single call and its reference."""
@@ -88,11 +83,11 @@ def test_stacked_exp_maps_bit_identical():
                             [0.0, _JAC_SERIES_EPS, 0.0], [np.pi, 0, 0]]])
     twists = np.concatenate([rng.standard_normal((len(phis), 3)), phis],
                             axis=1)
-    for stack in _stacks(rng, phis):
+    for stack in shuffled_stacks(rng, phis):
         for got, phi in zip(exp_so3(stack), stack, strict=True):
             assert same_bits(got, exp_so3_reference(phi))
     for dt in (1.0, 1.0 / 30.0):
-        for stack in _stacks(rng, twists):
+        for stack in shuffled_stacks(rng, twists):
             c, t = exp_se3(stack, dt)
             for c_i, t_i, xi in zip(c, t, stack, strict=True):
                 c_ref, t_ref = exp_se3_reference(xi, dt)
@@ -105,6 +100,6 @@ def test_stacked_orthonormalize_bit_identical():
     rng = np.random.default_rng(24)
     mats = rng.standard_normal((700, 3, 3))
     mats[::3] *= -1.0  # improper: the determinant's sign flips a column
-    for stack in _stacks(rng, mats):
+    for stack in shuffled_stacks(rng, mats):
         for got, m in zip(orthonormalize(stack), stack, strict=True):
             assert same_bits(got, orthonormalize_reference(m))

@@ -190,8 +190,8 @@ def test_summarize_aggregates_success_only(model, nominal_scenario):
     bad = _stub_record(converged=False)
     failed = _stub_record()
     failed.failure = "frame 3: numerical failure"
-    s = summarize([good, bad, failed], model)
-    assert s.trials == 3
+    s = summarize([good, bad, failed], model, "coupled-ekf")
+    assert s.variant == "coupled-ekf" and s.trials == 3
     assert s.successes == 1
     assert s.failures == 1
     assert abs(s.sr_percent - 100.0 / 3.0) < 1e-12

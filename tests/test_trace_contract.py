@@ -10,8 +10,12 @@ from dataclasses import replace
 
 import pytest
 
+import ekfservo.cli
+import ekfservo.config
+import ekfservo.metrics
+import ekfservo.pnp
 import ekfservo.simulator as sim
-from conftest import REPO, scenario
+from conftest import REPO, SCENARIOS, scenario
 
 
 def _tracer():
@@ -104,3 +108,34 @@ def test_geodesic_rollout_calls_control_once_per_step(monkeypatch):
     steps = len(positions) - 1
     assert steps > 10
     assert counts == dict.fromkeys(counts, steps)
+
+
+def test_traced_run_attributes_rollouts_and_loop_calls(tmp_path):
+    """bench/run.py's attribution check on a traced, converging servo-ekf
+    `ekfservo run`: the control calls absorbed into metrics or cli are
+    exactly the geodesic rollouts' steps, and those left to control are
+    one pbvs_law per recorded trial-frame. Episode 0's rollout, computed
+    for its length ratio, is reused for the series files, not rolled out
+    again."""
+    tracer = _tracer()
+    modules = {"cli": ekfservo.cli, "config": ekfservo.config,
+               "metrics": ekfservo.metrics, "pnp": ekfservo.pnp,
+               "simulator": sim}
+    with tracer.traced(modules, tracer.Trace()) as trace:
+        assert ekfservo.cli.main([
+            "run", "--config", str(SCENARIOS / "adverse.json"),
+            "--variant", "coupled-ekf", "--trials", "2",
+            "--out", str(tmp_path / "o")]) == 0
+    agg = trace.aggregate()
+    result = trace.result
+    assert all(rec.converged and rec.failure is None
+               for rec in result.records)
+    assert result.summary.successes == 2 and result.reference is not None
+    assert agg.calls["metrics.geodesic_reference_for"] == 2
+    assert agg.calls["cli.geodesic_reference_for"] == 0
+    assert agg.rollout_steps > 10
+    for name in ("control.relative_pose", "control.pbvs_law",
+                 "control.clamp_twist"):
+        assert agg.absorbed_calls[name] == agg.rollout_steps, name
+    assert agg.direct_calls("control.pbvs_law") == sum(
+        rec.frames for rec in result.records)
