@@ -23,13 +23,18 @@ chi-square(2) quantile, whose closed form is -2 log(1 - level); the gate
 reads its blocks off the same innovation S = H P H^T that the gain uses.
 S counts as singular when it is non-finite or when its condition number,
 the ratio of the largest to the smallest eigenvalue magnitude of the
-symmetric S, exceeds INNOVATION_COND_LIMIT.
+symmetric S, exceeds INNOVATION_COND_LIMIT. A Cholesky factorization of a
+shifted S certifies most innovations well conditioned; eigvalsh decides
+only the rest, with the same verdict.
 
 `propagate` and `update` take one belief (mean a Pose, P 6x6) or a stack
 of N beliefs (mean a Pose of (N, 3, 3) and (N, 3) arrays, P (N, 6, 6))
 with an (N, 6) twist or a stacked Measurement; the single form is the
 N = 1 case of the stacked one, and slice i of a stacked result has the
-same bits as the single call on slice i.
+same bits as the single call on slice i. A stacked update makes one pass
+in three stages: projection, Jacobians, H P, S and the gate once for all
+beliefs; the gain once per count of kept keypoints; then one covariance
+clamp and one mean injection for all updated beliefs.
 """
 from __future__ import annotations
 
@@ -44,6 +49,7 @@ from .keypoints import KeypointSet, Measurement
 from .lie import Pose, clamp_psd, exp_so3, symmetrize
 
 INNOVATION_COND_LIMIT = 1e12
+_COND_SHIFT = 10.0 / INNOVATION_COND_LIMIT
 _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
 
@@ -231,9 +237,26 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     one belief's numerical trouble: that belief's entry of `errors` holds
     the exception the single update would have raised (SingularInnovation,
     or a LinAlgError or FloatingPointError from numpy), and the others are
-    unaffected. The beliefs are grouped by their count of usable
-    keypoints, and each group by its count after gating, so that every
-    group runs as one stacked product, solve and eigvalsh.
+    unaffected. The stack runs in three stages:
+
+    1. once for every belief with a usable keypoint: projection, the
+       Jacobian blocks over one keypoint axis (the usable keypoints when
+       every such belief has the same count of them, else all keypoints,
+       unusable ones as zero rows), one H P, one S = H P H^T and S + Q,
+       the finiteness test and the 2x2 gate;
+    2. once per count of kept keypoints: the kept rows of H, H P and
+       S + Q, then the condition test (a Cholesky certificate of the
+       shifted S + Q, with eigvalsh only where it fails; see
+       `_ill_conditioned`), the solve, K eps and I - K H;
+    3. once for every updated belief: clamp_psd, exp_so3 and the mean
+       injection.
+
+    numpy's matmul gives each element the same bits whatever the other
+    rows and columns of its operands (seen on random stacks, and pinned by
+    the oracle tests), so the kept rows equal those of a belief updated
+    alone.
+    When numpy raises inside the stack, the update is redone one belief at
+    a time, so that only the belief that raises fails.
     """
     if state.P.ndim == 2:
         res = update(_stack_one(state),
@@ -245,140 +268,236 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
         return UpdateResult(_unstack_one(res.state), res.used[0],
                             int(res.n_visible[0]), float(res.residual_rms[0]),
                             bool(res.all_rejected[0]))
+    try:
+        return _update_stack(state, meas, kps, intr,
+                             _gate_threshold(gate_level), z_min)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        n_beliefs = state.P.shape[0]
+        if n_beliefs == 1:
+            return _unchanged(state, meas, [exc])
+        parts = [update(FilterState(Pose(state.mean.C[i:i + 1],
+                                         state.mean.t[i:i + 1]),
+                                    state.P[i:i + 1]),
+                        Measurement(meas.uv[i:i + 1], meas.cov[i:i + 1],
+                                    meas.visible[i:i + 1]),
+                        kps, intr, gate_level, z_min)
+                 for i in range(n_beliefs)]
+        return UpdateResult(
+            FilterState(
+                Pose(np.concatenate([r.state.mean.C for r in parts]),
+                     np.concatenate([r.state.mean.t for r in parts])),
+                np.concatenate([r.state.P for r in parts])),
+            np.concatenate([r.used for r in parts]),
+            np.concatenate([r.n_visible for r in parts]),
+            np.concatenate([r.residual_rms for r in parts]),
+            np.concatenate([r.all_rejected for r in parts]),
+            [r.errors[0] for r in parts])
 
+
+def _unchanged(state: FilterState, meas: Measurement,
+               errors: list) -> UpdateResult:
+    """The outcome of a stack in which no belief is updated."""
     n_beliefs, n = meas.visible.shape
+    return UpdateResult(
+        FilterState(Pose(state.mean.C.copy(), state.mean.t.copy()),
+                    state.P.copy()),
+        np.zeros((n_beliefs, n), dtype=bool), meas.visible.sum(axis=1),
+        np.full(n_beliefs, np.nan), np.zeros(n_beliefs, dtype=bool), errors)
+
+
+def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
+    """The stacked update's three stages; numpy's exceptions propagate."""
+    n_beliefs, n = meas.visible.shape
+    errors = [None] * n_beliefs
     rotated = kps.points3d @ state.mean.C.swapaxes(1, 2)  # C @ X per keypoint
     pts_c = rotated + state.mean.t[:, None, :]
     uv_pred, ok = project_points(pts_c, intr, z_min)
     usable = meas.visible & ok.reshape(n_beliefs, n)
-    out = _StackedUpdate(state, meas, rotated, pts_c, uv_pred, usable, intr,
-                         _gate_threshold(gate_level))
     counts = usable.sum(axis=1)
-    for m in sorted(set(counts.tolist()) - {0}):
-        out.run(np.flatnonzero(counts == m))
-    return UpdateResult(FilterState(Pose(out.c, out.t), out.p), out.used,
-                        meas.visible.sum(axis=1), out.rms, out.all_rejected,
-                        out.errors)
+    if counts.all():  # every belief takes part: slices, not gathers
+        ids, act = np.arange(n_beliefs), slice(None)
+    elif counts.any():
+        ids = act = np.flatnonzero(counts)
+    else:
+        return _unchanged(state, meas, errors)
 
-
-class _StackedUpdate:
-    """One stacked update in progress: the inputs, with keypoint rows
-    flattened over (belief, keypoint); the outputs, initialised to the
-    prior (the outcome of a belief with no usable keypoint); and the
-    computation of one group of beliefs."""
-
-    def __init__(self, state, meas, rotated, pts_c, uv_pred, usable, intr,
-                 thresh):
-        self.prior, self.usable, self.intr, self.thresh = (state, usable,
-                                                           intr, thresh)
-        self.rotated = rotated.reshape(-1, 3)
-        self.pts_c = pts_c.reshape(-1, 3)
-        self.uv_pred = uv_pred
-        self.uv = meas.uv.reshape(-1, 2)
-        self.cov = meas.cov.reshape(-1, 2, 2)
-        n_beliefs = usable.shape[0]
-        self.c = state.mean.C.copy()
-        self.t = state.mean.t.copy()
-        self.p = state.P.copy()
-        self.used = np.zeros(usable.shape, dtype=bool)
-        self.rms = np.full(n_beliefs, np.nan)
-        self.all_rejected = np.zeros(n_beliefs, dtype=bool)
-        self.errors = [None] * n_beliefs
-
-    def run(self, group: np.ndarray) -> None:
-        """Update the beliefs in `group`, which share their count of usable
-        keypoints; when numpy raises for the stack, redo it one belief at a
-        time, so that only the belief that raises fails."""
-        try:
-            self._usable_group(group)
-        except (np.linalg.LinAlgError, FloatingPointError) as exc:
-            if group.size == 1:
-                self.errors[group[0]] = exc
-            else:
-                for i in range(group.size):
-                    self.run(group[i:i + 1])
-
-    def _usable_group(self, g: np.ndarray) -> None:
-        # flat (belief, keypoint) rows of each belief's usable keypoints
-        if g.size == self.rms.size:
-            rows = np.flatnonzero(self.usable).reshape(g.size, -1)
+    # stage 1, over a keypoint axis of width w shared by the beliefs that
+    # take part: their m usable keypoints when they all have m (at flat
+    # (belief, keypoint) `rows`), else all n, unusable ones as zero rows
+    n_act = ids.size
+    w = int(counts[ids[0]])
+    rows = mask = None
+    if (counts[act] == w).all():
+        if w == n and n_act == n_beliefs:
+            rows = slice(None)
         else:
-            rows = (g[:, None] * self.usable.shape[1]
-                    + np.nonzero(self.usable[g])[1].reshape(g.size, -1))
-        m = rows.shape[1]
-        h = _jacobian_blocks(self.rotated[rows.ravel()],
-                             self.pts_c[rows.ravel()],
-                             self.intr).reshape(g.size, 2 * m, 6)
-        hp = h @ self.prior.P[self._at(g)]
-        s = hp @ h.swapaxes(1, 2)
-        if not np.isfinite(s).all():
-            finite = np.isfinite(s).all(axis=(1, 2))
-            for i in g[~finite].tolist():
-                self.errors[i] = SingularInnovation("non-finite innovation")
-            if not finite.any():
-                return
-            g, rows, h, hp, s = (g[finite], rows[finite], h[finite],
-                                 hp[finite], s[finite])
-        residuals = self.uv[rows] - self.uv_pred[rows]
-        covs = self.cov[rows]
-        # each keypoint's 2x2 block of S, as (belief, keypoint, 2, 2)
-        s_blocks = s.reshape(-1, m, 2, m, 2).diagonal(axis1=1, axis2=3)
-        keep = _mahalanobis_keep(residuals,
-                                 s_blocks.transpose(0, 3, 1, 2) + covs,
-                                 self.thresh)
-        if keep.all():
-            self._gated_group(g, rows, h, hp, s, residuals, covs)
-            return
-        kept = keep.sum(axis=1)
-        self.all_rejected[g[kept == 0]] = True
-        for m_kept in sorted(set(kept.tolist()) - {0}):
-            sub = np.flatnonzero(kept == m_kept)
-            if m_kept == m:
-                self._gated_group(g[sub], rows[sub], h[sub], hp[sub], s[sub],
-                                  residuals[sub], covs[sub])
+            rows = np.flatnonzero(usable)
+        h = _jacobian_blocks(rotated.reshape(-1, 3)[rows],
+                             pts_c.reshape(-1, 3)[rows], intr)
+        residuals = (meas.uv.reshape(-1, 2)[rows]
+                     - uv_pred[rows]).reshape(n_act, w, 2)
+        covs = meas.cov.reshape(-1, 2, 2)[rows].reshape(n_act, w, 2, 2)
+    else:
+        w = n
+        mask = usable[act]
+        flat = mask.reshape(-1)
+        # unit depth stands in for unusable points, whose rows are zeroed
+        h = _jacobian_blocks(rotated[act].reshape(-1, 3),
+                             np.where(flat[:, None], pts_c[act].reshape(-1, 3),
+                                      1.0), intr)
+        h = np.where(flat[:, None, None], h, 0.0)
+        residuals = meas.uv[act] - uv_pred.reshape(n_beliefs, n, 2)[act]
+        covs = meas.cov[act]
+    h = h.reshape(n_act, 2 * w, 6)
+    hp = h @ state.P[act]
+    s = hp @ h.swapaxes(1, 2)
+    # S + Q, Q holding each keypoint's 2x2 covariance on the block diagonal
+    q = np.zeros((n_act, w, 2, w, 2))
+    diag = np.arange(w)
+    q[:, diag, :, diag, :] = covs.swapaxes(0, 1)
+    sq = s + q.reshape(n_act, 2 * w, 2 * w)
+    # each keypoint's 2x2 block of S + Q, as (belief, keypoint, 2, 2)
+    blocks = sq.reshape(n_act, w, 2, w, 2).diagonal(axis1=1, axis2=3)
+    keep = _mahalanobis_keep(residuals, blocks.transpose(0, 3, 1, 2), thresh)
+    if mask is not None:
+        keep &= mask
+    if np.isfinite(s).all():
+        finite = True
+    else:
+        finite = np.isfinite(s).all(axis=(1, 2))
+        for i in ids[~finite].tolist():
+            errors[i] = SingularInnovation("non-finite innovation")
+        keep[~finite] = False
+    kept = keep.sum(axis=1)
+    all_rejected = finite & (kept == 0)
+
+    # stage 2, per count of kept keypoints
+    if keep.all():
+        groups = [(slice(None), h, hp, sq, residuals)]
+    else:
+        groups = []
+        for m in sorted(set(kept.tolist()) - {0}):
+            sub = np.flatnonzero(kept == m)
+            if m == w:
+                groups.append((sub, h[sub], hp[sub], sq[sub], residuals[sub]))
                 continue
-            pos = np.nonzero(keep[sub])[1].reshape(sub.size, m_kept)
-            r2 = (2 * pos[:, :, None] + (0, 1)).reshape(sub.size, 2 * m_kept)
+            pos = np.nonzero(keep[sub])[1].reshape(sub.size, m)
+            r2 = (2 * pos[:, :, None] + (0, 1)).reshape(sub.size, 2 * m)
             at = sub[:, None]
-            self._gated_group(g[sub], rows[at, pos], h[at, r2], hp[at, r2],
-                              s[sub[:, None, None], r2[:, :, None],
-                                r2[:, None, :]],
-                              residuals[at, pos], covs[at, pos])
+            groups.append((sub, h[at, r2], hp[at, r2],
+                           sq[sub[:, None, None], r2[:, :, None],
+                              r2[:, None, :]],
+                           residuals[at, pos]))
+    # gains, corrections and RMS of the updated beliefs, in belief order
+    updated = np.zeros(n_act, dtype=bool)
+    parts = []
+    for sub, *args in groups:
+        ill, *gain = _gain(*args)
+        if ill is not None:
+            sub = np.arange(n_act)[sub][~ill]
+        updated[sub] = True
+        parts.append((sub, *gain))
+    if len(parts) == 1:
+        _, ikh, delta, rms = parts[0]
+    elif parts:
+        ikh = np.empty((n_act, 6, 6))
+        delta = np.empty((n_act, 6))
+        rms = np.empty(n_act)
+        for sub, ikh_g, delta_g, rms_g in parts:
+            ikh[sub], delta[sub], rms[sub] = ikh_g, delta_g, rms_g
+        ikh, delta, rms = ikh[updated], delta[updated], rms[updated]
+    if not updated.all():
+        for i in ids[~updated & (kept > 0)].tolist():
+            errors[i] = SingularInnovation(
+                "innovation condition number exceeds "
+                f"{INNOVATION_COND_LIMIT:.0e}")
+        keep[~updated] = False
 
-    def _gated_group(self, g, rows, h, hp, s, residuals, covs) -> None:
-        """Gain, correction and covariance of beliefs that keep the same
-        count of keypoints after gating."""
-        n_g, m = rows.shape
-        eps = residuals.reshape(n_g, 2 * m)
-        q = np.zeros((n_g, m, 2, m, 2))
-        diag = np.arange(m)
-        q[:, diag, :, diag, :] = covs.swapaxes(0, 1)
-        s = s + q.reshape(n_g, 2 * m, 2 * m)
-        eig = np.abs(np.linalg.eigvalsh(s))
-        bad = eig.max(axis=1) > INNOVATION_COND_LIMIT * eig.min(axis=1)
-        if bad.any():
-            for i in g[bad].tolist():
-                self.errors[i] = SingularInnovation(
-                    "innovation condition number exceeds "
-                    f"{INNOVATION_COND_LIMIT:.0e}")
-            if bad.all():
-                return
-            good = ~bad
-            g, rows, h, hp, s, eps = (g[good], rows[good], h[good],
-                                      hp[good], s[good], eps[good])
-        k = np.linalg.solve(s, hp).swapaxes(1, 2)  # P H^T S^-1, P symmetric
-        delta = -(k @ eps[:, :, None])[:, :, 0]
-        at = self._at(g)
-        self.p[at] = clamp_psd((_EYE6 - k @ h) @ self.prior.P[at])
-        self.c[at] = exp_so3(delta[:, 3:]) @ self.prior.mean.C[at]
-        self.t[at] = self.prior.mean.t[at] + delta[:, :3]
-        self.used.reshape(-1)[rows] = True
-        # the mean of eps**2 per belief, as np.mean computes it
-        self.rms[at] = np.sqrt((eps**2).sum(axis=1) / (2 * m))
+    # stage 3, over every updated belief
+    mean = state.mean
+    if isinstance(rows, slice):
+        used = keep
+    else:
+        used = np.zeros((n_beliefs, n), dtype=bool)
+        if rows is None:
+            used[ids] = keep
+        else:
+            used.reshape(-1)[rows] = keep.reshape(-1)
+    if n_act == n_beliefs and updated.all():
+        return UpdateResult(
+            FilterState(Pose(exp_so3(delta[:, 3:]) @ mean.C,
+                             mean.t + delta[:, :3]),
+                        clamp_psd(ikh @ state.P)),
+            used, meas.visible.sum(axis=1), rms, all_rejected, errors)
+    out = _unchanged(state, meas, errors)
+    out.used = used
+    out.all_rejected[ids] = all_rejected
+    at = ids[updated]
+    if at.size:
+        out.state.P[at] = clamp_psd(ikh @ state.P[at])
+        out.state.mean.C[at] = exp_so3(delta[:, 3:]) @ mean.C[at]
+        out.state.mean.t[at] = mean.t[at] + delta[:, :3]
+        out.residual_rms[at] = rms
+    return out
 
-    def _at(self, g: np.ndarray):
-        """Index of the sorted beliefs g: a slice when g holds them all."""
-        return slice(None) if g.size == self.rms.size else g
+
+def _gain(h, hp, s, residuals):
+    """Stage 2 of `update` for beliefs that keep the same count m of
+    keypoints, given the kept rows of H, H P and S + Q: (ill, I - K H, the
+    correction -K eps, the residual RMS). ill marks the beliefs whose
+    innovation is ill-conditioned, or is None when there are none; the
+    other three hold rows for the rest only."""
+    n_g, m = residuals.shape[:2]
+    eps = residuals.reshape(n_g, 2 * m)
+    ill = _ill_conditioned(s)
+    if not ill.any():
+        ill = None
+    else:
+        good = ~ill
+        h, hp, s, eps = h[good], hp[good], s[good], eps[good]
+    k = np.linalg.solve(s, hp).swapaxes(1, 2)  # P H^T S^-1, P symmetric
+    delta = -(k @ eps[:, :, None])[:, :, 0]
+    # the mean of eps**2 per belief, as np.mean computes it
+    return (ill, _EYE6 - k @ h, delta,
+            np.sqrt((eps**2).sum(axis=1) / (2 * m)))
+
+
+def _ill_conditioned(s: np.ndarray) -> np.ndarray:
+    """Per slice of the (N, n, n) innovation stack s: its condition number,
+    max |eigenvalue| / min |eigenvalue| by eigvalsh, exceeds
+    INNOVATION_COND_LIMIT. eigvalsh runs only when the stack has no
+    `_conditioning_certificate`."""
+    if _conditioning_certificate(s):
+        return np.zeros(s.shape[0], dtype=bool)
+    eig = np.abs(np.linalg.eigvalsh(s))
+    return eig.max(axis=1) > INNOVATION_COND_LIMIT * eig.min(axis=1)
+
+
+def _conditioning_certificate(s: np.ndarray) -> bool:
+    """A Cholesky factorization of s - delta I succeeds for every slice of
+    s, with delta = 10 trace(s) / INNOVATION_COND_LIMIT.
+
+    Success bounds the smallest eigenvalue of a slice below by delta minus
+    the factorization's backward error, O(n^2 eps ||s||) (Higham, "Accuracy
+    and Stability of Numerical Algorithms", ch. 10), and the largest above
+    by its trace; so its condition number is at most about
+    INNOVATION_COND_LIMIT / 10, and eigvalsh, whose eigenvalues are off by
+    a small multiple of eps ||s||, passes it. Both routines read the lower
+    triangle of s.
+    """
+    n = s.shape[-1]
+    # delta per slice, scaled before the sum so that it cannot overflow
+    delta = (s.reshape(-1, n * n)[:, ::n + 1] * _COND_SHIFT).sum(axis=1)
+    # a NaN need not stop the factorization, so only finite s qualifies
+    if not (delta.min() > 0.0 and np.isfinite(s).all()):
+        return False
+    shifted = s.copy()
+    shifted.reshape(-1, n * n)[:, ::n + 1] -= delta[:, None]
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _twist_vector(twist) -> np.ndarray:

@@ -124,8 +124,17 @@ def nees(records, lower: float = 5.39, upper: float = 6.64) -> NeesResult:
 
 def _mahalanobis_squared(p: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """delta_k^T p_k^-1 delta_k per frame, by one stacked solve; a frame
-    whose p is singular is dropped, found by solving frame by frame when
-    the stacked solve raises."""
+    whose p is singular is dropped. When the stacked solve raises, one
+    stacked slogdet finds the singular frames (sign 0: the LU factorization
+    that solve also runs met a zero pivot) and the others are solved in one
+    stack, in frame order; only if that raises too is each frame solved
+    alone."""
+    try:
+        return np.vecdot(delta, np.linalg.solve(p, delta[:, :, None])[:, :, 0])
+    except np.linalg.LinAlgError:
+        pass
+    regular = np.linalg.slogdet(p).sign != 0
+    p, delta = p[regular], delta[regular]
     try:
         return np.vecdot(delta, np.linalg.solve(p, delta[:, :, None])[:, :, 0])
     except np.linalg.LinAlgError:

@@ -314,6 +314,16 @@ class _Lockstep:
                 for j in np.flatnonzero(~finite).tolist():
                     failures.setdefault(
                         j, f"frame {k}: non-finite estimate or command")
+            if self.use_ekf:
+                # a belief that no update touched (no usable keypoint) can
+                # carry a non-finite P that no innovation test has seen
+                finite = np.isfinite(p_est).all(axis=(1, 2))
+                if self.servo:
+                    finite &= np.isfinite(ent)
+                if not finite.all():
+                    for j in np.flatnonzero(~finite).tolist():
+                        failures.setdefault(
+                            j, f"frame {k}: non-finite covariance or entropy")
             if failures:
                 at = np.ones(self.ids.size, dtype=bool)
                 at[list(failures)] = False

@@ -15,8 +15,11 @@ from scipy.stats import chi2
 import ekfservo.simulator as sim
 from conftest import scenario
 from ekfservo.ekf import (
+    INNOVATION_COND_LIMIT,
     FilterState,
     SingularInnovation,
+    _conditioning_certificate,
+    _ill_conditioned,
     gate,
     initialize,
     update,
@@ -187,6 +190,123 @@ def test_singular_innovation_matches_reference(intr, model):
         assert (ref is SingularInnovation) == singular
         _assert_same_update(
             _outcome(update, st_prior, meas, kps, intr, 1.0, 1e-3), ref)
+
+
+def _mixed_stack(intr, model):
+    """(label, belief, measurement) of one stack that holds every outcome
+    of an update: healthy beliefs with all, some or gated-away keypoints,
+    one ill-conditioned, one with no usable keypoint, one whose keypoints
+    are all gated out and one with a NaN covariance."""
+    gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
+    kps = fps_select(model, 8)
+    meas = measure(gt, kps, intr, SensingProfile(sigma_px=0.3),
+                   np.random.default_rng(3))
+    exact = measure(gt, kps, intr, SensingProfile(sigma_px=0.0),
+                    np.random.default_rng(3))
+    assert meas.visible.all() and exact.visible.all()
+    healthy = initialize(gt, 0.01, 0.02)
+    ill = initialize(gt, 10.0, 3.0)  # enormous prior vs the PD floor
+    p_nan = healthy.P.copy()
+    p_nan[2, 4] = np.nan
+
+    def with_visible(mask):
+        return Measurement(np.where(mask[:, None], meas.uv, np.nan),
+                           np.where(mask[:, None, None], meas.cov, np.nan),
+                           mask)
+
+    some = np.arange(8) % 3 != 0
+    shifted = meas.uv.copy()
+    shifted[[1, 4]] += 60.0
+    cases = [
+        ("healthy", healthy, meas),
+        ("ill-conditioned", ill, exact),
+        ("no usable keypoint", healthy, with_visible(np.zeros(8, bool))),
+        ("all gated out", healthy,
+         Measurement(meas.uv + 80.0, meas.cov, meas.visible)),
+        ("non-finite", FilterState(gt, p_nan), meas),
+        ("some visible", healthy, with_visible(some)),
+        ("some gated out", healthy,
+         Measurement(shifted, meas.cov, meas.visible)),
+    ]
+    return kps, cases
+
+
+def test_mixed_stack_slices_equal_single_updates(intr, model, monkeypatch):
+    """Each slice of one stack holding every outcome equals the single
+    update of that belief: the ill-conditioned belief fails the Cholesky
+    certificate of its kept-count group, eigvalsh then fails that belief
+    alone, and the non-finite one fails in the shared stage."""
+    kps, cases = _mixed_stack(intr, model)
+    stacked, meas = _stack([(st, m) for _, st, m in cases])
+    eigvalsh_calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        eigvalsh_calls.append(a.shape)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    res = update(stacked, meas, kps, intr, 0.999)
+    # one group of two beliefs keeps all 8 keypoints: healthy and ill
+    assert eigvalsh_calls == [(2, 16, 16)]
+    outcome = {}
+    for j, (label, state, one) in enumerate(cases):
+        ref = _outcome(update, state, one, kps, intr, 0.999, 1e-3)
+        if ref is SingularInnovation:  # the belief keeps its prior
+            assert isinstance(res.errors[j], SingularInnovation), label
+            assert same_bits(res.state.mean.C[j], stacked.mean.C[j])
+            assert same_bits(res.state.mean.t[j], stacked.mean.t[j])
+            assert same_bits(res.state.P[j], stacked.P[j])
+            assert not res.used[j].any() and not res.all_rejected[j]
+            assert np.isnan(res.residual_rms[j])
+            outcome[label] = str(res.errors[j])
+            continue
+        assert res.errors[j] is None, label
+        assert same_bits(res.state.mean.C[j], ref.state.mean.C)
+        assert same_bits(res.state.mean.t[j], ref.state.mean.t)
+        assert same_bits(res.state.P[j], ref.state.P)
+        assert same_bits(res.used[j], ref.used)
+        assert res.n_visible[j] == ref.n_visible
+        assert same_bits(res.residual_rms[j], ref.residual_rms)
+        assert res.all_rejected[j] == ref.all_rejected
+        outcome[label] = (int(ref.used.sum()), ref.all_rejected)
+    assert outcome == {
+        "healthy": (8, False),
+        "ill-conditioned": "innovation condition number exceeds 1e+12",
+        "no usable keypoint": (0, False),
+        "all gated out": (0, True),
+        "non-finite": "non-finite innovation",
+        "some visible": (5, False),
+        "some gated out": (6, False),
+    }
+
+
+def test_conditioning_certificate_never_passes_what_eigvalsh_rejects():
+    """Random SPD innovations with condition numbers from 1e9 to 1e14 and
+    the sizes an update makes: whenever the Cholesky certificate passes a
+    stack, eigvalsh's verdict passes each of its slices. The certificate
+    passes every matrix up to condition 1e10, a tenth of its bound of
+    about INNOVATION_COND_LIMIT / 10, and none that eigvalsh rejects."""
+    rng = np.random.default_rng(11)
+    passed = rejected = 0
+    for cond in np.repeat(10.0 ** np.arange(9.0, 14.01, 0.25), 3):
+        for size in range(2, 17, 2):
+            q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+            eigs = np.geomspace(1.0, 1.0 / cond, size) * 10.0 ** rng.uniform(
+                -6.0, 6.0)
+            s = (q * eigs) @ q.T
+            if rng.uniform() < 0.5:  # as H P H^T + Q rounds: not symmetric
+                s += s * rng.uniform(-1e-16, 1e-16, s.shape)
+            eig = np.abs(np.linalg.eigvalsh(s))
+            eig_rejects = eig.max() > INNOVATION_COND_LIMIT * eig.min()
+            certified = _conditioning_certificate(s[None])
+            assert not (certified and eig_rejects), (cond, size)
+            assert _ill_conditioned(s[None])[0] == eig_rejects
+            passed += certified
+            rejected += eig_rejects
+            if cond <= 1e10:
+                assert certified, (cond, size)
+    assert passed > 0 and rejected > 0
 
 
 def _psd(m):

@@ -21,6 +21,7 @@ from ekfservo.simulator import (
     sample_poses,
     step_dynamics,
 )
+from oracles import same_record
 
 
 def _compact_model():
@@ -223,6 +224,44 @@ def test_nonfinite_covariance_fails_episode_not_batch(nominal_scenario,
     for rec in res.records:
         assert rec.failure == "frame 1: non-finite innovation"
         assert rec.frames == 1
+
+
+@pytest.mark.parametrize("poisoned", ["propagate", "entropy"])
+def test_nonfinite_covariance_in_blackout_fails_its_trial(monkeypatch,
+                                                          poisoned):
+    """During occlusion's blackout no update runs, so no innovation test
+    sees the covariance. A NaN covariance poisoned into trial 1 there, or
+    a NaN twist entropy, still fails that trial at that frame, and the
+    other trials equal their solo runs."""
+    sc = replace(scenario("occlusion"), max_frames=45)
+    assert sc.variant == "coupled-ekf"
+    assert sc.sensing.blackout_frames == (8, 38)
+    solo = [run_episode(sc, sc.seed + i) for i in range(3)]
+    real = getattr(sim, poisoned)
+    calls = []
+
+    def propagate(state, twist, dt, noise):
+        out = real(state, twist, dt, noise)
+        calls.append(None)
+        if len(calls) == 12:  # frame 12, all three trials active
+            p = out.P.copy()
+            p[1] = np.nan
+            return FilterState(out.mean, p)
+        return out
+
+    def entropy(cov):
+        calls.append(None)
+        # one call per active trial and frame: trial 1 of frame 12
+        return np.nan if len(calls) == 3 * 12 + 2 else real(cov)
+
+    monkeypatch.setattr(sim, poisoned, locals()[poisoned])
+    with np.errstate(invalid="ignore"):  # slogdet of the NaN twist cov
+        res = run_batch(sc, 3)
+    assert res.records[1].failure == ("frame 12: non-finite covariance "
+                                      "or entropy")
+    assert res.records[1].frames == 12
+    for i in (0, 2):
+        assert same_record(res.records[i], solo[i]), i
 
 
 def test_geodesic_reference_self_ratio(nominal_scenario):

@@ -97,6 +97,28 @@ def test_batch_without_servoing_calls_no_control(monkeypatch):
     assert counts == {"pbvs_law": 0, "relative_pose": 0, "refine_pose": 0}
 
 
+@pytest.mark.parametrize("name, variant, max_frames", [
+    ("adverse", "coupled-ekf", 40),
+    ("adverse", "coupled-ekf", 450),
+    ("consistency", "none", 20),
+])
+def test_lockstep_batch_updates_once_per_frame(monkeypatch, name, variant,
+                                               max_frames):
+    """The tracer times `simulator.update` per call (ekf.update_us). A
+    lockstep EKF batch makes exactly one stacked call per frame it runs,
+    however many trials are still active in it, so that figure is the
+    cost of one frame's update of the batch. At full length the adverse
+    trials converge at different frames and the active set shrinks."""
+    counts = _counting(monkeypatch, ("update",))
+    res = sim.run_batch(replace(scenario(name), variant=variant,
+                                max_frames=max_frames), 3)
+    assert all(rec.failure is None for rec in res.records)
+    frames = [rec.frames for rec in res.records]
+    if max_frames == 450:
+        assert len(set(frames)) == 3
+    assert counts == {"update": max(frames)}
+
+
 def test_geodesic_rollout_calls_control_once_per_step(monkeypatch):
     sc = scenario("nominal")
     rec = sim.run_episode(replace(sc, max_frames=5))
