@@ -24,8 +24,8 @@ reads its blocks off the same innovation S = H P H^T that the gain uses.
 S counts as singular when it is non-finite or when its condition number,
 the ratio of the largest to the smallest eigenvalue magnitude of the
 symmetric S, exceeds INNOVATION_COND_LIMIT. A Cholesky factorization of a
-shifted S certifies most innovations well conditioned; eigvalsh decides
-only the rest, with the same verdict.
+shifted S (`lie.cholesky_certifies`) certifies most innovations well
+conditioned; eigvalsh decides only the rest, with the same verdict.
 
 `propagate` and `update` take one belief (mean a Pose, P 6x6) or a stack
 of N beliefs (mean a Pose of (N, 3, 3) and (N, 3) arrays, P (N, 6, 6))
@@ -46,10 +46,12 @@ import numpy as np
 
 from .camera import DEFAULT_Z_MIN, Intrinsics, projection_jacobians, project_points
 from .keypoints import KeypointSet, Measurement
-from .lie import Pose, clamp_psd, exp_so3, symmetrize
+from .lie import Pose, cholesky_certifies, clamp_psd, exp_so3, symmetrize
 
 INNOVATION_COND_LIMIT = 1e12
-_COND_SHIFT = 10.0 / INNOVATION_COND_LIMIT
+# the certificate's margin: it passes condition numbers up to about
+# INNOVATION_COND_LIMIT / 10, which eigvalsh passes too
+_COND_MARGIN = 10.0 / INNOVATION_COND_LIMIT
 _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
 
@@ -251,10 +253,15 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     3. once for every updated belief: clamp_psd, exp_so3 and the mean
        injection.
 
-    numpy's matmul gives each element the same bits whatever the other
-    rows and columns of its operands (seen on random stacks, and pinned by
-    the oracle tests), so the kept rows equal those of a belief updated
-    alone.
+    When the beliefs that take part differ in their count of usable
+    keypoints, stage 1 multiplies over all n keypoints' rows, where the
+    belief alone would use its m usable ones. Its kept rows then equal
+    those of the belief updated alone only because numpy's matmul gives
+    each element the same bits whatever the other rows and columns of its
+    operands. That held on random stacks and is pinned by the oracle
+    tests, but only on the numpy and BLAS build they run on: a BLAS that
+    picks its kernel by matrix shape could make such a belief's bits
+    depend on the rest of its stack, and those tests would then fail.
     When numpy raises inside the stack, the update is redone one belief at
     a time, so that only the belief that raises fails.
     """
@@ -465,39 +472,12 @@ def _gain(h, hp, s, residuals):
 def _ill_conditioned(s: np.ndarray) -> np.ndarray:
     """Per slice of the (N, n, n) innovation stack s: its condition number,
     max |eigenvalue| / min |eigenvalue| by eigvalsh, exceeds
-    INNOVATION_COND_LIMIT. eigvalsh runs only when the stack has no
-    `_conditioning_certificate`."""
-    if _conditioning_certificate(s):
+    INNOVATION_COND_LIMIT. eigvalsh runs only when `cholesky_certifies`
+    fails for the stack."""
+    if cholesky_certifies(s, _COND_MARGIN):
         return np.zeros(s.shape[0], dtype=bool)
     eig = np.abs(np.linalg.eigvalsh(s))
     return eig.max(axis=1) > INNOVATION_COND_LIMIT * eig.min(axis=1)
-
-
-def _conditioning_certificate(s: np.ndarray) -> bool:
-    """A Cholesky factorization of s - delta I succeeds for every slice of
-    s, with delta = 10 trace(s) / INNOVATION_COND_LIMIT.
-
-    Success bounds the smallest eigenvalue of a slice below by delta minus
-    the factorization's backward error, O(n^2 eps ||s||) (Higham, "Accuracy
-    and Stability of Numerical Algorithms", ch. 10), and the largest above
-    by its trace; so its condition number is at most about
-    INNOVATION_COND_LIMIT / 10, and eigvalsh, whose eigenvalues are off by
-    a small multiple of eps ||s||, passes it. Both routines read the lower
-    triangle of s.
-    """
-    n = s.shape[-1]
-    # delta per slice, scaled before the sum so that it cannot overflow
-    delta = (s.reshape(-1, n * n)[:, ::n + 1] * _COND_SHIFT).sum(axis=1)
-    # a NaN need not stop the factorization, so only finite s qualifies
-    if not (delta.min() > 0.0 and np.isfinite(s).all()):
-        return False
-    shifted = s.copy()
-    shifted.reshape(-1, n * n)[:, ::n + 1] -= delta[:, None]
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _twist_vector(twist) -> np.ndarray:

@@ -338,36 +338,51 @@ def clamp_psd(m, tol: float = 1e-12) -> np.ndarray:
     callers that care assert on eigmin separately.
 
     A filter covariance is almost always positive definite already, so the
-    eigendecomposition is skipped when a Cholesky factorization of
-    s - delta I succeeds, with delta = _PSD_MARGIN * trace(s). Success
-    bounds the smallest eigenvalue of s below by delta minus the
-    factorization's backward error (about n^2 eps ||s||), and eigh's
-    eigenvalues are off by at most a small multiple of eps ||s|| (Weyl), so
-    eigh would have found none below zero and returned s unchanged. The
-    stack is factorized at once; only when that raises is each slice
-    factorized alone.
+    eigendecomposition is skipped when `cholesky_certifies` s with margin
+    _PSD_MARGIN: the smallest eigenvalue of s is then at least about
+    _PSD_MARGIN trace(s), and eigh's eigenvalues are off by at most a
+    small multiple of eps ||s|| (Weyl), so eigh would have found none
+    below zero and returned s unchanged. The stack is certified at once;
+    only when that fails is each slice tested alone.
     """
     s = symmetrize(m)
     if s.ndim == 2:
         return _clamp_one(s)
     if s.shape[0] == 1:
         return _clamp_one(s[0])[None]
+    if not cholesky_certifies(s, _PSD_MARGIN):
+        for i in range(s.shape[0]):
+            s[i] = _clamp_one(s[i])
+    return s
+
+
+def cholesky_certifies(s: np.ndarray, margin: float) -> bool:
+    """A Cholesky factorization of s - delta I succeeds for every slice of
+    the non-empty (N, n, n) stack s, each finite, with delta = margin
+    trace(s) > 0 per slice.
+
+    Success bounds the smallest eigenvalue of a slice below by delta minus
+    the factorization's backward error, O(n^2 eps ||s||) (Higham, "Accuracy
+    and Stability of Numerical Algorithms", ch. 10), and the largest above
+    by its trace. With a margin far above n^2 eps, every slice is then
+    positive definite with condition number at most about 1 / margin, and
+    an eigensolver, whose eigenvalues are off by a small multiple of
+    eps ||s||, finds the same. Cholesky reads the lower triangle of s, as
+    eigh and eigvalsh do.
+    """
     n = s.shape[-1]
-    # the margin dwarfs the rounding of any summation order of the trace
-    tr = s.reshape(-1, n * n)[:, ::n + 1].sum(axis=1)
+    # delta per slice, scaled before the sum so that it cannot overflow
+    delta = (s.reshape(-1, n * n)[:, ::n + 1] * margin).sum(axis=1)
     # a NaN need not stop the factorization, so only finite s qualifies
-    cand = np.flatnonzero((tr > 0.0) & np.isfinite(s).all(axis=(1, 2)))
-    shifted = s[cand]
-    shifted.reshape(-1, n * n)[:, ::n + 1] -= (_PSD_MARGIN * tr[cand])[:, None]
+    if not (delta.min() > 0.0 and np.isfinite(s).all()):
+        return False
+    shifted = s.copy()
+    shifted.reshape(-1, n * n)[:, ::n + 1] -= delta[:, None]
     try:
         np.linalg.cholesky(shifted)
-        definite = cand.tolist()
     except np.linalg.LinAlgError:
-        definite = [i for i in cand.tolist() if _definite(s[i])]
-    if len(definite) < s.shape[0]:
-        for i in sorted(set(range(s.shape[0])) - set(definite)):
-            s[i] = _clamp_eigh(s[i])
-    return s
+        return False
+    return True
 
 
 def _clamp_one(s: np.ndarray) -> np.ndarray:
@@ -375,7 +390,9 @@ def _clamp_one(s: np.ndarray) -> np.ndarray:
 
 
 def _definite(s: np.ndarray) -> bool:
-    """A Cholesky factorization of the symmetric s - delta I succeeds."""
+    """`cholesky_certifies` for one matrix with margin _PSD_MARGIN, on
+    Python floats where a lone 6x6 covariance would spend longer in numpy's
+    per-call overhead than in the arithmetic."""
     rows = s.tolist()
     n = len(rows)
     tr = sum(rows[i][i] for i in range(n))

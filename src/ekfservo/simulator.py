@@ -310,20 +310,20 @@ class _Lockstep:
                                                            failures)
             finite = (np.isfinite(est.t).all(axis=1)
                       & np.isfinite(cmd).all(axis=1))
-            if not finite.all():
-                for j in np.flatnonzero(~finite).tolist():
-                    failures.setdefault(
-                        j, f"frame {k}: non-finite estimate or command")
+            # a belief that no update touched (no usable keypoint) can
+            # carry a non-finite P that no innovation test has seen
+            belief_ok = True
             if self.use_ekf:
-                # a belief that no update touched (no usable keypoint) can
-                # carry a non-finite P that no innovation test has seen
-                finite = np.isfinite(p_est).all(axis=(1, 2))
+                belief_ok = np.isfinite(p_est).all(axis=(1, 2))
                 if self.servo:
-                    finite &= np.isfinite(ent)
-                if not finite.all():
-                    for j in np.flatnonzero(~finite).tolist():
-                        failures.setdefault(
-                            j, f"frame {k}: non-finite covariance or entropy")
+                    belief_ok &= np.isfinite(ent)
+            bad = ~(finite & belief_ok)
+            if bad.any():
+                for j in np.flatnonzero(bad).tolist():
+                    failures.setdefault(
+                        j, f"frame {k}: non-finite estimate or command"
+                        if not finite[j]
+                        else f"frame {k}: non-finite covariance or entropy")
             if failures:
                 at = np.ones(self.ids.size, dtype=bool)
                 at[list(failures)] = False

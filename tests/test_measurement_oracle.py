@@ -16,16 +16,16 @@ import ekfservo.simulator as sim
 from conftest import scenario
 from ekfservo.ekf import (
     INNOVATION_COND_LIMIT,
+    _COND_MARGIN,
     FilterState,
     SingularInnovation,
-    _conditioning_certificate,
     _ill_conditioned,
     gate,
     initialize,
     update,
 )
 from ekfservo.keypoints import Measurement, SensingProfile, fps_select, measure
-from ekfservo.lie import Pose
+from ekfservo.lie import Pose, cholesky_certifies
 from ekfservo.simulator import LOOK_DOWN
 from oracles import measure_reference, same_bits, update_reference
 
@@ -299,7 +299,7 @@ def test_conditioning_certificate_never_passes_what_eigvalsh_rejects():
                 s += s * rng.uniform(-1e-16, 1e-16, s.shape)
             eig = np.abs(np.linalg.eigvalsh(s))
             eig_rejects = eig.max() > INNOVATION_COND_LIMIT * eig.min()
-            certified = _conditioning_certificate(s[None])
+            certified = cholesky_certifies(s[None], _COND_MARGIN)
             assert not (certified and eig_rejects), (cond, size)
             assert _ill_conditioned(s[None])[0] == eig_rejects
             passed += certified
