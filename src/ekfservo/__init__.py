@@ -10,15 +10,11 @@ metrics and a CLI make the whole loop reproducible end to end.
 from .camera import BehindCamera, Intrinsics, project, projection_jacobian
 from .control import (
     ControlConfig,
-    Twist,
-    TwistWithUncertainty,
     apply_policy,
     clamp_twist,
     entropy,
     pbvs_law,
-    pbvs_velocity,
     relative_pose,
-    twist_with_uncertainty,
     velocity_covariance,
     velocity_jacobian,
 )
@@ -49,7 +45,6 @@ from .lie import (
     exp_se3,
     exp_so3,
     hat,
-    left_jacobian,
     log_so3,
     orthonormalize,
     pose_boxminus,

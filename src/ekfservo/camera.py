@@ -26,10 +26,14 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+        # each message starts with the field's name in the config file
+        for name in ("fx", "fy"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0 < self.cx < self.width:
+            raise ValueError("cx must lie inside the image width")
+        if not 0 < self.cy < self.height:
+            raise ValueError("cy must lie inside the image height")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -92,74 +92,75 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
         blackout = tuple(blackout)
 
     threshold = control.optional("entropy_threshold", (int, float), None)
-    try:
-        scenario = Scenario(
-            intrinsics=Intrinsics(
-                fx=intr.require("fx", (int, float)),
-                fy=intr.require("fy", (int, float)),
-                cx=intr.require("cx", (int, float)),
-                cy=intr.require("cy", (int, float)),
-                width=intr.require("width", int),
-                height=intr.require("height", int),
-            ),
-            model=model,
-            sensing=SensingProfile(
-                sigma_px=sensing.optional("sigma_px", (int, float), 1.0),
-                anisotropy=sensing.optional("anisotropy", (int, float), 1.0),
-                dropout_prob=sensing.optional("dropout_prob", (int, float), 0.0),
-                outlier_prob=sensing.optional("outlier_prob", (int, float), 0.0),
-                outlier_px=sensing.optional("outlier_px", (int, float), 40.0),
-                covariance_fidelity=sensing.optional(
-                    "covariance_fidelity", str, "honest"),
-                fidelity_scale=sensing.optional(
-                    "fidelity_scale", (int, float), 1.0),
-                blackout_frames=blackout,
-                occluder_half=sensing.optional("occluder_half", str, None),
-            ),
-            filter_noise=NoiseParams(
-                sigma_vp=noise.require("sigma_vp", (int, float)),
-                sigma_vw=noise.require("sigma_vw", (int, float)),
-            ),
-            control=ControlConfig(
-                lam=control.optional("lambda", (int, float), 0.5),
-                entropy_threshold=math.inf if threshold is None else float(threshold),
-                reduced_scale=control.optional("reduced_scale", (int, float), 0.1),
-                v_max=control.optional("v_max", (int, float), 0.25),
-                w_max=control.optional("w_max", (int, float), 0.5),
-            ),
-            initial_pose=PoseSampler(
-                height=initial.require("height", (int, float)),
-                translation_var=initial.optional(
-                    "translation_var", (int, float), 0.0),
-                rotation_max_deg=initial.optional(
-                    "rotation_max_deg", (int, float), 0.0),
-            ),
-            desired_pose=PoseSampler(
-                height=desired.require("height", (int, float)),
-                translation_var=desired.optional(
-                    "translation_var", (int, float), 0.0),
-                rotation_max_deg=desired.optional(
-                    "rotation_max_deg", (int, float), 0.0),
-            ),
-            n_keypoints=ctx.optional("n_keypoints", int, 8),
-            dt=ctx.optional("dt", (int, float), 1.0 / 30.0),
-            max_frames=ctx.optional("max_frames", int, 450),
-            actuation_sigma_v=actuation.optional("sigma_v", (int, float), 0.0),
-            actuation_sigma_w=actuation.optional("sigma_w", (int, float), 0.0),
-            init_sigma_t=prior.optional("sigma_t", (int, float), 0.0),
-            init_sigma_phi=prior.optional("sigma_phi", (int, float), 0.0),
-            v_eps=conv.optional("v_eps", (int, float), 1e-3),
-            k_hold=conv.optional("k_hold", int, 10),
-            gate_level=ctx.optional("gate_level", (int, float), 0.999),
-            z_min=ctx.optional("z_min", (int, float), 1e-3),
-            uncertainty_policy=ctx.optional("uncertainty_policy", bool, True),
-            variant=ctx.optional("variant", str, "coupled-ekf"),
-            seed=ctx.optional("seed", int, 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
+    scenario = ctx.build(
+        Scenario,
+        intrinsics=intr.build(
+            Intrinsics,
+            fx=intr.require("fx", (int, float)),
+            fy=intr.require("fy", (int, float)),
+            cx=intr.require("cx", (int, float)),
+            cy=intr.require("cy", (int, float)),
+            width=intr.require("width", int),
+            height=intr.require("height", int),
+        ),
+        model=model,
+        sensing=sensing.build(
+            SensingProfile,
+            sigma_px=sensing.optional("sigma_px", (int, float), 1.0),
+            anisotropy=sensing.optional("anisotropy", (int, float), 1.0),
+            dropout_prob=sensing.optional("dropout_prob", (int, float), 0.0),
+            outlier_prob=sensing.optional("outlier_prob", (int, float), 0.0),
+            outlier_px=sensing.optional("outlier_px", (int, float), 40.0),
+            covariance_fidelity=sensing.optional(
+                "covariance_fidelity", str, "honest"),
+            fidelity_scale=sensing.optional(
+                "fidelity_scale", (int, float), 1.0),
+            blackout_frames=blackout,
+            occluder_half=sensing.optional("occluder_half", str, None),
+        ),
+        filter_noise=noise.build(
+            NoiseParams,
+            sigma_vp=noise.require("sigma_vp", (int, float)),
+            sigma_vw=noise.require("sigma_vw", (int, float)),
+        ),
+        control=control.build(
+            ControlConfig,
+            lam=control.optional("lambda", (int, float), 0.5),
+            entropy_threshold=math.inf if threshold is None else float(threshold),
+            reduced_scale=control.optional("reduced_scale", (int, float), 0.1),
+            v_max=control.optional("v_max", (int, float), 0.25),
+            w_max=control.optional("w_max", (int, float), 0.5),
+        ),
+        initial_pose=_pose_sampler(initial),
+        desired_pose=_pose_sampler(desired),
+        n_keypoints=ctx.optional("n_keypoints", int, 8),
+        dt=ctx.optional("dt", (int, float), 1.0 / 30.0),
+        max_frames=ctx.optional("max_frames", int, 450),
+        actuation_sigma_v=actuation.optional("sigma_v", (int, float), 0.0),
+        actuation_sigma_w=actuation.optional("sigma_w", (int, float), 0.0),
+        init_sigma_t=prior.optional("sigma_t", (int, float), 0.0),
+        init_sigma_phi=prior.optional("sigma_phi", (int, float), 0.0),
+        v_eps=conv.optional("v_eps", (int, float), 1e-3),
+        k_hold=conv.optional("k_hold", int, 10),
+        gate_level=ctx.optional("gate_level", (int, float), 0.999),
+        z_min=ctx.optional("z_min", (int, float), 1e-3),
+        uncertainty_policy=ctx.optional("uncertainty_policy", bool, True),
+        variant=ctx.optional("variant", str, "coupled-ekf"),
+        seed=ctx.optional("seed", int, 0),
+    )
     ctx.reject_unknown()
     return scenario
+
+
+def _pose_sampler(section: "_Reader") -> PoseSampler:
+    return section.build(
+        PoseSampler,
+        height=section.require("height", (int, float)),
+        translation_var=section.optional("translation_var", (int, float), 0.0),
+        rotation_max_deg=section.optional(
+            "rotation_max_deg", (int, float), 0.0),
+    )
+
 
 
 class _Reader:
@@ -205,6 +206,21 @@ class _Reader:
                 f"{self.label}: field {self._path(key)} must be finite, "
                 f"not {value}")
         return value
+
+    def build(self, cls, **fields):
+        """cls(**fields), with fields read from this section. cls validates
+        them, raising a ValueError whose message starts with the name of
+        the field at fault; it becomes a ConfigError with the field's path,
+        taken from the reader that read it: this one, or a section of it
+        (a Scenario's k_hold is convergence.k_hold)."""
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            name, _, rest = str(exc).partition(" ")
+            owner = next((r for r in (self, *self.sections) if name in r.known),
+                         self)
+            raise ConfigError(
+                f"{self.label}: {owner._path(name)} {rest}") from exc
 
     def section(self, key: str, required: bool = False) -> "_Reader":
         self.known.add(key)

@@ -68,8 +68,9 @@ class NoiseParams:
     sigma_vw: float
 
     def __post_init__(self):
-        if self.sigma_vp <= 0 or self.sigma_vw <= 0:
-            raise ValueError("velocity noise stds must be positive")
+        for name in ("sigma_vp", "sigma_vw"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
     @cached_property
     def rate_covariance(self) -> np.ndarray:
@@ -99,16 +100,15 @@ def initialize(prior: Pose, init_sigma_t: float, init_sigma_phi: float) -> Filte
 
 def propagate(state: FilterState, twist, dt: float,
               noise: NoiseParams) -> FilterState:
-    """Constant-velocity prediction with the commanded camera twist: one
-    belief and a twist (a Twist or 6-vector), or a stack of N beliefs and
-    an (N, 6) array of twists."""
+    """Constant-velocity prediction with the commanded camera twist
+    [v, w]: one belief and a 6-vector, or a stack of N beliefs and an
+    (N, 6) array of twists."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if state.P.ndim == 2:
-        out = propagate(_stack_one(state), _twist_vector(twist)[None], dt,
-                        noise)
-        return _unstack_one(out)
     twist = np.asarray(twist, dtype=float)
+    if state.P.ndim == 2:
+        return _unstack_one(propagate(_stack_one(state), twist[None], dt,
+                                      noise))
     r = exp_so3(-twist[:, 3:] * dt)
     t_new = (r @ state.mean.t[:, :, None])[:, :, 0] - twist[:, :3] * dt
     c_new = r @ state.mean.C
@@ -479,8 +479,3 @@ def _ill_conditioned(s: np.ndarray) -> np.ndarray:
     eig = np.abs(np.linalg.eigvalsh(s))
     return eig.max(axis=1) > INNOVATION_COND_LIMIT * eig.min(axis=1)
 
-
-def _twist_vector(twist) -> np.ndarray:
-    if hasattr(twist, "vector"):
-        twist = twist.vector()
-    return np.asarray(twist, dtype=float).reshape(6)

@@ -159,6 +159,11 @@ class SensingProfile:
             raise ValueError("fidelity_scale must be >= 1")
         if self.occluder_half not in _OCCLUDER_HALVES:
             raise ValueError(f"occluder_half must be one of {_OCCLUDER_HALVES}")
+        if self.blackout_frames is not None:
+            start, stop = self.blackout_frames
+            if not 0 <= start <= stop:
+                raise ValueError("blackout_frames [start, stop) must have "
+                                 "0 <= start <= stop")
 
     @property
     def reported_scale(self) -> float:

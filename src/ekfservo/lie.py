@@ -5,16 +5,17 @@ vectors are axis * angle in radians. Twists are 6-vectors ordered
 [translational, angular]. All functions are pure and allocate fresh arrays,
 so they are safe to call concurrently.
 
-`exp_so3`, `exp_se3`, `orthonormalize`, `clamp_psd` and
+`exp_so3`, `log_so3`, `exp_se3`, `orthonormalize`, `clamp_psd` and
 `rotation_to_quaternion` also take a stack with a leading axis of N
 (rotation vectors (N, 3), twists (N, 6), matrices (N, 3, 3) or (N, n, n))
-and then run once for all N, as does the private `_log_so3_stacked`: slice
-i of the result has the same bits as the call on slice i alone, because
-each slice takes its own series or closed-form branch and numpy's stacked
-matmul, vecdot, svd, cholesky, sin/cos and arctan2 equal their per-slice
-forms. A stack of one runs the single-slice code (rotation_to_quaternion
-has only the stacked one). A `Pose` may likewise hold a stack,
-C (N, 3, 3) and t (N, 3); its methods take single poses.
+and then run once for all N: slice i of the result has the same bits as
+the call on slice i alone, because each slice takes its own series or
+closed-form branch and numpy's stacked matmul, vecdot, svd, cholesky,
+sin/cos and arctan2 equal their per-slice forms. A stack of one runs the
+single-slice code of `exp_so3`, `exp_se3`, `orthonormalize` and
+`clamp_psd`, which is cheaper for one slice (rotation_to_quaternion has
+only the stacked code). A `Pose` may likewise hold a stack, C (N, 3, 3)
+and t (N, 3); its methods take single poses.
 """
 from __future__ import annotations
 
@@ -57,11 +58,6 @@ def _hat_stacked(v) -> np.ndarray:
     return k.reshape(-1, 3, 3)
 
 
-def vee(m) -> np.ndarray:
-    """Inverse of hat on antisymmetric matrices."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def exp_so3(phi) -> np.ndarray:
     """Rodrigues formula; second-order series below the small-angle switch.
     phi is one rotation vector or an (N, 3) stack."""
@@ -94,7 +90,8 @@ def _exp_so3_stacked(phi) -> np.ndarray:
 
 
 def log_so3(c) -> np.ndarray:
-    """Rotation vector of a rotation matrix, with norm <= pi.
+    """Rotation vector of a rotation matrix, with norm <= pi; c is one
+    rotation or an (N, 3, 3) stack, which gives (N, 3).
 
     Near a half turn the antisymmetric part of the matrix vanishes, so the
     axis is recovered from the symmetric part instead: the squared axis
@@ -114,6 +111,8 @@ def log_so3(c) -> np.ndarray:
     exp_so3(log_so3(C)) == C to rounding.
     """
     c = np.asarray(c, dtype=float)
+    if c.ndim == 3:
+        return _log_so3_stacked(c)
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c.tolist()
     w = np.array([c21 - c12, c02 - c20, c10 - c01])  # 2 sin(theta) * axis
     w_norm = math.sqrt(w.dot(w))
@@ -144,9 +143,8 @@ def log_so3(c) -> np.ndarray:
 
 
 def _log_so3_stacked(c) -> np.ndarray:
-    """(N, 3, 3) -> (N, 3), slice i with the bits of log_so3(c[i]): the
-    small-angle and general branches as masks, and the slices within 1e-4
-    of pi, rare in a servo loop, by log_so3 itself."""
+    """log_so3 of a stack: the small-angle and general branches as masks,
+    and the slices within 1e-4 of pi, rare in a servo loop, one by one."""
     f = c.reshape(-1, 9)
     w = f[:, [7, 2, 3]] - f[:, [5, 6, 1]]  # 2 sin(theta) * axis
     sin_t = 0.5 * np.sqrt(np.vecdot(w, w))
@@ -198,25 +196,13 @@ def right_jacobian_inv(phi) -> np.ndarray:
     return _EYE3 + 0.5 * k + d * (k @ k)
 
 
-def left_jacobian(phi) -> np.ndarray:
-    """Left Jacobian of SO(3); equals right_jacobian(-phi)."""
-    phi = np.asarray(phi, dtype=float)
-    k = hat(phi.tolist())
-    theta = math.sqrt(phi.dot(phi))
-    if theta < _JAC_SERIES_EPS:
-        return _EYE3 + 0.5 * k + (k @ k) / 6.0
-    b = (1.0 - np.cos(theta)) / theta**2
-    cc = (theta - np.sin(theta)) / theta**3
-    return _EYE3 + b * k + cc * (k @ k)
-
-
 def exp_se3(xi, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """SE(3) exponential of the scaled twist xi * dt.
 
     xi is ordered [v, w], one twist or an (N, 6) stack; returns (rotation,
-    translation) of the resulting rigid transform: exp_so3(phi) and
-    left_jacobian(phi) @ rho, which share hat, the angle, its sine and
-    cosine, and hat squared.
+    translation) of the resulting rigid transform: exp_so3(phi) and the
+    left Jacobian of phi times rho, which share hat, the angle, its sine
+    and cosine, and hat squared.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 2:
@@ -330,12 +316,9 @@ def symmetrize(m) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def clamp_psd(m, tol: float = 1e-12) -> np.ndarray:
-    """Symmetrize and clamp slightly negative eigenvalues to zero; m is one
-    matrix or an (N, n, n) stack, clamped slice by slice.
-
-    Eigenvalues below -tol are still clamped, but indicate a bug upstream;
-    callers that care assert on eigmin separately.
+def clamp_psd(m) -> np.ndarray:
+    """Symmetrize and clamp negative eigenvalues to zero; m is one matrix
+    or an (N, n, n) stack, clamped slice by slice.
 
     A filter covariance is almost always positive definite already, so the
     eigendecomposition is skipped when `cholesky_certifies` s with margin

@@ -12,9 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .control import pbvs_law_stacked, relative_pose_stacked
+from .control import pbvs_law, relative_pose
 from .keypoints import ObjectModel
-from .lie import Pose, _log_so3_stacked
+from .lie import Pose, log_so3
 from .simulator import EpisodeRecord, geodesic_reference_for
 
 
@@ -31,8 +31,8 @@ def te_re(final_gt: Pose, desired: Pose):
     if final_gt.C.ndim == 2:
         te, re = te_re(Pose(final_gt.C[None], final_gt.t[None]), desired)
         return float(te[0]), float(re[0])
-    rel = relative_pose_stacked(desired, final_gt)
-    theta_u = _log_so3_stacked(rel.C)
+    rel = relative_pose(desired, final_gt)
+    theta_u = log_so3(rel.C)
     te = np.sqrt(np.vecdot(rel.t, rel.t)) * 1000.0
     re = np.sqrt(np.vecdot(theta_u, theta_u)) * 180.0 / math.pi
     return te, re
@@ -74,8 +74,7 @@ def uncertainty_correlation(records) -> float:
         if not finite.any():
             continue
         gt = Pose(rec.gt_C[finite], rec.gt_t[finite])
-        v_gt = pbvs_law_stacked(relative_pose_stacked(rec.desired, gt),
-                                rec.control.lam)
+        v_gt = pbvs_law(relative_pose(rec.desired, gt), rec.control.lam)
         err = rec.cmd[finite] - v_gt
         ents.append(rec.entropy[finite])
         errs.append(np.sqrt(np.vecdot(err, err)))
@@ -92,16 +91,9 @@ def uncertainty_correlation(records) -> float:
 class NeesResult:
     mean: float
     count: int
-    # 95% band of the mean of n_samples chi-square(6) draws; informational
-    lower: float = float("nan")
-    upper: float = float("nan")
-
-    @property
-    def within(self) -> bool:
-        return bool(self.lower <= self.mean <= self.upper)
 
 
-def nees(records, lower: float = 5.39, upper: float = 6.64) -> NeesResult:
+def nees(records) -> NeesResult:
     """Mean normalized estimation error squared across all frames of all
     records, using the tangent-space error of ground truth relative to the
     estimate and the filter covariance of that frame. Frames with a
@@ -114,12 +106,12 @@ def nees(records, lower: float = 5.39, upper: float = 6.64) -> NeesResult:
         # pose_boxminus(gt, est) per frame, without building the Poses
         rot = rec.gt_C[finite] @ rec.est_C[finite].swapaxes(-1, -2)
         delta = np.concatenate([rec.gt_t[finite] - rec.est_t[finite],
-                                _log_so3_stacked(rot)], axis=1)
+                                log_so3(rot)], axis=1)
         values.append(_mahalanobis_squared(rec.P[finite], delta))
     vals = np.concatenate(values)
     if not len(vals):
-        return NeesResult(float("nan"), 0, lower, upper)
-    return NeesResult(float(np.mean(vals)), len(vals), lower, upper)
+        return NeesResult(float("nan"), 0)
+    return NeesResult(float(np.mean(vals)), len(vals))
 
 
 def _mahalanobis_squared(p: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -18,12 +18,16 @@ from .keypoints import KeypointSet, Measurement
 from .lie import Pose, pose_boxplus
 
 MIN_POINTS = 4
+# Gauss-Newton: at most ITERS iterations, each solving the normal
+# equations with DAMPING * I added, stopping once a step's norm falls
+# below STEP_TOL
+ITERS = 10
+DAMPING = 1e-9
+STEP_TOL = 1e-12
 
 
 def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
-                intr: Intrinsics, iters: int = 10, damping: float = 1e-9,
-                step_tol: float = 1e-12,
-                z_min: float = DEFAULT_Z_MIN) -> Pose | None:
+                intr: Intrinsics, z_min: float = DEFAULT_Z_MIN) -> Pose | None:
     """Weighted Gauss-Newton pose refinement from the previous estimate.
 
     The weights, the inverses of the reported covariances of the visible
@@ -42,9 +46,9 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
         w_visible = np.linalg.inv(meas.cov[visible])
     except np.linalg.LinAlgError:
         w_visible = np.broadcast_to(np.eye(2), (int(visible.sum()), 2, 2))
-    reg = damping * np.eye(6)
+    reg = DAMPING * np.eye(6)
     pose = prev
-    for _ in range(iters):
+    for _ in range(ITERS):
         uv_pred, ok = predict_keypoints(pose, kps, intr, z_min)
         usable = visible & ok
         idx = np.flatnonzero(usable)
@@ -68,6 +72,6 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
         if not np.isfinite(delta).all():
             return None
         pose = pose_boxplus(pose, delta)
-        if math.sqrt(delta.dot(delta)) < step_tol:
+        if math.sqrt(delta.dot(delta)) < STEP_TOL:
             break
     return pose

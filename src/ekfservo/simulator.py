@@ -15,13 +15,14 @@ seed = base seed + trial index.
 One engine, `run_episodes`, runs any number of trials in lockstep: frame k
 of every active trial is computed together, with the filter, sensing and
 dynamics stacked along a leading trial axis (one `propagate`, `measure`,
-`update` and `step_dynamics` call per frame for all active trials). A
-trial leaves the active set when it converges or fails. Each trial keeps
-its own Generator and draws from it in the order a lone run does, and the
-stacked kernels give every trial the bits of its lone run, so a record
-does not depend on the batch width or on `--parallelism`. The control
-step and the PnP refinement still run once per active trial.
-`run_episode` is the one-trial call of the same engine.
+`update` and `step_dynamics` call per frame for all active trials, the
+commands as the [v, w] rows of one (N, 6) array). A trial leaves the
+active set when it converges or fails. Each trial keeps its own
+Generator and draws from it in the order a lone run does, and the stacked
+kernels give every trial the bits of its lone run, so a record does not
+depend on the batch width or on `--parallelism`. The control step and the
+PnP refinement still run once per active trial. `run_episode` is the
+one-trial call of the same engine.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ import numpy as np
 from .camera import DEFAULT_Z_MIN, Intrinsics, in_image, project_points
 from .control import (
     ControlConfig,
-    TwistWithUncertainty,
     apply_policy,
     clamp_twist,
     entropy,
@@ -73,6 +73,13 @@ VARIANTS = ("coupled-ekf", "pbvs-perframe", "none")
 # pointing at it.
 LOOK_DOWN = np.diag([1.0, -1.0, -1.0])
 
+# During acquisition the init error can exceed the linearized update's
+# validity, leaving residuals the gate would reject forever; the first
+# updates of an episode therefore accept every keypoint.
+GATE_WARMUP_FRAMES = 10
+# initial poses drawn per episode before the scenario counts as infeasible
+MAX_POSE_TRIES = 100
+
 
 class InfeasibleScenario(RuntimeError):
     """Pose sampling could not produce a fully observable initial view."""
@@ -88,6 +95,11 @@ class PoseSampler:
     height: float
     translation_var: float = 0.0
     rotation_max_deg: float = 0.0
+
+    def __post_init__(self):
+        for name in ("translation_var", "rotation_max_deg"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def sample(self, rng: np.random.Generator) -> Pose:
         offset = rng.uniform(-self.translation_var, self.translation_var, size=3)
@@ -117,22 +129,27 @@ class Scenario:
     v_eps: float = 1e-3
     k_hold: int = 10
     gate_level: float = 0.999
-    # During acquisition the init error can exceed the linearized update's
-    # validity, leaving residuals the gate would reject forever; the first
-    # few updates therefore accept everything.
-    gate_warmup_frames: int = 10
     z_min: float = DEFAULT_Z_MIN
     uncertainty_policy: bool = True
     variant: str = "coupled-ekf"
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with the field's name
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.max_frames < 1:
             raise ValueError("max_frames must be >= 1")
-        if self.n_keypoints < 4:
-            raise ValueError("n_keypoints must be >= 4")
+        n_points = self.model.points.shape[0]
+        if not 4 <= self.n_keypoints <= n_points:
+            raise ValueError(f"n_keypoints must lie in [4, {n_points}], the "
+                             "model's point count")
+        if not 0.0 < self.gate_level <= 1.0:
+            raise ValueError("gate_level must lie in (0, 1]")
+        if self.z_min <= 0:
+            raise ValueError("z_min must be positive")
+        if self.k_hold < 1:
+            raise ValueError("k_hold must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
@@ -179,19 +196,18 @@ class EpisodeRecord:
 
 
 def sample_poses(scenario: Scenario, kps: KeypointSet,
-                 rng: np.random.Generator,
-                 max_tries: int = 100) -> tuple[Pose, Pose]:
+                 rng: np.random.Generator) -> tuple[Pose, Pose]:
     """Draw (initial, desired) object poses; the initial pose is resampled
-    until every keypoint is observable, up to max_tries."""
+    until every keypoint is observable, up to MAX_POSE_TRIES times."""
     desired = scenario.desired_pose.sample(rng)
-    for _ in range(max_tries):
+    for _ in range(MAX_POSE_TRIES):
         initial = scenario.initial_pose.sample(rng)
         pts_c = initial.apply(kps.points3d)
         uv, in_front = project_points(pts_c, scenario.intrinsics, scenario.z_min)
         if bool(np.all(in_front & in_image(uv, scenario.intrinsics))):
             return initial, desired
     raise InfeasibleScenario(
-        f"no fully observable initial pose in {max_tries} draws")
+        f"no fully observable initial pose in {MAX_POSE_TRIES} draws")
 
 
 def step_dynamics(gt_co: Pose, cmd, sigma_v: float, sigma_w: float,
@@ -199,13 +215,14 @@ def step_dynamics(gt_co: Pose, cmd, sigma_v: float, sigma_w: float,
     """Execute a commanded twist corrupted by Gaussian actuation noise.
 
     The camera world pose integrates the executed body twist exactly on
-    SE(3); the object stays fixed in the world. One pose, a Twist and a
-    Generator; or a stack of N poses, an (N, 6) array of commands and N
-    Generators, pose i drawing from rng[i] what a single call would.
+    SE(3); the object stays fixed in the world. One pose, a twist [v, w]
+    and a Generator; or a stack of N poses, an (N, 6) array of commands
+    and N Generators, pose i drawing from rng[i] what a single call would.
     """
     if isinstance(rng, np.random.Generator):
         out = step_dynamics(Pose(gt_co.C[None], gt_co.t[None]),
-                            cmd.vector()[None], sigma_v, sigma_w, dt, (rng,))
+                            np.asarray(cmd, dtype=float)[None], sigma_v,
+                            sigma_w, dt, (rng,))
         return Pose(out.C[0], out.t[0])
     noise = np.empty((len(rng), 6))
     for i, gen in enumerate(rng):
@@ -355,7 +372,7 @@ class _Lockstep:
 
     def _update(self, k, meas, failures):
         sc = self.sc
-        level = 1.0 if k < sc.gate_warmup_frames else sc.gate_level
+        level = 1.0 if k < GATE_WARMUP_FRAMES else sc.gate_level
         res = update(self.state, meas, self.kps, sc.intrinsics, level,
                      z_min=sc.z_min)
         for j, exc in enumerate(res.errors):
@@ -409,20 +426,17 @@ class _Lockstep:
                 continue
             pose = Pose(c, t)
             rel = relative_pose(desired, pose)
-            raw_tw = pbvs_law(rel, cfg.lam)
+            raw[j] = raw_tw = pbvs_law(rel, cfg.lam)
+            cmd_tw = clamp_twist(raw_tw, cfg)
             if self.use_ekf:
                 jac = velocity_jacobian(rel, pose, cfg)
                 vcov[j] = cov = velocity_covariance(jac, p)
                 ent[j] = h = entropy(cov)
-                tw = TwistWithUncertainty(clamp_twist(raw_tw, cfg), cov, h)
-                cmd_tw = (apply_policy(tw, cfg) if sc.uncertainty_policy
-                          else tw.mean)
-            else:
-                cmd_tw = clamp_twist(raw_tw, cfg)
-            cmd[j] = cmd_vec = cmd_tw.vector()
-            raw[j] = raw_tw.vector()
+                if sc.uncertainty_policy:
+                    cmd_tw = apply_policy(cmd_tw, h, cfg)
+            cmd[j] = cmd_tw
             hold = (self.hold[j] + 1
-                    if math.sqrt(cmd_vec.dot(cmd_vec)) < sc.v_eps else 0)
+                    if math.sqrt(cmd_tw.dot(cmd_tw)) < sc.v_eps else 0)
             self.hold[j] = hold
             if hold >= sc.k_hold:
                 converged.append(j)
@@ -466,8 +480,7 @@ def geodesic_reference(initial: Pose, desired: Pose, cfg: ControlConfig,
     hold = 0
     for _ in range(max_frames):
         positions.append(-(gt.C.T @ gt.t))
-        cmd = clamp_twist(pbvs_law(relative_pose(desired, gt), cfg.lam),
-                          cfg).vector()
+        cmd = clamp_twist(pbvs_law(relative_pose(desired, gt), cfg.lam), cfg)
         hold = hold + 1 if math.sqrt(cmd.dot(cmd)) < v_eps else 0
         if hold >= k_hold:
             break

@@ -26,8 +26,6 @@ from ekfservo.camera import in_image, projection_jacobians, project_points
 from ekfservo.cli import EPISODE_HEADER, SUMMARY_HEADER, _summary_row
 from ekfservo.control import (
     ControlConfig,
-    Twist,
-    TwistWithUncertainty,
     apply_policy,
     entropy,
     velocity_covariance,
@@ -52,10 +50,17 @@ from ekfservo.lie import (
     pose_boxminus,
     pose_boxplus,
     symmetrize,
-    vee,
 )
 from ekfservo.metrics import Summary, length_ratio, success
 from ekfservo.simulator import geodesic_reference_for
+
+# the episode loop's gate warm-up, in frames
+GATE_WARMUP_FRAMES = 10
+
+
+def vee(m) -> np.ndarray:
+    """Inverse of hat on antisymmetric matrices."""
+    return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def same_bits(a, b) -> bool:
@@ -412,24 +417,26 @@ def relative_pose_reference(desired: Pose, current: Pose) -> Pose:
     return rel
 
 
-def pbvs_law_reference(rel: Pose, lam: float) -> Twist:
-    """The raw (unclamped) servo law; requires the rotation angle < pi."""
+def pbvs_law_reference(rel: Pose, lam: float) -> np.ndarray:
+    """The raw (unclamped) servo law [v_p, w]; requires the rotation angle
+    < pi."""
     v_p = -lam * (rel.C.T @ rel.t)
     w = -lam * log_so3_reference(rel.C)
-    return Twist(v_p, w)
+    return np.concatenate([v_p, w])
 
 
-def clamp_twist_reference(twist: Twist, cfg: ControlConfig) -> Twist:
-    """Uniformly scale the twist so every component respects the limits;
-    direction is preserved."""
+def clamp_twist_reference(twist: np.ndarray,
+                          cfg: ControlConfig) -> np.ndarray:
+    """Uniformly scale the twist [v_p, w] so every component respects the
+    limits; direction is preserved."""
     s = 1.0
-    mv = float(np.max(np.abs(twist.v_p)))
-    mw = float(np.max(np.abs(twist.w)))
+    mv = float(np.max(np.abs(twist[:3])))
+    mw = float(np.max(np.abs(twist[3:])))
     if mv > cfg.v_max:
         s = min(s, cfg.v_max / mv)
     if mw > cfg.w_max:
         s = min(s, cfg.w_max / mw)
-    return twist if s >= 1.0 else twist.scaled(s)
+    return twist if s >= 1.0 else twist * s
 
 
 def velocity_jacobian_reference(desired: Pose, state: FilterState,
@@ -446,13 +453,13 @@ def velocity_jacobian_reference(desired: Pose, state: FilterState,
     return jac
 
 
-def step_dynamics_reference(gt_co: Pose, cmd: Twist, sigma_v: float,
+def step_dynamics_reference(gt_co: Pose, cmd: np.ndarray, sigma_v: float,
                             sigma_w: float, dt: float,
                             rng: np.random.Generator) -> Pose:
     """Execute a commanded twist corrupted by Gaussian actuation noise."""
     noise = np.concatenate([sigma_v * rng.standard_normal(3),
                             sigma_w * rng.standard_normal(3)])
-    executed = cmd.vector() + noise
+    executed = cmd + noise
     t_wc = gt_co.inverse()
     d_c, d_t = exp_se3_reference(executed, dt)
     t_wc_new = t_wc.compose(Pose(d_c, d_t))
@@ -473,11 +480,11 @@ def geodesic_reference_reference(initial: Pose, desired: Pose,
         cmd = clamp_twist_reference(
             pbvs_law_reference(relative_pose_reference(desired, gt), cfg.lam),
             cfg)
-        hold = hold + 1 if float(np.linalg.norm(cmd.vector())) < v_eps else 0
+        hold = hold + 1 if float(np.linalg.norm(cmd)) < v_eps else 0
         if hold >= k_hold:
             break
         t_wc = gt.inverse()
-        d_c, d_t = exp_se3_reference(cmd.vector(), dt)
+        d_c, d_t = exp_se3_reference(cmd, dt)
         t_wc = t_wc.compose(Pose(d_c, d_t))
         gt = t_wc.inverse()
         gt = Pose(orthonormalize_reference(gt.C), gt.t)
@@ -570,7 +577,7 @@ def uncertainty_correlation_reference(records) -> float:
                 continue
             gt = Pose(rec.gt_C[k], rec.gt_t[k])
             v_gt = pbvs_law_reference(relative_pose_reference(rec.desired, gt),
-                                      rec.control.lam).vector()
+                                      rec.control.lam)
             err = float(np.linalg.norm(rec.cmd[k] - v_gt))
             ents.append(float(ent))
             errs.append(err)
@@ -587,8 +594,6 @@ def propagate_reference(state, twist, dt, noise):
     """Constant-velocity prediction of one belief, left variant."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if hasattr(twist, "vector"):
-        twist = twist.vector()
     vec = np.asarray(twist, dtype=float).reshape(6)
     v, w = vec[:3], vec[3:]
     r = exp_so3_reference(-w * dt)
@@ -653,8 +658,7 @@ def step_dynamics_scalar_reference(gt_co, cmd, sigma_v, sigma_w, dt, rng):
     """One pose's actuation step through the array-level SE(3) advance."""
     noise = np.concatenate([sigma_v * rng.standard_normal(3),
                             sigma_w * rng.standard_normal(3)])
-    return Pose(*_advance_reference(gt_co.C, gt_co.t, cmd.vector() + noise,
-                                    dt))
+    return Pose(*_advance_reference(gt_co.C, gt_co.t, cmd + noise, dt))
 
 
 def _advance_reference(c_co, t_co, xi, dt):
@@ -705,7 +709,7 @@ def run_episode_reference(scenario, seed):
                                         z_min=scenario.z_min)
 
         if use_ekf:
-            level = (1.0 if k < scenario.gate_warmup_frames
+            level = (1.0 if k < GATE_WARMUP_FRAMES
                      else scenario.gate_level)
             try:
                 res = update_reference(state, meas, kps, scenario.intrinsics,
@@ -744,34 +748,31 @@ def run_episode_reference(scenario, seed):
                                                   scenario.control)
                 vcov = velocity_covariance(jac, state.P)
                 ent = entropy(vcov)
-                tw = TwistWithUncertainty(
-                    clamp_twist_reference(raw_tw, scenario.control), vcov,
-                    ent)
-                cmd_tw = (apply_policy(tw, scenario.control)
-                          if scenario.uncertainty_policy else tw.mean)
+                cmd_tw = clamp_twist_reference(raw_tw, scenario.control)
+                if scenario.uncertainty_policy:
+                    cmd_tw = apply_policy(cmd_tw, ent, scenario.control)
             else:
                 vcov = np.full((6, 6), np.nan)
                 ent = float("nan")
                 cmd_tw = clamp_twist_reference(raw_tw, scenario.control)
         else:
-            raw_tw = cmd_tw = Twist.zero()
+            raw_tw = cmd_tw = np.zeros(6)
             vcov = np.full((6, 6), np.nan)
             ent = float("nan")
 
-        cmd_vec = cmd_tw.vector()
-        if not (np.all(np.isfinite(est.t)) and np.all(np.isfinite(cmd_vec))):
+        if not (np.all(np.isfinite(est.t)) and np.all(np.isfinite(cmd_tw))):
             record.failure = f"frame {k}: non-finite estimate or command"
             break
 
-        rows.append(gt, est, p_est, cmd_vec, raw_tw.vector(), vcov, ent,
+        rows.append(gt, est, p_est, cmd_tw, raw_tw, vcov, ent,
                     rms, n_vis, n_used)
 
         if servo:
-            hold = hold + 1 if np.linalg.norm(cmd_vec) < scenario.v_eps else 0
+            hold = hold + 1 if np.linalg.norm(cmd_tw) < scenario.v_eps else 0
             if hold >= scenario.k_hold:
                 record.converged = True
                 break
-        prev_cmd = cmd_vec
+        prev_cmd = cmd_tw
         gt = step_dynamics_scalar_reference(
             gt, cmd_tw, scenario.actuation_sigma_v,
             scenario.actuation_sigma_w, scenario.dt, rng)

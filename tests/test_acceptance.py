@@ -102,7 +102,7 @@ def test_criterion_1_jacobian_finite_difference_cross_checks(model, intr):
         jac = velocity_jacobian(relative_pose(desired, st.mean), st.mean, cfg)
 
         def vel(p):
-            return pbvs_law(relative_pose(desired, p), cfg.lam).vector()
+            return pbvs_law(relative_pose(desired, p), cfg.lam)
 
         worst_j = max(worst_j, rel_error(jac,
                                          fd_pose_jacobian(vel, st.mean, 6)))
@@ -152,7 +152,7 @@ def test_criterion_3_filter_consistency_500_trials():
     start = time.perf_counter()
     sc = scenario("consistency")
     res = run_batch(sc, 500)
-    result = nees(res.records, lower=5.39, upper=6.64)
+    result = nees(res.records)
     elapsed = time.perf_counter() - start
     ok = 5.39 <= result.mean <= 6.64 and elapsed < 120.0
     _report(3, "filter consistency (NEES)", ok,

@@ -183,3 +183,38 @@ def test_unknown_field_in_optional_section_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_scenario(_write(tmp_path, raw))
     assert "unknown field actuation.sigma_vv" in str(err.value)
+
+
+@pytest.mark.parametrize("section, key, value, path", [
+    (None, "n_keypoints", 10000, "n_keypoints"),
+    ("initial_pose", "translation_var", -0.1, "initial_pose.translation_var"),
+    ("desired_pose", "rotation_max_deg", -5.0,
+     "desired_pose.rotation_max_deg"),
+    (None, "gate_level", 2.0, "gate_level"),
+    (None, "gate_level", -0.5, "gate_level"),
+    (None, "gate_level", 0.0, "gate_level"),
+    (None, "z_min", -1, "z_min"),
+    (None, "z_min", 0.0, "z_min"),
+    ("convergence", "k_hold", 0, "convergence.k_hold"),
+    ("sensing", "blackout_frames", [10, 5], "sensing.blackout_frames"),
+    ("sensing", "blackout_frames", [-1, 5], "sensing.blackout_frames"),
+])
+def test_out_of_range_value_rejected_at_load(tmp_path, section, key, value,
+                                             path):
+    """Values that would crash a run, or run it silently with no effect,
+    fail at load with the field path."""
+    raw = _valid_dict()
+    (raw if section is None else raw[section])[key] = value
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_write(tmp_path, raw))
+    assert f": {path} " in str(err.value)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "n_keypoints", 22), (None, "gate_level", 1.0),
+    ("convergence", "k_hold", 1), ("sensing", "blackout_frames", [5, 5]),
+    ("initial_pose", "translation_var", 0.0)])
+def test_boundary_value_accepted(tmp_path, section, key, value):
+    raw = _valid_dict()
+    (raw if section is None else raw[section])[key] = value
+    load_scenario(_write(tmp_path, raw))

@@ -5,19 +5,15 @@ import pytest
 
 from ekfservo.control import (
     ControlConfig,
-    Twist,
-    TwistWithUncertainty,
     apply_policy,
     clamp_twist,
     entropy,
     pbvs_law,
-    pbvs_velocity,
     relative_pose,
-    twist_with_uncertainty,
     velocity_covariance,
     velocity_jacobian,
 )
-from ekfservo.ekf import FilterState, initialize
+from ekfservo.ekf import FilterState
 from ekfservo.lie import Pose, exp_so3, pose_boxplus
 from ekfservo.simulator import LOOK_DOWN
 from oracles import fd_pose_jacobian, random_rotvec, rel_error
@@ -53,51 +49,44 @@ def test_relative_pose_matrix_oracle(rng):
 
 def test_pbvs_law_identity_gives_zero():
     tw = pbvs_law(Pose.identity(), 0.7)
-    assert tw.norm() == 0.0
+    assert np.linalg.norm(tw) == 0.0
 
 
 def test_pbvs_law_translation_example():
     rel = Pose(np.eye(3), [0.2, 0.0, 0.1])
     tw = pbvs_law(rel, 0.5)
-    assert np.allclose(tw.v_p, [-0.1, 0.0, -0.05])
-    assert np.allclose(tw.w, 0.0)
+    assert np.allclose(tw[:3], [-0.1, 0.0, -0.05])
+    assert np.allclose(tw[3:], 0.0)
 
 
 def test_pbvs_law_rotation_example():
     rel = Pose(exp_so3([0.0, 0.0, np.pi / 2]), np.zeros(3))
     tw = pbvs_law(rel, 1.0)
-    assert np.allclose(tw.v_p, 0.0)
-    assert np.allclose(tw.w, [0.0, 0.0, -np.pi / 2], atol=1e-12)
+    assert np.allclose(tw[:3], 0.0)
+    assert np.allclose(tw[3:], [0.0, 0.0, -np.pi / 2], atol=1e-12)
 
 
 def test_equilibrium_iff_identity(rng):
     for _ in range(20):
         rel = Pose(exp_so3(random_rotvec(rng, 1.5)), rng.standard_normal(3))
-        assert pbvs_law(rel, 1.0).norm() > 1e-12
+        assert np.linalg.norm(pbvs_law(rel, 1.0)) > 1e-12
 
 
 def test_clamp_preserves_direction():
     cfg = ControlConfig(lam=1.0, v_max=0.1, w_max=0.2)
-    tw = Twist([0.4, -0.2, 0.0], [0.1, 0.0, 0.8])
+    tw = np.array([0.4, -0.2, 0.0, 0.1, 0.0, 0.8])
     out = clamp_twist(tw, cfg)
-    nz = tw.vector() != 0.0
-    s = out.vector()[nz] / tw.vector()[nz]
+    nz = tw != 0.0
+    s = out[nz] / tw[nz]
     assert np.allclose(s, s[0])  # uniform scaling
-    assert np.abs(out.v_p).max() <= cfg.v_max + 1e-12
-    assert np.abs(out.w).max() <= cfg.w_max + 1e-12
+    assert np.abs(out[:3]).max() <= cfg.v_max + 1e-12
+    assert np.abs(out[3:]).max() <= cfg.w_max + 1e-12
 
 
 def test_clamp_noop_inside_limits():
     cfg = ControlConfig()
-    tw = Twist([0.01, 0.0, 0.0], [0.0, 0.02, 0.0])
+    tw = np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0])
     assert clamp_twist(tw, cfg) is tw
-
-
-def test_pbvs_velocity_is_clamped_law(rng):
-    cfg = ControlConfig(lam=0.8, v_max=0.05, w_max=0.1)
-    rel = Pose(exp_so3([0.0, 0.0, 1.0]), [0.5, 0.0, 0.0])
-    assert np.allclose(pbvs_velocity(rel, cfg).vector(),
-                       clamp_twist(pbvs_law(rel, cfg.lam), cfg).vector())
 
 
 def test_velocity_jacobian_matches_fd(rng):
@@ -110,7 +99,7 @@ def test_velocity_jacobian_matches_fd(rng):
                                 state.mean, cfg)
 
         def vel(p):
-            return pbvs_law(relative_pose(desired, p), cfg.lam).vector()
+            return pbvs_law(relative_pose(desired, p), cfg.lam)
 
         fd = fd_pose_jacobian(vel, state.mean, 6)
         worst = max(worst, rel_error(jac, fd))
@@ -127,7 +116,7 @@ def test_velocity_jacobian_translation_block(rng):
     assert np.allclose(jac[:3, :3], 0.5 * np.eye(3), atol=1e-12)
 
     def vel(p):
-        return pbvs_law(relative_pose(desired, p), cfg.lam).vector()
+        return pbvs_law(relative_pose(desired, p), cfg.lam)
 
     fd = fd_pose_jacobian(vel, current, 6)
     assert rel_error(jac, fd) < 1e-5
@@ -165,13 +154,13 @@ def test_velocity_covariance_monte_carlo_pushforward(rng):
     lin_trace = np.trace(velocity_covariance(jac, p))
 
     chol = np.linalg.cholesky(p)
-    v0 = pbvs_law(relative_pose(desired, mean_pose), cfg.lam).vector()
+    v0 = pbvs_law(relative_pose(desired, mean_pose), cfg.lam)
     n = 100_000
     deltas = rng.standard_normal((n, 6)) @ chol.T
     acc = 0.0
     for i in range(n):
         v = pbvs_law(relative_pose(desired, pose_boxplus(mean_pose, deltas[i])),
-                     cfg.lam).vector()
+                     cfg.lam)
         acc += float(((v - v0)**2).sum())
     mc_trace = acc / n
     assert abs(mc_trace - lin_trace) / lin_trace < 0.03
@@ -181,7 +170,6 @@ def test_perfect_information_decay_rate(rng):
     """Applying the raw servo law to the true pose and integrating the
     camera exactly: both the translation error norm and the rotation
     angle shrink by at least exp(-lam*dt) per step (1e-3 slack)."""
-    from ekfservo.control import Twist
     from ekfservo.lie import log_so3
     from ekfservo.simulator import step_dynamics
 
@@ -234,22 +222,20 @@ def test_entropy_singular_regularized():
 
 def test_apply_policy_below_threshold_passthrough():
     cfg = ControlConfig(lam=1.0, entropy_threshold=5.0)
-    tw = TwistWithUncertainty(Twist([0.01, 0, 0], [0, 0, 0.02]),
-                              np.eye(6), 2.0)
-    assert np.allclose(apply_policy(tw, cfg).vector(), tw.mean.vector())
+    tw = np.array([0.01, 0, 0, 0, 0, 0.02])
+    assert np.allclose(apply_policy(tw, 2.0, cfg), tw)
 
 
 def test_apply_policy_reduces_above_threshold():
     cfg = ControlConfig(lam=1.0, entropy_threshold=1.0, reduced_scale=0.1)
-    tw = TwistWithUncertainty(Twist([0.1, 0, 0], [0, 0, 0.2]), np.eye(6), 3.0)
-    assert np.allclose(apply_policy(tw, cfg).vector(),
-                       0.1 * tw.mean.vector())
+    tw = np.array([0.1, 0, 0, 0, 0, 0.2])
+    assert np.allclose(apply_policy(tw, 3.0, cfg), 0.1 * tw)
 
 
 def test_apply_policy_infinite_threshold_is_plain():
     cfg = ControlConfig(lam=1.0)
-    tw = TwistWithUncertainty(Twist([0.1, 0, 0], [0, 0, 0.2]), np.eye(6), 1e9)
-    assert np.allclose(apply_policy(tw, cfg).vector(), tw.mean.vector())
+    tw = np.array([0.1, 0, 0, 0, 0, 0.2])
+    assert np.allclose(apply_policy(tw, 1e9, cfg), tw)
 
 
 def test_apply_policy_never_amplifies(rng):
@@ -258,21 +244,10 @@ def test_apply_policy_never_amplifies(rng):
                             reduced_scale=rng.uniform(0.0, 1.0),
                             v_max=rng.uniform(0.05, 1.0),
                             w_max=rng.uniform(0.05, 1.0))
-        mean = Twist(rng.standard_normal(3) * 0.3, rng.standard_normal(3) * 0.6)
-        tw = TwistWithUncertainty(mean, np.eye(6), rng.uniform(-60, 60))
-        out = apply_policy(tw, cfg)
-        assert out.norm() <= mean.norm() + 1e-12
-
-
-def test_twist_with_uncertainty_bundles(rng):
-    desired = _random_pose(rng, 0.2)
-    state = initialize(_random_pose(rng, 0.5), 0.01, 0.03)
-    cfg = ControlConfig(lam=0.6)
-    tw = twist_with_uncertainty(desired, state, cfg)
-    jac = velocity_jacobian(relative_pose(desired, state.mean), state.mean,
-                            cfg)
-    assert np.allclose(tw.cov, velocity_covariance(jac, state.P))
-    assert abs(tw.entropy - entropy(tw.cov)) < 1e-12
+        mean = np.concatenate([rng.standard_normal(3) * 0.3,
+                               rng.standard_normal(3) * 0.6])
+        out = apply_policy(mean, rng.uniform(-60, 60), cfg)
+        assert np.linalg.norm(out) <= np.linalg.norm(mean) + 1e-12
 
 
 def test_control_config_validation():

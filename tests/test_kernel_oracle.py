@@ -10,14 +10,12 @@ from ekfservo.lie import (
     _JAC_SERIES_EPS,
     exp_se3,
     exp_so3,
-    left_jacobian,
     orthonormalize,
 )
 from oracles import (
     exp_se3_reference,
     exp_so3_reference,
     orthonormalize_reference,
-    left_jacobian_reference,
     project_points_reference,
     same_bits,
     shuffled_stacks,
@@ -34,7 +32,6 @@ def _rotvecs(rng, n):
 
 @pytest.mark.parametrize("fn, ref, switch", [
     (exp_so3, exp_so3_reference, _EXP_SERIES_EPS),
-    (left_jacobian, left_jacobian_reference, _JAC_SERIES_EPS),
 ])
 def test_so3_kernels_bit_identical(fn, ref, switch):
     rng = np.random.default_rng(20)

@@ -131,7 +131,7 @@ def test_uncertainty_correlation_synthetic_linear():
     """Command errors constructed to grow linearly with entropy give r=1."""
     rec = _stub_record(frames=40)
     desired = rec.desired
-    v_gt = pbvs_law(relative_pose(desired, desired), rec.control.lam).vector()
+    v_gt = pbvs_law(relative_pose(desired, desired), rec.control.lam)
     ent = np.linspace(-5.0, 5.0, 40)
     rec.entropy = ent
     for k in range(40):
@@ -176,7 +176,7 @@ def test_nees_honest_draws_near_dimension(rng):
     res = nees(records)
     assert res.count == 5000
     assert 5.7 < res.mean < 6.3
-    assert res.within
+    assert 5.39 <= res.mean <= 6.64
 
 
 def test_nees_skips_nonfinite_covariance():

@@ -14,19 +14,8 @@ import pytest
 import ekfservo.cli as cli
 import ekfservo.simulator as sim
 from conftest import SCENARIOS, scenario
-from ekfservo.control import (
-    pbvs_law,
-    pbvs_law_stacked,
-    relative_pose,
-    relative_pose_stacked,
-)
-from ekfservo.lie import (
-    Pose,
-    _log_so3_stacked,
-    exp_so3,
-    log_so3,
-    rotation_to_quaternion,
-)
+from ekfservo.control import pbvs_law, relative_pose
+from ekfservo.lie import Pose, exp_so3, log_so3, rotation_to_quaternion
 from ekfservo.metrics import nees, te_re, uncertainty_correlation
 from oracles import (
     comparison_reference,
@@ -71,7 +60,7 @@ def test_log_so3_stacked_bit_identical():
     assert (angles > np.pi - 1e-4).sum() > 300
     assert ((angles >= 1e-7) & (angles <= np.pi - 1e-4)).sum() > 300
     for stack in shuffled_stacks(rng, mats) + [mats, mats[:0]]:
-        got = _log_so3_stacked(stack)
+        got = log_so3(stack)
         assert got.shape == (len(stack), 3)
         for row, c in zip(got, stack, strict=True):
             assert same_bits(row, log_so3(c))
@@ -105,8 +94,8 @@ def test_relative_pose_servo_law_and_te_re_stacked_bit_identical():
     for desired_phi in rng.uniform(-1.0, 1.0, (8, 3)) * np.pi / np.sqrt(3):
         desired = Pose(exp_so3(desired_phi), rng.standard_normal(3))
         for idx in shuffled_stacks(rng, np.arange(len(mats)), width=50):
-            rel = relative_pose_stacked(desired, Pose(mats[idx], trans[idx]))
-            twists = pbvs_law_stacked(rel, 0.7)
+            rel = relative_pose(desired, Pose(mats[idx], trans[idx]))
+            twists = pbvs_law(rel, 0.7)
             te, re = te_re(Pose(mats[idx], trans[idx]), desired)
             for j, i in enumerate(idx.tolist()):
                 current = Pose(mats[i], trans[i])
@@ -114,7 +103,7 @@ def test_relative_pose_servo_law_and_te_re_stacked_bit_identical():
                 assert same_bits(rel.C[j], one.C)
                 assert same_bits(rel.t[j], one.t)
                 redone += not same_bits(one.C, desired.C @ mats[i].T)
-                assert same_bits(twists[j], pbvs_law(one, 0.7).vector())
+                assert same_bits(twists[j], pbvs_law(one, 0.7))
                 te_one, re_one = te_re_reference(current, desired)
                 assert same_bits(te[j], te_one) and same_bits(re[j], re_one)
                 assert te_re(current, desired) == (te_one, re_one)
