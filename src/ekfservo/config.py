@@ -1,8 +1,10 @@
 """Scenario configuration: a single JSON file with one section per
 subsystem. Paths inside the file resolve relative to the file's directory.
 
-Schema (defaults in parentheses; `null` means "not set"). Numbers must be
-finite, a bool is not a number, and a key not listed here is an error:
+Schema (defaults in parentheses: the dataclass defaults of the classes
+that own the fields, which an optional field that is absent or `null`
+keeps). Numbers must be finite, a bool is not a number, and a key not
+listed here is an error:
 
     seed                  int (0)
     dt                    float (0.0333...)
@@ -44,6 +46,9 @@ class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
 
 
+_UNSET = object()  # an optional key that is absent or null
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file, loading the object model."""
     path = Path(path)
@@ -82,8 +87,8 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
     prior = ctx.section("init_prior")
     conv = ctx.section("convergence")
 
-    blackout = sensing.optional("blackout_frames", list, None)
-    if blackout is not None:
+    blackout = sensing.optional("blackout_frames", list)
+    if blackout is not _UNSET:
         if len(blackout) != 2 or not all(
                 isinstance(f, int) and not isinstance(f, bool)
                 for f in blackout):
@@ -91,7 +96,6 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
                               "[start, stop] integers")
         blackout = tuple(blackout)
 
-    threshold = control.optional("entropy_threshold", (int, float), None)
     scenario = ctx.build(
         Scenario,
         intrinsics=intr.build(
@@ -106,17 +110,15 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
         model=model,
         sensing=sensing.build(
             SensingProfile,
-            sigma_px=sensing.optional("sigma_px", (int, float), 1.0),
-            anisotropy=sensing.optional("anisotropy", (int, float), 1.0),
-            dropout_prob=sensing.optional("dropout_prob", (int, float), 0.0),
-            outlier_prob=sensing.optional("outlier_prob", (int, float), 0.0),
-            outlier_px=sensing.optional("outlier_px", (int, float), 40.0),
-            covariance_fidelity=sensing.optional(
-                "covariance_fidelity", str, "honest"),
-            fidelity_scale=sensing.optional(
-                "fidelity_scale", (int, float), 1.0),
+            sigma_px=sensing.optional("sigma_px", (int, float)),
+            anisotropy=sensing.optional("anisotropy", (int, float)),
+            dropout_prob=sensing.optional("dropout_prob", (int, float)),
+            outlier_prob=sensing.optional("outlier_prob", (int, float)),
+            outlier_px=sensing.optional("outlier_px", (int, float)),
+            covariance_fidelity=sensing.optional("covariance_fidelity", str),
+            fidelity_scale=sensing.optional("fidelity_scale", (int, float)),
             blackout_frames=blackout,
-            occluder_half=sensing.optional("occluder_half", str, None),
+            occluder_half=sensing.optional("occluder_half", str),
         ),
         filter_noise=noise.build(
             NoiseParams,
@@ -125,28 +127,29 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
         ),
         control=control.build(
             ControlConfig,
-            lam=control.optional("lambda", (int, float), 0.5),
-            entropy_threshold=math.inf if threshold is None else float(threshold),
-            reduced_scale=control.optional("reduced_scale", (int, float), 0.1),
-            v_max=control.optional("v_max", (int, float), 0.25),
-            w_max=control.optional("w_max", (int, float), 0.5),
+            lam=control.optional("lambda", (int, float)),
+            entropy_threshold=control.optional("entropy_threshold",
+                                               (int, float)),
+            reduced_scale=control.optional("reduced_scale", (int, float)),
+            v_max=control.optional("v_max", (int, float)),
+            w_max=control.optional("w_max", (int, float)),
         ),
         initial_pose=_pose_sampler(initial),
         desired_pose=_pose_sampler(desired),
-        n_keypoints=ctx.optional("n_keypoints", int, 8),
-        dt=ctx.optional("dt", (int, float), 1.0 / 30.0),
-        max_frames=ctx.optional("max_frames", int, 450),
-        actuation_sigma_v=actuation.optional("sigma_v", (int, float), 0.0),
-        actuation_sigma_w=actuation.optional("sigma_w", (int, float), 0.0),
-        init_sigma_t=prior.optional("sigma_t", (int, float), 0.0),
-        init_sigma_phi=prior.optional("sigma_phi", (int, float), 0.0),
-        v_eps=conv.optional("v_eps", (int, float), 1e-3),
-        k_hold=conv.optional("k_hold", int, 10),
-        gate_level=ctx.optional("gate_level", (int, float), 0.999),
-        z_min=ctx.optional("z_min", (int, float), 1e-3),
-        uncertainty_policy=ctx.optional("uncertainty_policy", bool, True),
-        variant=ctx.optional("variant", str, "coupled-ekf"),
-        seed=ctx.optional("seed", int, 0),
+        n_keypoints=ctx.optional("n_keypoints", int),
+        dt=ctx.optional("dt", (int, float)),
+        max_frames=ctx.optional("max_frames", int),
+        actuation_sigma_v=actuation.optional("sigma_v", (int, float)),
+        actuation_sigma_w=actuation.optional("sigma_w", (int, float)),
+        init_sigma_t=prior.optional("sigma_t", (int, float)),
+        init_sigma_phi=prior.optional("sigma_phi", (int, float)),
+        v_eps=conv.optional("v_eps", (int, float)),
+        k_hold=conv.optional("k_hold", int),
+        gate_level=ctx.optional("gate_level", (int, float)),
+        z_min=ctx.optional("z_min", (int, float)),
+        uncertainty_policy=ctx.optional("uncertainty_policy", bool),
+        variant=ctx.optional("variant", str),
+        seed=ctx.optional("seed", int),
     )
     ctx.reject_unknown()
     return scenario
@@ -156,9 +159,8 @@ def _pose_sampler(section: "_Reader") -> PoseSampler:
     return section.build(
         PoseSampler,
         height=section.require("height", (int, float)),
-        translation_var=section.optional("translation_var", (int, float), 0.0),
-        rotation_max_deg=section.optional(
-            "rotation_max_deg", (int, float), 0.0),
+        translation_var=section.optional("translation_var", (int, float)),
+        rotation_max_deg=section.optional("rotation_max_deg", (int, float)),
     )
 
 
@@ -184,10 +186,12 @@ class _Reader:
                 f"{self.label}: missing required field {self._path(key)}")
         return self._typed(key, types)
 
-    def optional(self, key: str, types, default):
+    def optional(self, key: str, types):
+        """The value of key, or _UNSET when it is absent or null, which
+        `build` leaves out so that the field keeps its dataclass default."""
         self.known.add(key)
         if key not in self.data or self.data[key] is None:
-            return default
+            return _UNSET
         return self._typed(key, types)
 
     def _typed(self, key: str, types):
@@ -208,13 +212,14 @@ class _Reader:
         return value
 
     def build(self, cls, **fields):
-        """cls(**fields), with fields read from this section. cls validates
+        """cls(**fields) without the _UNSET fields, with fields read from
+        this section. cls validates
         them, raising a ValueError whose message starts with the name of
         the field at fault; it becomes a ConfigError with the field's path,
         taken from the reader that read it: this one, or a section of it
         (a Scenario's k_hold is convergence.k_hold)."""
         try:
-            return cls(**fields)
+            return cls(**{k: v for k, v in fields.items() if v is not _UNSET})
         except ValueError as exc:
             name, _, rest = str(exc).partition(" ")
             owner = next((r for r in (self, *self.sections) if name in r.known),

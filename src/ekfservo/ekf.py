@@ -31,10 +31,11 @@ conditioned; eigvalsh decides only the rest, with the same verdict.
 of N beliefs (mean a Pose of (N, 3, 3) and (N, 3) arrays, P (N, 6, 6))
 with an (N, 6) twist or a stacked Measurement; the single form is the
 N = 1 case of the stacked one, and slice i of a stacked result has the
-same bits as the single call on slice i. A stacked update makes one pass
-in three stages: projection, Jacobians, H P, S and the gate once for all
-beliefs; the gain once per count of kept keypoints; then one covariance
-clamp and one mean injection for all updated beliefs.
+same bits as the single call on slice i. An update makes one pass in
+three stages: projection, Jacobians, H P, S and the gate once for all
+beliefs, over all n keypoint rows of each (unusable ones zeroed); the
+gain once per count of kept keypoints; then one covariance clamp and one
+mean injection for all updated beliefs.
 """
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ import numpy as np
 
 from .camera import DEFAULT_Z_MIN, Intrinsics, projection_jacobians, project_points
 from .keypoints import KeypointSet, Measurement
-from .lie import Pose, cholesky_certifies, clamp_psd, exp_so3, symmetrize
+from .lie import (Pose, _hat_stacked, cholesky_certifies, clamp_psd, exp_so3,
+                  symmetrize)
 
 INNOVATION_COND_LIMIT = 1e12
 # the certificate's margin: it passes condition numbers up to about
@@ -165,14 +167,8 @@ def _jacobian_blocks(rotated, pts_c, intr: Intrinsics) -> np.ndarray:
     `measurement_jacobian` is the public form over a whole keypoint set.
     """
     jp = projection_jacobians(pts_c, intr)
-    hats = np.zeros((rotated.shape[0], 3, 3))
-    hats[:, 0, 1] = -rotated[:, 2]
-    hats[:, 0, 2] = rotated[:, 1]
-    hats[:, 1, 0] = rotated[:, 2]
-    hats[:, 1, 2] = -rotated[:, 0]
-    hats[:, 2, 0] = -rotated[:, 1]
-    hats[:, 2, 1] = rotated[:, 0]
-    return np.concatenate([-jp, np.einsum("nij,njk->nik", jp, hats)], axis=2)
+    return np.concatenate(
+        [-jp, np.einsum("nij,njk->nik", jp, _hat_stacked(rotated))], axis=2)
 
 
 def _gate_threshold(level: float) -> float:
@@ -242,10 +238,9 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     unaffected. The stack runs in three stages:
 
     1. once for every belief with a usable keypoint: projection, the
-       Jacobian blocks over one keypoint axis (the usable keypoints when
-       every such belief has the same count of them, else all keypoints,
-       unusable ones as zero rows), one H P, one S = H P H^T and S + Q,
-       the finiteness test and the 2x2 gate;
+       Jacobian blocks over all n keypoints (unusable ones as zero
+       rows), one H P, one S = H P H^T and S + Q, the finiteness test and
+       the 2x2 gate;
     2. once per count of kept keypoints: the kept rows of H, H P and
        S + Q, then the condition test (a Cholesky certificate of the
        shifted S + Q, with eigvalsh only where it fails; see
@@ -253,15 +248,15 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     3. once for every updated belief: clamp_psd, exp_so3 and the mean
        injection.
 
-    When the beliefs that take part differ in their count of usable
-    keypoints, stage 1 multiplies over all n keypoints' rows, where the
-    belief alone would use its m usable ones. Its kept rows then equal
-    those of the belief updated alone only because numpy's matmul gives
-    each element the same bits whatever the other rows and columns of its
-    operands. That held on random stacks and is pinned by the oracle
-    tests, but only on the numpy and BLAS build they run on: a BLAS that
-    picks its kernel by matrix shape could make such a belief's bits
-    depend on the rest of its stack, and those tests would then fail.
+    Stage 1 multiplies over all n keypoints' rows for every belief, one
+    alone included, where the update needs only its m usable ones. Its
+    kept rows have the bits of a product over those m rows alone only
+    because numpy's matmul gives each element the same bits whatever the
+    other rows and columns of its operands. That held on random stacks
+    and is pinned by the oracle tests, but only on the numpy and BLAS
+    build they run on: a BLAS that picks its kernel by matrix shape could
+    make any update's bits depend on n and on the rest of its stack, and
+    those tests would then fail.
     When numpy raises inside the stack, the update is redone one belief at
     a time, so that only the belief that raises fails.
     """
@@ -328,45 +323,32 @@ def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
     else:
         return _unchanged(state, meas, errors)
 
-    # stage 1, over a keypoint axis of width w shared by the beliefs that
-    # take part: their m usable keypoints when they all have m (at flat
-    # (belief, keypoint) `rows`), else all n, unusable ones as zero rows
+    # stage 1, over all n keypoint rows of the beliefs that take part,
+    # unusable ones as zero rows
     n_act = ids.size
-    w = int(counts[ids[0]])
-    rows = mask = None
-    if (counts[act] == w).all():
-        if w == n and n_act == n_beliefs:
-            rows = slice(None)
-        else:
-            rows = np.flatnonzero(usable)
-        h = _jacobian_blocks(rotated.reshape(-1, 3)[rows],
-                             pts_c.reshape(-1, 3)[rows], intr)
-        residuals = (meas.uv.reshape(-1, 2)[rows]
-                     - uv_pred[rows]).reshape(n_act, w, 2)
-        covs = meas.cov.reshape(-1, 2, 2)[rows].reshape(n_act, w, 2, 2)
-    else:
-        w = n
-        mask = usable[act]
-        flat = mask.reshape(-1)
+    mask = usable[act]
+    every = mask.all()
+    pts = pts_c[act].reshape(-1, 3)
+    if not every:
         # unit depth stands in for unusable points, whose rows are zeroed
-        h = _jacobian_blocks(rotated[act].reshape(-1, 3),
-                             np.where(flat[:, None], pts_c[act].reshape(-1, 3),
-                                      1.0), intr)
+        flat = mask.reshape(-1)
+        pts = np.where(flat[:, None], pts, 1.0)
+    h = _jacobian_blocks(rotated[act].reshape(-1, 3), pts, intr)
+    if not every:
         h = np.where(flat[:, None, None], h, 0.0)
-        residuals = meas.uv[act] - uv_pred.reshape(n_beliefs, n, 2)[act]
-        covs = meas.cov[act]
-    h = h.reshape(n_act, 2 * w, 6)
+    residuals = meas.uv[act] - uv_pred.reshape(n_beliefs, n, 2)[act]
+    h = h.reshape(n_act, 2 * n, 6)
     hp = h @ state.P[act]
     s = hp @ h.swapaxes(1, 2)
     # S + Q, Q holding each keypoint's 2x2 covariance on the block diagonal
-    q = np.zeros((n_act, w, 2, w, 2))
-    diag = np.arange(w)
-    q[:, diag, :, diag, :] = covs.swapaxes(0, 1)
-    sq = s + q.reshape(n_act, 2 * w, 2 * w)
+    q = np.zeros((n_act, n, 2, n, 2))
+    diag = np.arange(n)
+    q[:, diag, :, diag, :] = meas.cov[act].swapaxes(0, 1)
+    sq = s + q.reshape(n_act, 2 * n, 2 * n)
     # each keypoint's 2x2 block of S + Q, as (belief, keypoint, 2, 2)
-    blocks = sq.reshape(n_act, w, 2, w, 2).diagonal(axis1=1, axis2=3)
+    blocks = sq.reshape(n_act, n, 2, n, 2).diagonal(axis1=1, axis2=3)
     keep = _mahalanobis_keep(residuals, blocks.transpose(0, 3, 1, 2), thresh)
-    if mask is not None:
+    if not every:
         keep &= mask
     if np.isfinite(s).all():
         finite = True
@@ -385,9 +367,6 @@ def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
         groups = []
         for m in sorted(set(kept.tolist()) - {0}):
             sub = np.flatnonzero(kept == m)
-            if m == w:
-                groups.append((sub, h[sub], hp[sub], sq[sub], residuals[sub]))
-                continue
             pos = np.nonzero(keep[sub])[1].reshape(sub.size, m)
             r2 = (2 * pos[:, :, None] + (0, 1)).reshape(sub.size, 2 * m)
             at = sub[:, None]
@@ -422,22 +401,14 @@ def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
 
     # stage 3, over every updated belief
     mean = state.mean
-    if isinstance(rows, slice):
-        used = keep
-    else:
-        used = np.zeros((n_beliefs, n), dtype=bool)
-        if rows is None:
-            used[ids] = keep
-        else:
-            used.reshape(-1)[rows] = keep.reshape(-1)
     if n_act == n_beliefs and updated.all():
         return UpdateResult(
             FilterState(Pose(exp_so3(delta[:, 3:]) @ mean.C,
                              mean.t + delta[:, :3]),
                         clamp_psd(ikh @ state.P)),
-            used, meas.visible.sum(axis=1), rms, all_rejected, errors)
+            keep, meas.visible.sum(axis=1), rms, all_rejected, errors)
     out = _unchanged(state, meas, errors)
-    out.used = used
+    out.used[ids] = keep
     out.all_rejected[ids] = all_rejected
     at = ids[updated]
     if at.size:

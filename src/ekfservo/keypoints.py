@@ -149,6 +149,8 @@ class SensingProfile:
             raise ValueError("sigma_px must be >= 0")
         if self.anisotropy < 1.0:
             raise ValueError("anisotropy must be >= 1")
+        if self.outlier_px < 0:
+            raise ValueError("outlier_px must be >= 0")
         for name in ("dropout_prob", "outlier_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

@@ -12,9 +12,9 @@ and then run once for all N: slice i of the result has the same bits as
 the call on slice i alone, because each slice takes its own series or
 closed-form branch and numpy's stacked matmul, vecdot, svd, cholesky,
 sin/cos and arctan2 equal their per-slice forms. A stack of one runs the
-single-slice code of `exp_so3`, `exp_se3`, `orthonormalize` and
-`clamp_psd`, which is cheaper for one slice (rotation_to_quaternion has
-only the stacked code). A `Pose` may likewise hold a stack, C (N, 3, 3)
+single-slice code of `exp_so3`, `exp_se3` and `orthonormalize`, which is
+cheaper for one slice (`clamp_psd` and `rotation_to_quaternion` have only
+the stacked code). A `Pose` may likewise hold a stack, C (N, 3, 3)
 and t (N, 3); its methods take single poses.
 """
 from __future__ import annotations
@@ -35,9 +35,6 @@ _PSD_MARGIN = 1e3 * np.finfo(float).eps
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
-# hat(v) flattened row-major: the entries -v2, -v0, -v1 and v1, v2, v0
-_HAT_NEG = ([1, 5, 6], [2, 0, 1])
-_HAT_POS = ([2, 3, 7], [1, 2, 0])
 # Per branch of rotation_to_quaternion (positive trace, then c00, c11 or
 # c22 largest), the columns of its terms that make (w, x, y, z).
 _QUAT_SLOTS = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6],
@@ -52,10 +49,14 @@ def hat(v) -> np.ndarray:
 
 def _hat_stacked(v) -> np.ndarray:
     """(N, 3) -> (N, 3, 3) cross-product matrices, as hat per row."""
-    k = np.zeros((v.shape[0], 9))
-    k[:, _HAT_NEG[0]] = -v[:, _HAT_NEG[1]]
-    k[:, _HAT_POS[0]] = v[:, _HAT_POS[1]]
-    return k.reshape(-1, 3, 3)
+    k = np.zeros((v.shape[0], 3, 3))
+    k[:, 0, 1] = -v[:, 2]
+    k[:, 0, 2] = v[:, 1]
+    k[:, 1, 0] = v[:, 2]
+    k[:, 1, 2] = -v[:, 0]
+    k[:, 2, 0] = -v[:, 1]
+    k[:, 2, 1] = v[:, 0]
+    return k
 
 
 def exp_so3(phi) -> np.ndarray:
@@ -321,21 +322,18 @@ def clamp_psd(m) -> np.ndarray:
     or an (N, n, n) stack, clamped slice by slice.
 
     A filter covariance is almost always positive definite already, so the
-    eigendecomposition is skipped when `cholesky_certifies` s with margin
-    _PSD_MARGIN: the smallest eigenvalue of s is then at least about
-    _PSD_MARGIN trace(s), and eigh's eigenvalues are off by at most a
-    small multiple of eps ||s|| (Weyl), so eigh would have found none
-    below zero and returned s unchanged. The stack is certified at once;
-    only when that fails is each slice tested alone.
+    eigendecomposition is skipped when `cholesky_certifies` the stack with
+    margin _PSD_MARGIN: the smallest eigenvalue of each slice is then at
+    least about _PSD_MARGIN times its trace, and eigh's eigenvalues are off
+    by at most a small multiple of eps ||s|| (Weyl), so eigh would have
+    found none below zero and returned the slice unchanged. One matrix is
+    a stack of one. When the stack fails, every slice goes to eigh.
     """
     s = symmetrize(m)
-    if s.ndim == 2:
-        return _clamp_one(s)
-    if s.shape[0] == 1:
-        return _clamp_one(s[0])[None]
-    if not cholesky_certifies(s, _PSD_MARGIN):
-        for i in range(s.shape[0]):
-            s[i] = _clamp_one(s[i])
+    stack = s.reshape(-1, *s.shape[-2:])  # a view: writes land in s
+    if not cholesky_certifies(stack, _PSD_MARGIN):
+        for i in range(stack.shape[0]):
+            stack[i] = _clamp_eigh(stack[i])
     return s
 
 
@@ -361,29 +359,6 @@ def cholesky_certifies(s: np.ndarray, margin: float) -> bool:
         return False
     shifted = s.copy()
     shifted.reshape(-1, n * n)[:, ::n + 1] -= delta[:, None]
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _clamp_one(s: np.ndarray) -> np.ndarray:
-    return s if _definite(s) else _clamp_eigh(s)
-
-
-def _definite(s: np.ndarray) -> bool:
-    """`cholesky_certifies` for one matrix with margin _PSD_MARGIN, on
-    Python floats where a lone 6x6 covariance would spend longer in numpy's
-    per-call overhead than in the arithmetic."""
-    rows = s.tolist()
-    n = len(rows)
-    tr = sum(rows[i][i] for i in range(n))
-    # a NaN need not stop the factorization, so only finite s qualifies
-    if not (tr > 0.0 and math.isfinite(sum(map(sum, rows)))):
-        return False
-    shifted = s.copy()
-    shifted.flat[::n + 1] -= _PSD_MARGIN * tr
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -97,6 +97,8 @@ class PoseSampler:
     rotation_max_deg: float = 0.0
 
     def __post_init__(self):
+        if self.height <= 0:
+            raise ValueError("height must be positive")
         for name in ("translation_var", "rotation_max_deg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -150,6 +152,15 @@ class Scenario:
             raise ValueError("z_min must be positive")
         if self.k_hold < 1:
             raise ValueError("k_hold must be >= 1")
+        if self.v_eps <= 0:
+            raise ValueError("v_eps must be positive")
+        # the config keys of actuation.sigma_v/w and init_prior.sigma_t/phi
+        for key, value in (("sigma_v", self.actuation_sigma_v),
+                           ("sigma_w", self.actuation_sigma_w),
+                           ("sigma_t", self.init_sigma_t),
+                           ("sigma_phi", self.init_sigma_phi)):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 

@@ -1,11 +1,15 @@
 import json
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 from conftest import SCENARIOS
 from ekfservo.config import ConfigError, load_scenario
+from ekfservo.control import ControlConfig
+from ekfservo.keypoints import SensingProfile
+from ekfservo.simulator import PoseSampler, Scenario
 
 ALL_SCENARIOS = sorted(p.stem for p in SCENARIOS.glob("*.json"))
 
@@ -21,6 +25,38 @@ def test_shipped_scenarios_load(name):
 def test_entropy_threshold_null_means_disabled():
     sc = load_scenario(SCENARIOS / "nominal.json")
     assert sc.control.entropy_threshold == math.inf
+
+
+def test_required_fields_alone_take_the_defaults(tmp_path):
+    """Every optional field falls back to its dataclass default, and
+    those are the defaults README's table lists."""
+    raw = _valid_dict()
+    required = {key: raw[key] for key in ("model_path", "intrinsics",
+                                          "filter_noise")}
+    required["initial_pose"] = {"height": 0.3}
+    required["desired_pose"] = {"height": 0.15}
+    sc = load_scenario(_write(tmp_path, required))
+    assert sc.sensing == SensingProfile()
+    assert sc.control == ControlConfig()
+    assert sc.initial_pose == PoseSampler(0.3)
+    assert sc.desired_pose == PoseSampler(0.15)
+    defaults = {f.name: f.default for f in fields(Scenario)
+                if f.default is not MISSING}
+    assert {name: getattr(sc, name) for name in defaults} == defaults
+    # README's table
+    assert (sc.seed, sc.dt, sc.max_frames, sc.n_keypoints) == (0, 1 / 30,
+                                                               450, 8)
+    assert (sc.actuation_sigma_v, sc.actuation_sigma_w) == (0.0, 0.0)
+    assert (sc.init_sigma_t, sc.init_sigma_phi) == (0.0, 0.0)
+    assert (sc.v_eps, sc.k_hold) == (1e-3, 10)
+    assert (sc.gate_level, sc.z_min) == (0.999, 1e-3)
+    assert sc.uncertainty_policy is True
+    assert sc.variant == "coupled-ekf"
+    assert sc.control.entropy_threshold == math.inf
+    assert sc.sensing.blackout_frames is None
+    assert sc.sensing.occluder_half is None
+    assert (sc.initial_pose.translation_var,
+            sc.initial_pose.rotation_max_deg) == (0.0, 0.0)
 
 
 def _write(tmp_path, payload) -> Path:
@@ -198,6 +234,16 @@ def test_unknown_field_in_optional_section_rejected(tmp_path):
     ("convergence", "k_hold", 0, "convergence.k_hold"),
     ("sensing", "blackout_frames", [10, 5], "sensing.blackout_frames"),
     ("sensing", "blackout_frames", [-1, 5], "sensing.blackout_frames"),
+    ("convergence", "v_eps", 0.0, "convergence.v_eps"),
+    ("convergence", "v_eps", -1e-3, "convergence.v_eps"),
+    ("actuation", "sigma_v", -0.1, "actuation.sigma_v"),
+    ("actuation", "sigma_w", -0.1, "actuation.sigma_w"),
+    ("init_prior", "sigma_t", -0.1, "init_prior.sigma_t"),
+    ("init_prior", "sigma_phi", -0.1, "init_prior.sigma_phi"),
+    ("sensing", "outlier_px", -40.0, "sensing.outlier_px"),
+    ("initial_pose", "height", -0.3, "initial_pose.height"),
+    ("initial_pose", "height", 0.0, "initial_pose.height"),
+    ("desired_pose", "height", 0.0, "desired_pose.height"),
 ])
 def test_out_of_range_value_rejected_at_load(tmp_path, section, key, value,
                                              path):
@@ -213,7 +259,8 @@ def test_out_of_range_value_rejected_at_load(tmp_path, section, key, value,
 @pytest.mark.parametrize("section, key, value", [
     (None, "n_keypoints", 22), (None, "gate_level", 1.0),
     ("convergence", "k_hold", 1), ("sensing", "blackout_frames", [5, 5]),
-    ("initial_pose", "translation_var", 0.0)])
+    ("initial_pose", "translation_var", 0.0), ("actuation", "sigma_v", 0.0),
+    ("init_prior", "sigma_t", 0.0), ("sensing", "outlier_px", 0.0)])
 def test_boundary_value_accepted(tmp_path, section, key, value):
     raw = _valid_dict()
     (raw if section is None else raw[section])[key] = value

@@ -8,8 +8,10 @@ from ekfservo.camera import Intrinsics, project_points
 from ekfservo.lie import (
     _EXP_SERIES_EPS,
     _JAC_SERIES_EPS,
+    _hat_stacked,
     exp_se3,
     exp_so3,
+    hat,
     orthonormalize,
 )
 from oracles import (
@@ -64,6 +66,17 @@ def test_project_points_bit_identical(behind):
         assert same_bits(uv, uv_ref)
         assert same_bits(ok, ok_ref)
     assert (masked > 100) == behind
+
+
+def test_hat_stacked_rows_equal_hat():
+    """Row i of the stacked hat has the bits of hat(v[i]), signed zeros
+    included: some rows hold 0.0 and -0.0 entries."""
+    rng = np.random.default_rng(25)
+    vs = np.concatenate([rng.standard_normal((200, 3)),
+                         rng.choice([0.0, -0.0, 1.5, -2.0], size=(64, 3))])
+    for stack in shuffled_stacks(rng, vs):
+        for got, v in zip(_hat_stacked(stack), stack, strict=True):
+            assert same_bits(got, hat(v)), v
 
 
 def test_stacked_exp_maps_bit_identical():

@@ -114,24 +114,32 @@ def _stack(pairs):
                         np.array([m.visible for m in meas])))
 
 
-def test_stacked_update_matches_single_updates(recorded):
+def test_stacked_update_matches_single_updates(recorded, intr, model):
     """The recorded updates of each scenario and gate level, stacked:
     beliefs with different counts of usable and gated keypoints run in
-    their groups, and each slice equals the single update."""
+    their groups, and each slice equals the single update and the
+    reference. One more stack holds beliefs with different priors that
+    all have the same count m < n of usable keypoints."""
     updates, _ = recorded
     groups = {}
-    for state, meas, kps, intr, level, z_min in updates:
-        groups.setdefault((id(kps), level), []).append(
-            (state, meas, kps, intr, level, z_min))
+    for call in updates:  # keyed by keypoint set and gate level
+        groups.setdefault((id(call[2]), call[4]), []).append(call)
+    kps, cases = _mixed_stack(intr, model)
+    _, healthy, some = next(c for c in cases if c[0] == "some visible")
+    groups["shared partial count"] = [
+        (initialize(healthy.mean, sigma_t, sigma_phi), some, kps, intr,
+         0.999, 1e-3) for sigma_t, sigma_phi in ((0.01, 0.02), (0.02, 0.03))]
     mixed = partial = 0
     for calls in groups.values():
-        _, _, kps, intr, level, z_min = calls[0]
+        _, _, kps, intr_, level, z_min = calls[0]
         stacked, meas = _stack([(c[0], c[1]) for c in calls])
-        res = update(stacked, meas, kps, intr, level, z_min)
+        res = update(stacked, meas, kps, intr_, level, z_min)
         assert res.errors == [None] * len(calls)
         counts = set()
         for j, (state, one, *_) in enumerate(calls):
-            ref = update(state, one, kps, intr, level, z_min)
+            ref = update_reference(state, one, kps, intr_, level, z_min)
+            _assert_same_update(update(state, one, kps, intr_, level, z_min),
+                                ref)
             assert same_bits(res.state.mean.C[j], ref.state.mean.C)
             assert same_bits(res.state.mean.t[j], ref.state.mean.t)
             assert same_bits(res.state.P[j], ref.state.P)
@@ -143,6 +151,7 @@ def test_stacked_update_matches_single_updates(recorded):
             partial += 0 < ref.used.sum() < ref.n_visible
         mixed += len(counts) > 1
     assert mixed > 0 and partial > 0
+    assert counts == {5}  # the last stack: 5 of 8 keypoints each
 
 
 def test_stacked_update_fails_one_belief(recorded):

@@ -84,7 +84,8 @@ def test_sampler_supports_wider_grasping_rotations(nominal_scenario):
 
 def test_sample_poses_infeasible(nominal_scenario, rng):
     sc = replace(nominal_scenario,
-                 initial_pose=PoseSampler(-0.30, 0.0, 0.0))  # behind camera
+                 # 1 mm away: the keypoints project far outside the image
+                 initial_pose=PoseSampler(0.001, 0.0, 0.0))
     kps = fps_select(sc.model, sc.n_keypoints)
     with pytest.raises(InfeasibleScenario):
         sample_poses(sc, kps, rng)
