@@ -52,8 +52,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     for flag, value, least in (("--trials", args.trials, 0),
-                               ("--parallelism", args.parallelism, 1)):
-        if value < least:
+                               ("--parallelism", args.parallelism, 1),
+                               ("--seed", args.seed, 0)):
+        if value is not None and value < least:
             print(f"error: {flag} must be >= {least}", file=sys.stderr)
             return 2
     try:

@@ -3,7 +3,8 @@ subsystem. Paths inside the file resolve relative to the file's directory.
 
 Schema (defaults in parentheses: the dataclass defaults of the classes
 that own the fields, which an optional field that is absent or `null`
-keeps). Numbers must be finite, a bool is not a number, and a key not
+keeps). Numbers must be finite (an integer too large for a float is
+not, where a float is accepted), a bool is not a number, and a key not
 listed here is an error:
 
     seed                  int (0)
@@ -196,7 +197,8 @@ class _Reader:
 
     def _typed(self, key: str, types):
         """The value of key if it has one of types. A bool is not a number
-        here, and a number must be finite."""
+        here, and a value of a field that takes a float must convert to a
+        finite float (an int-only field, such as seed, is never one)."""
         value = self.data[key]
         kinds = types if isinstance(types, tuple) else (types,)
         numeric = int in kinds or float in kinds
@@ -205,10 +207,17 @@ class _Reader:
             name = "/".join(t.__name__ for t in kinds)
             raise ConfigError(
                 f"{self.label}: field {self._path(key)} must be {name}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(
-                f"{self.label}: field {self._path(key)} must be finite, "
-                f"not {value}")
+        if float in kinds:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # JSON integers have no size limit
+                raise ConfigError(
+                    f"{self.label}: field {self._path(key)} must be finite, "
+                    "not an integer too large for a float") from None
+            if not finite:
+                raise ConfigError(
+                    f"{self.label}: field {self._path(key)} must be finite, "
+                    f"not {value}")
         return value
 
     def build(self, cls, **fields):

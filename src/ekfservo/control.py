@@ -12,10 +12,14 @@ policy so safety reductions cannot be undone.
 
 A twist is a plain float array [v_p, w]: translational velocity v_p (m/s)
 and angular velocity w (rad/s), both in the camera frame; shape (6,), or
-(N, 6) for a stack. `relative_pose` and `pbvs_law` take one pose or a
-stack of N (a Pose of (N, 3, 3) and (N, 3) arrays), row i of a stacked
-result with the bits of the call on pose i alone; the other functions
-take one twist or pose.
+(N, 6) for a stack. `relative_pose`, `pbvs_law`, `velocity_jacobian`,
+`velocity_covariance` and `entropy` take one pose or matrix or a stack of
+N (a Pose of (N, 3, 3) and (N, 3) arrays, or (N, 6, 6) matrices), row i
+of a stacked result with the bits of the call on row i alone; the clamp
+and the entropy policy take one twist. The stacked twist covariance
+rests, like the stacked EKF update, on numpy's matrix product giving each
+slice of a stack the bits of the same product on that slice alone, which
+the oracle tests establish only on the numpy and BLAS build they run on.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import numpy as np
 from .lie import (
     _EYE3,
     Pose,
-    hat,
+    _hat_stacked,
     log_so3,
     orthonormalize,
     right_jacobian_inv,
@@ -114,7 +118,8 @@ def velocity_jacobian(rel: Pose, current: Pose,
                       cfg: ControlConfig) -> np.ndarray:
     """Derivative of the raw servo law with respect to the filter error
     state [dt, dphi] (left perturbation on the current object pose), at
-    rel = relative_pose(desired, current).
+    rel = relative_pose(desired, current). One pose pair gives (6, 6), a
+    stack of N pairs (N, 6, 6).
 
     Perturbing the object pose perturbs the relative rotation on the right
     by -dphi, so the angular rows pick up lam * J_r^{-1}(theta*u); the
@@ -123,28 +128,32 @@ def velocity_jacobian(rel: Pose, current: Pose,
         d v_p / d dt   = lam * I
         d v_p / d dphi = lam * (hat(t_obj) + hat(e_t))
     """
-    e_t = rel.C.T @ rel.t
-    theta_u = log_so3(rel.C)
-    jac = np.zeros((6, 6))
-    jac[:3, :3] = cfg.lam * _EYE3
-    jac[:3, 3:] = cfg.lam * (hat(current.t.tolist()) + hat(e_t.tolist()))
-    jac[3:, 3:] = cfg.lam * right_jacobian_inv(theta_u)
+    e_t = (rel.C.swapaxes(-1, -2) @ rel.t[..., None])[..., 0]
+    jac = np.zeros(rel.t.shape[:-1] + (6, 6))
+    jac[..., :3, :3] = cfg.lam * _EYE3
+    jac[..., :3, 3:] = cfg.lam * (_hat_stacked(current.t) + _hat_stacked(e_t))
+    jac[..., 3:, 3:] = cfg.lam * right_jacobian_inv(log_so3(rel.C))
     return jac
 
 
 def velocity_covariance(jac, p) -> np.ndarray:
-    """Forward propagation of the pose covariance through the control law."""
-    return symmetrize(np.asarray(jac) @ np.asarray(p) @ np.asarray(jac).T)
+    """Forward propagation of the pose covariance through the control law:
+    one (6, 6) pair, or (N, 6, 6) stacks, propagated slice by slice."""
+    jac = np.asarray(jac)
+    return symmetrize(jac @ np.asarray(p) @ jac.swapaxes(-1, -2))
 
 
-def entropy(cov) -> float:
+def entropy(cov):
     """Differential entropy of a 6D Gaussian in nats:
     0.5 * ln((2 pi e)^6 |cov|); regularized with +1e-12 I when the
-    determinant is not positive."""
+    determinant is not positive. One covariance gives a float, an
+    (N, 6, 6) stack an (N,) array, each slice regularized on its own."""
     cov = symmetrize(cov)
     sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not np.isfinite(logdet):
-        sign, logdet = np.linalg.slogdet(cov + 1e-12 * np.eye(6))
+    redo = (sign <= 0) | ~np.isfinite(logdet)
+    if np.count_nonzero(redo):
+        logdet = np.array(logdet)
+        logdet[redo] = np.linalg.slogdet(cov[redo] + 1e-12 * np.eye(6))[1]
     return 0.5 * (6.0 * math.log(_TWO_PI_E) + logdet)
 
 

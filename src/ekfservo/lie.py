@@ -5,17 +5,21 @@ vectors are axis * angle in radians. Twists are 6-vectors ordered
 [translational, angular]. All functions are pure and allocate fresh arrays,
 so they are safe to call concurrently.
 
-`exp_so3`, `log_so3`, `exp_se3`, `orthonormalize`, `clamp_psd` and
-`rotation_to_quaternion` also take a stack with a leading axis of N
-(rotation vectors (N, 3), twists (N, 6), matrices (N, 3, 3) or (N, n, n))
-and then run once for all N: slice i of the result has the same bits as
-the call on slice i alone, because each slice takes its own series or
-closed-form branch and numpy's stacked matmul, vecdot, svd, cholesky,
-sin/cos and arctan2 equal their per-slice forms. A stack of one runs the
+`exp_so3`, `log_so3`, `right_jacobian_inv`, `exp_se3`, `orthonormalize`,
+`clamp_psd` and `rotation_to_quaternion` also take a stack with a leading
+axis of N (rotation vectors (N, 3), twists (N, 6), matrices (N, 3, 3) or
+(N, n, n)) and then run once for all N: slice i of the result has the
+same bits as the call on slice i alone, because each slice takes its own
+series or closed-form branch and numpy's stacked matmul, vecdot, svd,
+cholesky, sin/cos and arctan2 equal their per-slice forms;
+`right_jacobian_inv` takes its closed-form coefficient from math.cos and
+math.sin row by row, as a single call does. A stack of one runs the
 single-slice code of `exp_so3`, `exp_se3` and `orthonormalize`, which is
-cheaper for one slice (`clamp_psd` and `rotation_to_quaternion` have only
-the stacked code). A `Pose` may likewise hold a stack, C (N, 3, 3)
-and t (N, 3); its methods take single poses.
+cheaper for one slice (`log_so3`, `right_jacobian_inv`, `clamp_psd` and
+`rotation_to_quaternion` run their stacked code on a stack of one, and
+`right_jacobian_inv` runs it on a single input too, as a stack without
+the leading axis). A `Pose` may likewise hold a stack, C (N, 3, 3) and
+t (N, 3); its methods take single poses.
 """
 from __future__ import annotations
 
@@ -48,14 +52,14 @@ def hat(v) -> np.ndarray:
 
 
 def _hat_stacked(v) -> np.ndarray:
-    """(N, 3) -> (N, 3, 3) cross-product matrices, as hat per row."""
-    k = np.zeros((v.shape[0], 3, 3))
-    k[:, 0, 1] = -v[:, 2]
-    k[:, 0, 2] = v[:, 1]
-    k[:, 1, 0] = v[:, 2]
-    k[:, 1, 2] = -v[:, 0]
-    k[:, 2, 0] = -v[:, 1]
-    k[:, 2, 1] = v[:, 0]
+    """(..., 3) -> (..., 3, 3) cross-product matrices, as hat per row."""
+    k = np.zeros(v.shape[:-1] + (3, 3))
+    k[..., 0, 1] = -v[..., 2]
+    k[..., 0, 2] = v[..., 1]
+    k[..., 1, 0] = v[..., 2]
+    k[..., 1, 2] = -v[..., 0]
+    k[..., 2, 0] = -v[..., 1]
+    k[..., 2, 1] = v[..., 0]
     return k
 
 
@@ -175,7 +179,8 @@ def right_jacobian(phi) -> np.ndarray:
 
 
 def right_jacobian_inv(phi) -> np.ndarray:
-    """Inverse right Jacobian; requires ||phi|| < pi.
+    """Inverse right Jacobian; requires ||phi|| < pi. phi is one rotation
+    vector or an (N, 3) stack, which gives (N, 3, 3).
 
     Behaviour at and near pi (Sola, Deray & Atchuthan, arXiv:1812.01537,
     the SO(3) appendix): the closed-form coefficient
@@ -188,13 +193,19 @@ def right_jacobian_inv(phi) -> np.ndarray:
     principal rotation vectors, whose norm log_so3 keeps <= pi.
     """
     phi = np.asarray(phi, dtype=float)
-    k = hat(phi.tolist())
-    theta = math.sqrt(phi.dot(phi))
-    if theta < _JAC_SERIES_EPS:
-        return _EYE3 + 0.5 * k + (k @ k) / 12.0
-    d = (1.0 / theta**2
-         - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta)))
-    return _EYE3 + 0.5 * k + d * (k @ k)
+    k = _hat_stacked(phi)
+    kk = k @ k
+    theta = np.sqrt(np.vecdot(phi, phi))
+    # the closed-form coefficient row by row with math.cos and math.sin,
+    # whose bits numpy's vectorized cos and sin need not give
+    d = np.array([0.0 if th < _JAC_SERIES_EPS else 1.0 / th**2
+                  - (1.0 + math.cos(th)) / (2.0 * th * math.sin(th))
+                  for th in np.ravel(theta).tolist()]).reshape(theta.shape)
+    out = _EYE3 + 0.5 * k + d[..., None, None] * kk
+    series = theta < _JAC_SERIES_EPS
+    if np.count_nonzero(series):
+        out[series] = _EYE3 + 0.5 * k[series] + kk[series] / 12.0
+    return out
 
 
 def exp_se3(xi, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -16,13 +16,16 @@ One engine, `run_episodes`, runs any number of trials in lockstep: frame k
 of every active trial is computed together, with the filter, sensing and
 dynamics stacked along a leading trial axis (one `propagate`, `measure`,
 `update` and `step_dynamics` call per frame for all active trials, the
-commands as the [v, w] rows of one (N, 6) array). A trial leaves the
-active set when it converges or fails. Each trial keeps its own
-Generator and draws from it in the order a lone run does, and the stacked
-kernels give every trial the bits of its lone run, so a record does not
-depend on the batch width or on `--parallelism`. The control step and the
-PnP refinement still run once per active trial. `run_episode` is the
-one-trial call of the same engine.
+commands as the [v, w] rows of one (N, 6) array). The control step
+stacks its probabilistic part: one `velocity_jacobian`,
+`velocity_covariance` and `entropy` call per frame for every trial that
+has not failed, while the relative pose, the servo law, the clamp and
+the entropy policy still run once per active trial, as does the PnP
+refinement. A trial leaves the active set when it converges or fails.
+Each trial keeps its own Generator and draws from it in the order a lone
+run does, and the stacked kernels give every trial the bits of its lone
+run, so a record does not depend on the batch width or on
+`--parallelism`. `run_episode` is the one-trial call of the same engine.
 """
 from __future__ import annotations
 
@@ -163,6 +166,8 @@ class Scenario:
                 raise ValueError(f"{key} must be >= 0")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -420,8 +425,10 @@ class _Lockstep:
     def _control(self, est, p_est, failures):
         """Commanded and raw twists, twist covariance and entropy per
         active trial, and the rows whose command has stayed below v_eps
-        for k_hold frames; the control step runs per trial through this
-        module's names."""
+        for k_hold frames. The relative pose, servo law and clamp run per
+        trial, the velocity Jacobian, twist covariance and entropy once
+        for every row that has not failed, and the entropy policy and hold
+        test per trial again, all through this module's names."""
         sc, cfg = self.sc, self.sc.control
         n = self.ids.size
         cmd = np.zeros((n, 6))
@@ -431,21 +438,32 @@ class _Lockstep:
         converged = []
         if not self.servo:
             return cmd, raw, vcov, ent, converged
-        for j, (desired, c, t, p) in enumerate(zip(self.desired, est.C, est.t,
-                                                   p_est)):
+        rels = []  # the relative poses of the rows that have not failed
+        for j, (desired, c, t) in enumerate(zip(self.desired, est.C, est.t)):
             if j in failures:
                 continue
-            pose = Pose(c, t)
-            rel = relative_pose(desired, pose)
+            rel = relative_pose(desired, Pose(c, t))
+            rels.append(rel)
             raw[j] = raw_tw = pbvs_law(rel, cfg.lam)
-            cmd_tw = clamp_twist(raw_tw, cfg)
-            if self.use_ekf:
-                jac = velocity_jacobian(rel, pose, cfg)
-                vcov[j] = cov = velocity_covariance(jac, p)
-                ent[j] = h = entropy(cov)
-                if sc.uncertainty_policy:
-                    cmd_tw = apply_policy(cmd_tw, h, cfg)
-            cmd[j] = cmd_tw
+            cmd[j] = clamp_twist(raw_tw, cfg)
+        if self.use_ekf and rels:
+            rows = slice(None)
+            if failures:
+                rows = np.ones(n, dtype=bool)
+                rows[list(failures)] = False
+                est = Pose(est.C[rows], est.t[rows])
+            rel = Pose(np.array([r.C for r in rels]),
+                       np.array([r.t for r in rels]))
+            jac = velocity_jacobian(rel, est, cfg)
+            vcov[rows] = cov = velocity_covariance(jac, p_est[rows])
+            ent[rows] = entropy(cov)
+        policy = self.use_ekf and sc.uncertainty_policy
+        for j in range(n):
+            if j in failures:
+                continue
+            cmd_tw = cmd[j]
+            if policy:
+                cmd[j] = cmd_tw = apply_policy(cmd_tw, ent[j], cfg)
             hold = (self.hold[j] + 1
                     if math.sqrt(cmd_tw.dot(cmd_tw)) < sc.v_eps else 0)
             self.hold[j] = hold

@@ -12,7 +12,8 @@ with temporary Poses in the control and rollout code, an eigendecomposition
 on every covariance clamp), kept verbatim so the optimised library path can
 be checked bit for bit. `run_episode_reference` is the single-trial
 episode loop that the lockstep engine replaced, with the single-trial
-`propagate`, `measure` and `step_dynamics` it called. `run_tree_reference`
+`propagate`, `measure`, `step_dynamics`, twist covariance and entropy it
+called. `run_tree_reference`
 and `comparison_reference` are the per-frame summaries and writers that
 the stacked output path replaced.
 """
@@ -24,12 +25,7 @@ from scipy.stats import chi2
 
 from ekfservo.camera import in_image, projection_jacobians, project_points
 from ekfservo.cli import EPISODE_HEADER, SUMMARY_HEADER, _summary_row
-from ekfservo.control import (
-    ControlConfig,
-    apply_policy,
-    entropy,
-    velocity_covariance,
-)
+from ekfservo.control import ControlConfig, apply_policy
 from ekfservo.ekf import (
     INNOVATION_COND_LIMIT,
     FilterState,
@@ -453,6 +449,23 @@ def velocity_jacobian_reference(desired: Pose, state: FilterState,
     return jac
 
 
+def velocity_covariance_reference(jac, p) -> np.ndarray:
+    """Forward propagation of the pose covariance through the control law,
+    one pair at a time."""
+    return symmetrize(np.asarray(jac) @ np.asarray(p) @ np.asarray(jac).T)
+
+
+def entropy_reference(cov) -> float:
+    """Differential entropy of one 6D Gaussian in nats:
+    0.5 * ln((2 pi e)^6 |cov|); regularized with +1e-12 I when the
+    determinant is not positive."""
+    cov = symmetrize(cov)
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0 or not np.isfinite(logdet):
+        sign, logdet = np.linalg.slogdet(cov + 1e-12 * np.eye(6))
+    return 0.5 * (6.0 * math.log(2.0 * math.pi * math.e) + logdet)
+
+
 def step_dynamics_reference(gt_co: Pose, cmd: np.ndarray, sigma_v: float,
                             sigma_w: float, dt: float,
                             rng: np.random.Generator) -> Pose:
@@ -746,8 +759,8 @@ def run_episode_reference(scenario, seed):
             if use_ekf:
                 jac = velocity_jacobian_reference(desired, state,
                                                   scenario.control)
-                vcov = velocity_covariance(jac, state.P)
-                ent = entropy(vcov)
+                vcov = velocity_covariance_reference(jac, state.P)
+                ent = entropy_reference(vcov)
                 cmd_tw = clamp_twist_reference(raw_tw, scenario.control)
                 if scenario.uncertainty_policy:
                     cmd_tw = apply_policy(cmd_tw, ent, scenario.control)

@@ -82,6 +82,8 @@ def test_missing_field_exit_2(tmp_path, capsys):
     (None, "dt", True),
     ("sensing", "sigma_px", float("nan")),
     ("filter_noise", "sigma_vp", float("inf")),
+    (None, "seed", -5),
+    pytest.param(None, "dt", 10**400, id="None-dt-int_1e400"),
 ])
 def test_invalid_field_value_exit_2(tmp_path, capsys, section, key, value):
     raw = json.loads(Path(NOMINAL).read_text())
@@ -189,6 +191,17 @@ def test_negative_trials_rejected(tmp_path, capsys):
     rc = main(["run", "--config", NOMINAL, "--trials", "-1",
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_negative_seed_rejected(tmp_path, capsys, command):
+    """numpy seeds only from non-negative integers; a negative base seed
+    is a usage error, as a negative --trials is."""
+    rc = main([command, "--config", NOMINAL, "--trials", "1",
+               "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -244,6 +245,11 @@ def test_unknown_field_in_optional_section_rejected(tmp_path):
     ("initial_pose", "height", -0.3, "initial_pose.height"),
     ("initial_pose", "height", 0.0, "initial_pose.height"),
     ("desired_pose", "height", 0.0, "desired_pose.height"),
+    # JSON integers have no size limit; this one overflows a float
+    pytest.param(None, "dt", 10**400, "dt", id="None-dt-int_1e400-dt"),
+    pytest.param("control", "v_max", 10**400, "control.v_max",
+                 id="control-v_max-int_1e400-control.v_max"),
+    (None, "seed", -5, "seed"),
 ])
 def test_out_of_range_value_rejected_at_load(tmp_path, section, key, value,
                                              path):
@@ -253,14 +259,17 @@ def test_out_of_range_value_rejected_at_load(tmp_path, section, key, value,
     (raw if section is None else raw[section])[key] = value
     with pytest.raises(ConfigError) as err:
         load_scenario(_write(tmp_path, raw))
-    assert f": {path} " in str(err.value)
+    # a type error, such as the oversized integers, says "field <path>"
+    assert re.search(rf": (field )?{re.escape(path)} ", str(err.value))
 
 
 @pytest.mark.parametrize("section, key, value", [
     (None, "n_keypoints", 22), (None, "gate_level", 1.0),
     ("convergence", "k_hold", 1), ("sensing", "blackout_frames", [5, 5]),
     ("initial_pose", "translation_var", 0.0), ("actuation", "sigma_v", 0.0),
-    ("init_prior", "sigma_t", 0.0), ("sensing", "outlier_px", 0.0)])
+    ("init_prior", "sigma_t", 0.0), ("sensing", "outlier_px", 0.0),
+    # numpy seeds from any non-negative int; a seed is never a float
+    pytest.param(None, "seed", 10**400, id="None-seed-int_1e400")])
 def test_boundary_value_accepted(tmp_path, section, key, value):
     raw = _valid_dict()
     (raw if section is None else raw[section])[key] = value

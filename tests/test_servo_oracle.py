@@ -1,8 +1,11 @@
 """The servo loop's kernels against the reference implementations in
-oracles.py: bit-identical relative poses, control Jacobians, clamps, SE(3)
-steps, geodesic rollouts, NEES and correlation on calls recorded from every
-shipped scenario, and bit-identical SO(3), quaternion and covariance-clamp
-kernels on seeded inputs near 0 and near pi."""
+oracles.py: bit-identical relative poses, control Jacobians, twist
+covariances and entropies, clamps, SE(3) steps, geodesic rollouts, NEES
+and correlation on calls recorded from every shipped scenario, and
+bit-identical SO(3), quaternion, covariance-clamp and control-chain
+kernels on seeded inputs near 0 and near pi. The control chain runs on a
+stack of the active trials, so each of its stacked rows is checked
+against the single call and the reference."""
 import copy
 from dataclasses import replace
 
@@ -15,7 +18,9 @@ from conftest import scenario
 from ekfservo.control import (
     ControlConfig,
     clamp_twist,
+    entropy,
     relative_pose,
+    velocity_covariance,
     velocity_jacobian,
 )
 from ekfservo.ekf import FilterState
@@ -34,6 +39,7 @@ from ekfservo.simulator import geodesic_reference, step_dynamics
 from oracles import (
     clamp_psd_reference,
     clamp_twist_reference,
+    entropy_reference,
     geodesic_reference_reference,
     log_so3_reference,
     nees_reference,
@@ -42,14 +48,17 @@ from oracles import (
     right_jacobian_inv_reference,
     rotation_to_quaternion_reference,
     same_bits,
+    shuffled_stacks,
     step_dynamics_reference,
     uncertainty_correlation_reference,
+    velocity_covariance_reference,
     velocity_jacobian_reference,
 )
 
 SHIPPED = ("adverse", "consistency", "correlation", "noise_free", "nominal",
            "occlusion")
 RECORDED_FRAMES = 60
+BATCH = 3
 
 
 def _same_pose(a, b) -> bool:
@@ -58,19 +67,36 @@ def _same_pose(a, b) -> bool:
 
 @pytest.fixture(scope="module")
 def recorded():
-    """Arguments of the loop's relative_pose, clamp_twist, step_dynamics
-    and clamp_psd calls over the first frames of one coupled-EKF episode
-    per shipped scenario, the records, and the scenarios at full length."""
+    """Arguments of the loop's relative_pose, clamp_twist, step_dynamics,
+    clamp_psd and stacked control-chain calls over the first frames of a
+    lockstep batch of BATCH coupled-EKF trials per shipped scenario, the
+    first trial's records, and the scenarios at full length."""
     calls = {"relative_pose": [], "clamp_twist": [], "step_dynamics": [],
-             "clamp_psd": []}
+             "clamp_psd": [], "chain": []}
     real = {"relative_pose": sim.relative_pose,
             "clamp_twist": sim.clamp_twist,
             "step_dynamics": sim.step_dynamics,
-            "clamp_psd": ekf.clamp_psd}
+            "clamp_psd": ekf.clamp_psd,
+            "velocity_jacobian": sim.velocity_jacobian,
+            "velocity_covariance": sim.velocity_covariance}
+    desired = []  # this frame's relative_pose targets, one per live row
 
-    def spy_relative_pose(desired, current):
-        calls["relative_pose"].append((desired, current))
-        return real["relative_pose"](desired, current)
+    def spy_relative_pose(desired_pose, current):
+        calls["relative_pose"].append((desired_pose, current))
+        desired.append(desired_pose)
+        return real["relative_pose"](desired_pose, current)
+
+    # the chain runs once per frame on the rows whose relative pose this
+    # frame computed, in the same order
+    def spy_velocity_jacobian(rel, current, cfg):
+        assert len(desired) == len(rel.t)
+        calls["chain"].append([list(desired), rel, current, cfg])
+        desired.clear()
+        return real["velocity_jacobian"](rel, current, cfg)
+
+    def spy_velocity_covariance(jac, p):
+        calls["chain"][-1].append(p)
+        return real["velocity_covariance"](jac, p)
 
     def spy_clamp_twist(twist, cfg):
         calls["clamp_twist"].append((twist, cfg))
@@ -94,19 +120,52 @@ def recorded():
     sim.clamp_twist = spy_clamp_twist
     sim.step_dynamics = spy_step_dynamics
     ekf.clamp_psd = spy_clamp_psd
+    sim.velocity_jacobian = spy_velocity_jacobian
+    sim.velocity_covariance = spy_velocity_covariance
     records, full = [], []
     try:
         for name in SHIPPED:
             sc = replace(scenario(name), variant="coupled-ekf")
-            records.append(sim.run_episode(
-                replace(sc, max_frames=RECORDED_FRAMES)))
+            batch = sim.run_episodes(replace(sc, max_frames=RECORDED_FRAMES),
+                                     [sc.seed + i for i in range(BATCH)])
+            records.append(batch[0])
             full.append(sc)
     finally:
         sim.relative_pose = real["relative_pose"]
         sim.clamp_twist = real["clamp_twist"]
         sim.step_dynamics = real["step_dynamics"]
         ekf.clamp_psd = real["clamp_psd"]
+        sim.velocity_jacobian = real["velocity_jacobian"]
+        sim.velocity_covariance = real["velocity_covariance"]
     return calls, records, full
+
+
+def _check_chain(desired, rel, current, p, cfg) -> int:
+    """velocity_jacobian, velocity_covariance and entropy on stacks of
+    relative poses, current poses and covariances: row i has the bits of
+    the single call on row i, and that call the bits of the reference.
+    Returns the number of rows whose entropy took the +1e-12 I retry."""
+    with np.errstate(invalid="ignore"):  # slogdet of a non-finite row
+        jac = velocity_jacobian(rel, current, cfg)
+        cov = velocity_covariance(jac, p)
+        ent = entropy(cov)
+        assert jac.shape == (len(desired), 6, 6)
+        assert ent.shape == (len(desired),)
+        for i, want in enumerate(desired):
+            one = Pose(current.C[i], current.t[i])
+            jac_i = velocity_jacobian(Pose(rel.C[i], rel.t[i]), one, cfg)
+            assert same_bits(jac[i], jac_i)
+            assert same_bits(jac_i, velocity_jacobian_reference(
+                want, FilterState(one, None), cfg))
+            cov_i = velocity_covariance(jac_i, p[i])
+            assert same_bits(cov[i], cov_i)
+            assert same_bits(cov_i, velocity_covariance_reference(jac_i,
+                                                                  p[i]))
+            ent_i = entropy(cov_i)
+            assert same_bits(ent[i], ent_i)
+            assert same_bits(ent_i, entropy_reference(cov_i))
+        sign, logdet = np.linalg.slogdet(0.5 * (cov + cov.swapaxes(1, 2)))
+    return int(np.count_nonzero((sign <= 0) | ~np.isfinite(logdet)))
 
 
 def test_relative_pose_and_jacobian_bit_identical(recorded):
@@ -119,6 +178,15 @@ def test_relative_pose_and_jacobian_bit_identical(recorded):
         ref = velocity_jacobian_reference(desired, FilterState(current, None),
                                           cfg)
         assert same_bits(velocity_jacobian(rel, current, cfg), ref)
+
+
+def test_control_chain_stacks_bit_identical_on_recorded(recorded):
+    calls, _, _ = recorded
+    chain = calls["chain"]
+    assert len(chain) > 100
+    assert sum(len(desired) == BATCH for desired, *_ in chain) > 100
+    for desired, rel, current, cfg, p in chain:
+        _check_chain(desired, rel, current, p, cfg)
 
 
 def test_clamp_twist_bit_identical(recorded):
@@ -261,6 +329,72 @@ def test_right_jacobian_inv_bit_identical_near_0_and_pi():
     for phi in _seeded_rotvecs():
         assert same_bits(right_jacobian_inv(phi),
                          right_jacobian_inv_reference(phi))
+
+
+def test_right_jacobian_inv_stacks_bit_identical_near_0_and_pi():
+    """Shuffled stacks of 7 mix series, closed-form and near-pi rows;
+    stacks of one too."""
+    rng = np.random.default_rng(36)
+    phis = _seeded_rotvecs()
+    stacks = shuffled_stacks(rng, phis) + [phis[i:i + 1] for i in
+                                           rng.choice(len(phis), 200)]
+    for stack in stacks:
+        got = right_jacobian_inv(stack)
+        assert got.shape == (len(stack), 3, 3)
+        for row, phi in zip(got, stack, strict=True):
+            assert same_bits(row, right_jacobian_inv(phi))
+            assert same_bits(row, right_jacobian_inv_reference(phi))
+
+
+def _spd(rng, scale):
+    a = rng.standard_normal((6, 6)) * scale
+    return a @ a.T
+
+
+def test_control_chain_stacks_bit_identical_near_0_and_pi():
+    """Relative rotations with angles below _JAC_SERIES_EPS, in the closed
+    form's range and within 1e-4 of pi; covariances that are positive
+    definite, singular (entropy's +1e-12 I retry) or non-finite; in
+    shuffled stacks of 7 and in stacks of one."""
+    rng = np.random.default_rng(37)
+    cfg = ControlConfig(lam=0.7)
+    phis = _seeded_rotvecs()[::5]
+    desired, rels, currents, covs = [], [], [], []
+    for phi in phis:
+        current = Pose(exp_so3(rng.standard_normal(3)),
+                       rng.standard_normal(3))
+        want = Pose(exp_so3(phi) @ current.C, rng.standard_normal(3))
+        desired.append(want)
+        rels.append(relative_pose(want, current))
+        currents.append(current)
+        kind = rng.integers(6)
+        if kind == 0:  # singular: slogdet's sign is 0
+            p = np.zeros((6, 6))
+        elif kind == 1:  # rank deficient
+            v = rng.standard_normal((6, 3))
+            p = v @ v.T
+        elif kind == 2:  # non-finite
+            p = _spd(rng, 1e-2)
+            p[rng.integers(6), rng.integers(6)] = rng.choice([np.nan, np.inf])
+        else:
+            p = _spd(rng, 10.0**rng.uniform(-4, 0))
+        covs.append(p)
+    angles = np.array([np.linalg.norm(log_so3(r.C)) for r in rels])
+    assert (angles < _JAC_SERIES_EPS).sum() > 50
+    assert (angles > np.pi - 1e-4).sum() > 50
+    covs = np.array(covs)
+    stacks = shuffled_stacks(rng, np.arange(len(rels)))
+    stacks += [np.array([i]) for i in rng.choice(len(rels), 100)]
+    retried = 0
+    for idx in stacks:
+        pick = idx.tolist()
+        rel = Pose(np.array([rels[i].C for i in pick]),
+                   np.array([rels[i].t for i in pick]))
+        current = Pose(np.array([currents[i].C for i in pick]),
+                       np.array([currents[i].t for i in pick]))
+        retried += _check_chain([desired[i] for i in pick], rel, current,
+                                covs[idx], cfg)
+    assert retried > 200
 
 
 def test_rotation_to_quaternion_bit_identical():

@@ -251,8 +251,12 @@ def test_nonfinite_covariance_in_blackout_fails_its_trial(monkeypatch,
 
     def entropy(cov):
         calls.append(None)
-        # one call per active trial and frame: trial 1 of frame 12
-        return np.nan if len(calls) == 3 * 12 + 2 else real(cov)
+        out = real(cov)
+        # one stacked call per frame, a row per active trial: trial 1 of
+        # frame 12
+        if len(calls) == 13:
+            out[1] = np.nan
+        return out
 
     monkeypatch.setattr(sim, poisoned, locals()[poisoned])
     with np.errstate(invalid="ignore"):  # slogdet of the NaN twist cov

@@ -143,6 +143,34 @@ def test_lockstep_batch_updates_once_per_frame(monkeypatch, name, variant,
     assert counts == {"update": max(frames)}
 
 
+@pytest.mark.parametrize("name, variant, max_frames", [
+    ("adverse", "coupled-ekf", 40),
+    ("adverse", "coupled-ekf", 450),
+    ("adverse", "pbvs-perframe", 40),
+    ("consistency", "none", 20),
+])
+def test_lockstep_batch_runs_control_chain_once_per_frame(monkeypatch, name,
+                                                          variant,
+                                                          max_frames):
+    """control.us_per_frame also sums the spans of velocity_jacobian,
+    velocity_covariance and entropy. A lockstep coupled-ekf batch calls
+    each of them once per frame it runs, through the simulator's names, on
+    a stack of the trials still active, so their time stays in the control
+    layer however many trials share the frame. At full length the adverse
+    trials converge at different frames and the stack shrinks. Without an
+    EKF belief to servo on, none of them runs."""
+    counts = _counting(monkeypatch, ("velocity_jacobian",
+                                     "velocity_covariance", "entropy"))
+    res = sim.run_batch(replace(scenario(name), variant=variant,
+                                max_frames=max_frames), 3)
+    assert all(rec.failure is None for rec in res.records)
+    frames = [rec.frames for rec in res.records]
+    if max_frames == 450:
+        assert len(set(frames)) == 3
+    calls = max(frames) if variant == "coupled-ekf" else 0
+    assert counts == dict.fromkeys(counts, calls)
+
+
 def test_geodesic_rollout_calls_control_once_per_step(monkeypatch):
     sc = scenario("nominal")
     rec = sim.run_episode(replace(sc, max_frames=5))
