@@ -7,7 +7,7 @@ next frame's motion prior. A deterministic closed-loop simulator plus
 metrics and a CLI make the whole loop reproducible end to end.
 """
 
-from .camera import BehindCamera, Intrinsics, project, projection_jacobian
+from .camera import Intrinsics
 from .control import (
     ControlConfig,
     apply_policy,
@@ -23,7 +23,6 @@ from .ekf import (
     NoiseParams,
     SingularInnovation,
     UpdateResult,
-    gate,
     initialize,
     measurement_jacobian,
     predict_keypoints,

@@ -12,10 +12,6 @@ import numpy as np
 DEFAULT_Z_MIN = 1e-3
 
 
-class BehindCamera(ValueError):
-    """Point at or behind the optical center; it cannot be observed."""
-
-
 @dataclass(frozen=True)
 class Intrinsics:
     fx: float
@@ -34,23 +30,6 @@ class Intrinsics:
             raise ValueError("cx must lie inside the image width")
         if not 0 < self.cy < self.height:
             raise ValueError("cy must lie inside the image height")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
-
-
-def project(point_c, intr: Intrinsics, z_min: float = DEFAULT_Z_MIN) -> np.ndarray:
-    """Project a camera-frame point (meters) to pixel coordinates.
-
-    Raises BehindCamera when z <= z_min.
-    """
-    x, y, z = np.asarray(point_c, dtype=float)
-    if z <= z_min:
-        raise BehindCamera(f"point depth {z:.4g} m is not observable")
-    return np.array([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy])
 
 
 def project_points(points_c, intr: Intrinsics,
@@ -82,16 +61,6 @@ def in_image(uv, intr: Intrinsics) -> np.ndarray:
     ok &= (uv[:, 1] >= 0.0) & (uv[:, 1] <= intr.height)
     ok &= np.all(np.isfinite(uv), axis=1)
     return ok
-
-
-def projection_jacobian(point_c, intr: Intrinsics,
-                        z_min: float = DEFAULT_Z_MIN) -> np.ndarray:
-    """d(pixel)/d(camera point), the 2x3 pinhole derivative."""
-    x, y, z = np.asarray(point_c, dtype=float)
-    if z <= z_min:
-        raise BehindCamera(f"point depth {z:.4g} m is not observable")
-    return np.array([[intr.fx / z, 0.0, -intr.fx * x / z**2],
-                     [0.0, intr.fy / z, -intr.fy * y / z**2]])
 
 
 def projection_jacobians(points_c, intr: Intrinsics) -> np.ndarray:

@@ -67,6 +67,10 @@ def main(argv=None) -> int:
     except InfeasibleScenario as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # the per-frame arrays of every trial
+        print("error: out of memory for max_frames x --trials frames; "
+              "lower max_frames or --trials", file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

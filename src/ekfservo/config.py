@@ -238,12 +238,12 @@ class _Reader:
 
     def section(self, key: str, required: bool = False) -> "_Reader":
         self.known.add(key)
-        if key not in self.data:
+        value = self.data.get(key)
+        if value is None:  # absent or null
             if required:
                 raise ConfigError(
                     f"{self.label}: missing required section {key}")
             return _Reader({}, self.label, prefix=f"{key}.")
-        value = self.data[key]
         if not isinstance(value, dict):
             raise ConfigError(f"{self.label}: section {key} must be an object")
         reader = _Reader(value, self.label, prefix=f"{key}.")

@@ -147,24 +147,34 @@ def measurement_jacobian(pose: Pose, kps: KeypointSet, intr: Intrinsics,
 
     With the left perturbation, the camera-frame point moves as
     I * dt - hat(dphi) acting on C @ X, so each 2x6 block is
-    [-J_proj, J_proj @ hat(C @ X)]. Returns (H blocks (N, 2, 6), ok mask).
+    [-J_proj, J_proj @ hat(C @ X)]. Returns (H blocks (N, 2, 6), ok mask);
+    a keypoint behind the z_min plane has ok False and a zero block.
     """
     rotated = kps.points3d @ pose.C.T  # C @ X per keypoint
     pts_c = rotated + pose.t
     ok = pts_c[:, 2] > z_min
-    blocks = np.zeros((len(kps), 2, 6))
-    if np.any(ok):
-        blocks[ok] = _jacobian_blocks(rotated[ok], pts_c[ok], intr)
-    return blocks, ok
+    return _masked_blocks(rotated, pts_c, ok, intr), ok
+
+
+def _masked_blocks(rotated, pts_c, mask, intr: Intrinsics) -> np.ndarray:
+    """`_jacobian_blocks` of M points, zero where `mask` is False; those
+    points take unit depth, so that no depth behind z_min is divided by."""
+    every = mask.all()
+    if not every:
+        pts_c = np.where(mask[:, None], pts_c, 1.0)
+    h = _jacobian_blocks(rotated, pts_c, intr)
+    if not every:
+        h = np.where(mask[:, None, None], h, 0.0)
+    return h
 
 
 def _jacobian_blocks(rotated, pts_c, intr: Intrinsics) -> np.ndarray:
     """(M, 2, 6) residual Jacobian blocks of points in front of the camera,
     given C @ X and C @ X + t per point.
 
-    Shared on purpose by `update` and `pnp.refine_pose`, which already hold
-    C @ X and build blocks for their usable keypoints only;
-    `measurement_jacobian` is the public form over a whole keypoint set.
+    Shared on purpose by `_masked_blocks` (for `measurement_jacobian` and
+    `update`) and by `pnp.refine_pose`, which already holds C @ X and
+    builds blocks for its usable keypoints only.
     """
     jp = projection_jacobians(pts_c, intr)
     return np.concatenate(
@@ -189,18 +199,6 @@ def _mahalanobis_keep(residuals, s_blocks, thresh: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         m2 = (d * r0 * r0 - (b + c) * r0 * r1 + a * r1 * r1) / det
     return (det != 0.0) & (m2 <= thresh)
-
-
-def gate(residuals, h_blocks, p_prior, covs, level: float = 0.999) -> np.ndarray:
-    """Per-keypoint Mahalanobis gate against the chi-square(2) quantile.
-
-    residuals (M, 2), h_blocks (M, 2, 6), covs (M, 2, 2). A level of 1.0
-    accepts every keypoint with a regular, finite innovation block.
-    """
-    residuals = np.asarray(residuals, dtype=float).reshape(-1, 2)
-    h = np.asarray(h_blocks, dtype=float).reshape(-1, 2, 6)
-    s_blocks = h @ p_prior @ h.transpose(0, 2, 1) + covs
-    return _mahalanobis_keep(residuals, s_blocks, _gate_threshold(level))
 
 
 @dataclass
@@ -327,15 +325,8 @@ def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
     # unusable ones as zero rows
     n_act = ids.size
     mask = usable[act]
-    every = mask.all()
-    pts = pts_c[act].reshape(-1, 3)
-    if not every:
-        # unit depth stands in for unusable points, whose rows are zeroed
-        flat = mask.reshape(-1)
-        pts = np.where(flat[:, None], pts, 1.0)
-    h = _jacobian_blocks(rotated[act].reshape(-1, 3), pts, intr)
-    if not every:
-        h = np.where(flat[:, None, None], h, 0.0)
+    h = _masked_blocks(rotated[act].reshape(-1, 3), pts_c[act].reshape(-1, 3),
+                       mask.reshape(-1), intr)
     residuals = meas.uv[act] - uv_pred.reshape(n_beliefs, n, 2)[act]
     h = h.reshape(n_act, 2 * n, 6)
     hp = h @ state.P[act]
@@ -348,8 +339,7 @@ def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
     # each keypoint's 2x2 block of S + Q, as (belief, keypoint, 2, 2)
     blocks = sq.reshape(n_act, n, 2, n, 2).diagonal(axis1=1, axis2=3)
     keep = _mahalanobis_keep(residuals, blocks.transpose(0, 3, 1, 2), thresh)
-    if not every:
-        keep &= mask
+    keep &= mask
     if np.isfinite(s).all():
         finite = True
     else:

@@ -302,14 +302,14 @@ def run_episodes(scenario: Scenario, seeds) -> list:
 
 class _Lockstep:
     """The active trials of `run_episodes` as stacked arrays, row j being
-    trial `ids[j]`; rows are dropped as their trials end."""
+    trial `ids[j]`; rows are dropped as their trials end. `state.mean`
+    holds each trial's estimate, the filter's or the PnP baseline's."""
 
     def __init__(self, scenario, kps, records, rngs, priors):
         self.sc, self.kps, self.records = scenario, kps, records
         n = len(records)
         self.ids = np.arange(n)
         self.rngs = rngs
-        self.desired = [rec.desired for rec in records]
         self.use_ekf = scenario.variant in ("coupled-ekf", "none")
         self.servo = scenario.variant != "none"
         p0 = initialize(priors[0], scenario.init_sigma_t,
@@ -318,7 +318,6 @@ class _Lockstep:
             Pose(np.array([p.C for p in priors]),
                  np.array([p.t for p in priors])),
             np.repeat(p0[None], n, axis=0))
-        self.pnp_poses = priors
         self.gt = Pose(np.array([rec.initial_gt.C for rec in records]),
                        np.array([rec.initial_gt.t for rec in records]))
         self.prev_cmd = np.zeros((n, 6))
@@ -400,27 +399,25 @@ class _Lockstep:
 
     def _refine(self, meas):
         """The PnP baseline, one refine_pose call per active trial."""
-        sc, kps = self.sc, self.kps
+        sc, kps, mean = self.sc, self.kps, self.state.mean
         n = self.ids.size
         n_vis = meas.visible.sum(axis=1)
         n_used = np.zeros(n, dtype=int)
         rms = np.full(n, np.nan)
         for j in range(n):
             one = Measurement(meas.uv[j], meas.cov[j], meas.visible[j])
-            refined = refine_pose(self.pnp_poses[j], one, kps, sc.intrinsics,
-                                  z_min=sc.z_min)
+            refined = refine_pose(Pose(mean.C[j].copy(), mean.t[j].copy()),
+                                  one, kps, sc.intrinsics, z_min=sc.z_min)
             if refined is None:
                 continue
-            self.pnp_poses[j] = refined
+            mean.C[j], mean.t[j] = refined.C, refined.t
             n_used[j] = n_vis[j]
             uv, ok = predict_keypoints(refined, kps, sc.intrinsics, sc.z_min)
             usable = one.visible & ok
             if np.any(usable):
                 rms[j] = float(np.sqrt(np.mean(
                     (one.uv[usable] - uv[usable]).ravel()**2)))
-        est = Pose(np.array([p.C for p in self.pnp_poses]),
-                   np.array([p.t for p in self.pnp_poses]))
-        return est, np.full((n, 6, 6), np.nan), n_vis, n_used, rms
+        return mean, np.full((n, 6, 6), np.nan), n_vis, n_used, rms
 
     def _control(self, est, p_est, failures):
         """Commanded and raw twists, twist covariance and entropy per
@@ -439,10 +436,10 @@ class _Lockstep:
         if not self.servo:
             return cmd, raw, vcov, ent, converged
         rels = []  # the relative poses of the rows that have not failed
-        for j, (desired, c, t) in enumerate(zip(self.desired, est.C, est.t)):
+        for j, (i, c, t) in enumerate(zip(self.ids.tolist(), est.C, est.t)):
             if j in failures:
                 continue
-            rel = relative_pose(desired, Pose(c, t))
+            rel = relative_pose(self.records[i].desired, Pose(c, t))
             rels.append(rel)
             raw[j] = raw_tw = pbvs_law(rel, cfg.lam)
             cmd[j] = clamp_twist(raw_tw, cfg)
@@ -483,8 +480,6 @@ class _Lockstep:
         self.ids = self.ids[rows]
         kept = rows.tolist()
         self.rngs = [self.rngs[j] for j in kept]
-        self.desired = [self.desired[j] for j in kept]
-        self.pnp_poses = [self.pnp_poses[j] for j in kept]
         self.state = FilterState(Pose(self.state.mean.C[rows],
                                       self.state.mean.t[rows]),
                                  self.state.P[rows])

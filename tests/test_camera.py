@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from ekfservo.camera import (
-    BehindCamera,
     Intrinsics,
     in_image,
-    project,
     project_points,
-    projection_jacobian,
     projection_jacobians,
 )
 
@@ -17,33 +14,33 @@ def k600():
     return Intrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
 
 
+def _project(point, k):
+    uv, ok = project_points(point, k)
+    assert ok[0]
+    return uv[0]
+
+
 def test_optical_axis_hits_principal_point(k600):
-    assert np.allclose(project([0.0, 0.0, 2.0], k600), [320.0, 240.0])
+    assert np.allclose(_project([0.0, 0.0, 2.0], k600), [320.0, 240.0])
 
 
 def test_pinhole_formula(k600):
-    assert np.allclose(project([0.1, 0.0, 1.0], k600), [380.0, 240.0])
-
-
-def test_behind_camera_raises(k600):
-    with pytest.raises(BehindCamera):
-        project([0.0, 0.0, -1.0], k600)
-    with pytest.raises(BehindCamera):
-        project([0.0, 0.0, 5e-4], k600)  # below default z_min
+    assert np.allclose(_project([0.1, 0.0, 1.0], k600), [380.0, 240.0])
 
 
 def test_outside_image_still_returned(k600):
-    uv = project([5.0, 0.0, 1.0], k600)
+    uv = _project([5.0, 0.0, 1.0], k600)
     assert uv[0] > k600.width
     assert not in_image(uv, k600)[0]
 
 
 def test_project_points_masks_behind(k600):
-    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                    [0.0, 0.0, 5e-4]])  # below the default z_min
     uv, ok = project_points(pts, k600)
-    assert ok.tolist() == [True, False]
+    assert ok.tolist() == [True, False, False]
     assert np.allclose(uv[0], [320.0, 240.0])
-    assert np.all(np.isnan(uv[1]))
+    assert np.all(np.isnan(uv[1:]))
 
 
 def test_project_points_matches_scalar(k600, rng):
@@ -51,53 +48,51 @@ def test_project_points_matches_scalar(k600, rng):
     uv, ok = project_points(pts, k600)
     assert ok.all()
     for i in range(50):
-        assert np.allclose(uv[i], project(pts[i], k600), atol=1e-12)
+        x, y, z = pts[i]
+        manual = [600.0 * x / z + 320.0, 600.0 * y / z + 240.0]
+        assert np.allclose(uv[i], manual, atol=1e-12)
 
 
 def test_jacobian_unit_depth_on_axis():
     k = Intrinsics(1.0, 1.0, 0.5, 0.5, 1, 1)
     expected = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert np.allclose(projection_jacobian([0.0, 0.0, 1.0], k), expected)
+    assert np.allclose(projection_jacobians([0.0, 0.0, 1.0], k)[0], expected)
 
 
-def _fd_projection(point, k, step=1e-7):
-    jac = np.zeros((2, 3))
-    point = np.asarray(point, dtype=float)
+def _fd_projection(points, k, step=1e-7):
+    """(N, 2, 3) central differences of project_points."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    jac = np.zeros((points.shape[0], 2, 3))
     for j in range(3):
         e = np.zeros(3)
         e[j] = step
-        jac[:, j] = (project(point + e, k) - project(point - e, k)) / (2 * step)
+        jac[:, :, j] = (project_points(points + e, k)[0]
+                        - project_points(points - e, k)[0]) / (2 * step)
     return jac
 
 
 def test_jacobian_matches_fd_at_spec_point(k600):
     p = [0.2, -0.1, 1.5]
-    jac = projection_jacobian(p, k600)
-    fd = _fd_projection(p, k600)
+    jac = projection_jacobians(p, k600)[0]
+    fd = _fd_projection(p, k600)[0]
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-6
 
 
 def test_jacobian_scaling_homogeneity(k600, rng):
     p = np.array([0.15, -0.04, 0.8])
     for s in (2.0, 5.0):
-        assert np.allclose(projection_jacobian(p * s, k600),
-                           projection_jacobian(p, k600) / s, atol=1e-12)
+        assert np.allclose(projection_jacobians(p * s, k600),
+                           projection_jacobians(p, k600) / s, atol=1e-12)
 
 
 def test_jacobian_fd_sweep(rng):
     k = Intrinsics(460.0, 455.0, 318.0, 242.0, 640, 480)
-    for _ in range(1000):
-        p = rng.uniform([-0.5, -0.5, 0.05], [0.5, 0.5, 3.0])
-        jac = projection_jacobian(p, k)
-        fd = _fd_projection(p, k)
-        assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-5
-
-
-def test_batched_jacobians_match_scalar(k600, rng):
-    pts = rng.uniform([-0.2, -0.2, 0.3], [0.2, 0.2, 2.0], size=(20, 3))
-    stacked = projection_jacobians(pts, k600)
-    for i in range(20):
-        assert np.allclose(stacked[i], projection_jacobian(pts[i], k600))
+    pts = rng.uniform([-0.5, -0.5, 0.05], [0.5, 0.5, 3.0], size=(1000, 3))
+    jac = projection_jacobians(pts, k)
+    fd = _fd_projection(pts, k)
+    err = (np.linalg.norm(jac - fd, axis=(1, 2))
+           / np.linalg.norm(fd, axis=(1, 2)))
+    assert err.max() < 1e-5
 
 
 def test_intrinsics_validation():
@@ -105,8 +100,3 @@ def test_intrinsics_validation():
         Intrinsics(-1.0, 600.0, 320.0, 240.0, 640, 480)
     with pytest.raises(ValueError):
         Intrinsics(600.0, 600.0, 700.0, 240.0, 640, 480)
-
-
-def test_intrinsics_matrix(k600):
-    m = k600.matrix
-    assert m[0, 0] == 600.0 and m[0, 2] == 320.0 and m[2, 2] == 1.0

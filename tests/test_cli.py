@@ -98,6 +98,23 @@ def test_invalid_field_value_exit_2(tmp_path, capsys, section, key, value):
     assert path in capsys.readouterr().err
 
 
+def test_unallocatable_max_frames_exit_1(tmp_path, capsys):
+    """max_frames 10**15 asks for petabytes of per-frame arrays, which
+    numpy refuses at once; the run ends in one error line, not a
+    traceback."""
+    raw = json.loads(Path(NOMINAL).read_text())
+    raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
+    raw["max_frames"] = 10**15
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(big), "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "max_frames" in err and "--trials" in err
+
+
 def test_emitted_files_conform_to_schemas(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", NOMINAL, "--trials", "2", "--seed", "3",

@@ -88,6 +88,27 @@ def test_missing_required_field(tmp_path):
     assert "intrinsics" in str(err.value)
 
 
+def test_null_required_section_is_missing(tmp_path):
+    raw = _valid_dict()
+    raw["intrinsics"] = None
+    with pytest.raises(ConfigError, match="missing required section "
+                                          "intrinsics"):
+        load_scenario(_write(tmp_path, raw))
+
+
+@pytest.mark.parametrize("section", ["actuation", "sensing", "control"])
+def test_null_optional_section_takes_defaults(tmp_path, section):
+    """An optional section that is null reads as absent (README)."""
+    raw = _valid_dict()
+    raw[section] = None
+    sc = load_scenario(_write(tmp_path, raw))
+    read = {"actuation": (sc.actuation_sigma_v, sc.actuation_sigma_w),
+            "sensing": sc.sensing, "control": sc.control}
+    default = {"actuation": (0.0, 0.0), "sensing": SensingProfile(),
+               "control": ControlConfig()}
+    assert read[section] == default[section]
+
+
 def test_missing_nested_field_pathed(tmp_path):
     raw = _valid_dict()
     del raw["filter_noise"]["sigma_vp"]

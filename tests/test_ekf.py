@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from ekfservo.camera import Intrinsics, project
+from ekfservo.camera import Intrinsics
 from ekfservo.ekf import (
     FilterState,
     NoiseParams,
     SingularInnovation,
     _gate_threshold,
-    gate,
+    _jacobian_blocks,
+    _mahalanobis_keep,
     initialize,
     measurement_jacobian,
     predict_keypoints,
@@ -24,7 +25,8 @@ from ekfservo.keypoints import (
 )
 from ekfservo.lie import Pose, exp_so3, pose_boxminus, pose_boxplus
 from ekfservo.simulator import LOOK_DOWN
-from oracles import fd_pose_jacobian, fd_state_transition, random_rotvec, rel_error
+from oracles import (fd_pose_jacobian, fd_state_transition, random_rotvec,
+                     rel_error, same_bits)
 
 NOISE = NoiseParams(0.01, 0.005)
 DT = 1.0 / 30.0
@@ -105,7 +107,8 @@ def test_predict_keypoints_matches_manual(intr, model, rng):
     uv, ok = predict_keypoints(st.mean, kps, intr)
     for i in range(8):
         assert ok[i]
-        manual = project(st.mean.C @ kps.points3d[i] + st.mean.t, intr)
+        x, y, z = st.mean.C @ kps.points3d[i] + st.mean.t
+        manual = [intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy]
         assert np.allclose(uv[i], manual, atol=1e-12)
 
 
@@ -164,6 +167,20 @@ def test_keypoints_behind_camera_excluded(intr, model):
     assert not res.used[~ok].any()
 
 
+def test_measurement_jacobian_zero_behind_camera(intr, model):
+    """At a pose that puts some keypoints behind the camera, their blocks
+    are zero and the others have the bits of the blocks built for the
+    points in front alone."""
+    kps = fps_select(model, 8)
+    straddling = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.005]))
+    blocks, ok = measurement_jacobian(straddling, kps, intr)
+    assert not ok.all() and ok.any()
+    assert same_bits(blocks[~ok], np.zeros(((~ok).sum(), 2, 6)))
+    rotated = (kps.points3d @ straddling.C.T)[ok]
+    assert same_bits(blocks[ok], _jacobian_blocks(
+        rotated, rotated + straddling.t, intr))
+
+
 def test_jacobian_linear_in_focal_length(model, rng):
     kps = fps_select(model, 8)
     st = _random_state(rng)
@@ -174,10 +191,16 @@ def test_jacobian_linear_in_focal_length(model, rng):
     assert np.allclose(b2, 2.0 * b1, atol=1e-9)
 
 
+def _gate(residuals, h, p_prior, covs, level=0.999):
+    """The update's per-keypoint gate, on S blocks H P H^T + covs."""
+    s_blocks = h @ p_prior @ h.transpose(0, 2, 1) + covs
+    return _mahalanobis_keep(residuals, s_blocks, _gate_threshold(level))
+
+
 def test_gate_zero_residuals_accepted(rng):
     h = rng.standard_normal((5, 2, 6))
     covs = np.broadcast_to(np.eye(2), (5, 2, 2))
-    keep = gate(np.zeros((5, 2)), h, np.eye(6) * 1e-4, covs)
+    keep = _gate(np.zeros((5, 2)), h, np.eye(6) * 1e-4, covs)
     assert keep.all()
 
 
@@ -186,7 +209,7 @@ def test_gate_rejects_gross_outlier():
     covs = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
     residuals = np.zeros((3, 2))
     residuals[1] = [50.0, 0.0]  # 50 sigma displacement
-    keep = gate(residuals, h, np.zeros((6, 6)), covs, level=0.999)
+    keep = _gate(residuals, h, np.zeros((6, 6)), covs, level=0.999)
     assert keep.tolist() == [True, False, True]
 
 
@@ -194,7 +217,7 @@ def test_gate_level_one_accepts_all():
     h = np.zeros((2, 2, 6))
     covs = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
     residuals = np.array([[500.0, 0.0], [0.0, 1e4]])
-    assert gate(residuals, h, np.zeros((6, 6)), covs, level=1.0).all()
+    assert _gate(residuals, h, np.zeros((6, 6)), covs, level=1.0).all()
 
 
 def test_gate_rejects_singular_block_even_at_level_one():
@@ -202,7 +225,7 @@ def test_gate_rejects_singular_block_even_at_level_one():
     tested, so it is rejected whatever the level."""
     h = np.zeros((2, 2, 6))
     covs = np.stack([np.zeros((2, 2)), np.eye(2)])
-    keep = gate(np.zeros((2, 2)), h, np.zeros((6, 6)), covs, level=1.0)
+    keep = _gate(np.zeros((2, 2)), h, np.zeros((6, 6)), covs, level=1.0)
     assert keep.tolist() == [False, True]
 
 

@@ -19,8 +19,9 @@ from ekfservo.ekf import (
     _COND_MARGIN,
     FilterState,
     SingularInnovation,
+    _gate_threshold,
     _ill_conditioned,
-    gate,
+    _mahalanobis_keep,
     initialize,
     update,
 )
@@ -335,7 +336,8 @@ def test_gate_matches_per_keypoint_solve(case, p_root, level):
     residuals, h, cov_root = case
     p_prior = _psd(p_root) + 1e-8 * np.eye(6)
     covs = cov_root @ cov_root.transpose(0, 2, 1) + 0.05 * np.eye(2)
-    keep = gate(residuals, h, p_prior, covs, level)
+    s_blocks = h @ p_prior @ h.transpose(0, 2, 1) + covs
+    keep = _mahalanobis_keep(residuals, s_blocks, _gate_threshold(level))
     thresh = np.inf if level >= 1.0 else float(chi2.ppf(level, df=2))
     for i in range(residuals.shape[0]):
         s = h[i] @ p_prior @ h[i].T + covs[i]
