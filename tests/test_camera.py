@@ -34,13 +34,25 @@ def test_outside_image_still_returned(k600):
     assert not in_image(uv, k600)[0]
 
 
+def test_behind_camera_raises(k600):
+    # A point behind the camera, or in front of it but nearer than z_min, is
+    # refused: its in_front flag is False and its pixel row is NaN, so no
+    # caller can take it for a projection.
+    for point in ([0.0, 0.0, -1.0], [0.0, 0.0, 5e-4]):  # 5e-4 < default z_min
+        uv, ok = project_points(point, k600)
+        assert not ok[0]
+        assert np.all(np.isnan(uv[0]))
+        assert not in_image(uv, k600)[0]
+    uv, ok = project_points([0.0, 0.0, 0.5], k600, z_min=1.0)
+    assert not ok[0] and np.all(np.isnan(uv[0]))
+
+
 def test_project_points_masks_behind(k600):
-    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
-                    [0.0, 0.0, 5e-4]])  # below the default z_min
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     uv, ok = project_points(pts, k600)
-    assert ok.tolist() == [True, False, False]
+    assert ok.tolist() == [True, False]
     assert np.allclose(uv[0], [320.0, 240.0])
-    assert np.all(np.isnan(uv[1:]))
+    assert np.all(np.isnan(uv[1]))
 
 
 def test_project_points_matches_scalar(k600, rng):
