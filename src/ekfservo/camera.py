@@ -1,7 +1,8 @@
 """Pinhole projection and its Jacobian.
 
 No lens distortion. Points projecting outside the image bounds are still
-returned; visibility policy belongs to the sensing layer.
+returned; visibility policy belongs to the sensing layer. u and v are
+one (N, 2) expression, f * (x, y) / z + c, with the per-column bits.
 """
 from __future__ import annotations
 
@@ -30,6 +31,13 @@ class Intrinsics:
             raise ValueError("cx must lie inside the image width")
         if not 0 < self.cy < self.height:
             raise ValueError("cy must lie inside the image height")
+        # read-only (fx, fy), (-fx, -fy) and (cx, cy) for the (N, 2) forms
+        for name, pair in (("focal", (self.fx, self.fy)),
+                           ("neg_focal", (-self.fx, -self.fy)),
+                           ("center", (self.cx, self.cy))):
+            arr = np.array(pair, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def project_points(points_c, intr: Intrinsics,
@@ -40,18 +48,13 @@ def project_points(points_c, intr: Intrinsics,
     raising, so callers can keep keypoint indexing aligned.
     """
     pts = np.asarray(points_c, dtype=float).reshape(-1, 3)
-    z = pts[:, 2]
-    in_front = z > z_min
-    if in_front.all():
-        uv = np.empty((pts.shape[0], 2))
-        uv[:, 0] = intr.fx * pts[:, 0] / z + intr.cx
-        uv[:, 1] = intr.fy * pts[:, 1] / z + intr.cy
-        return uv, in_front
-    uv = np.full((pts.shape[0], 2), np.nan)
-    zs = np.where(in_front, z, 1.0)
-    uv[:, 0] = np.where(in_front, intr.fx * pts[:, 0] / zs + intr.cx, np.nan)
-    uv[:, 1] = np.where(in_front, intr.fy * pts[:, 1] / zs + intr.cy, np.nan)
-    return uv, in_front
+    z = pts[:, 2:]
+    in_front = pts[:, 2] > z_min
+    if np.count_nonzero(in_front) == in_front.size:
+        return intr.focal * pts[:, :2] / z + intr.center, in_front
+    front = in_front[:, None]
+    return np.where(front, intr.focal * pts[:, :2] / np.where(front, z, 1.0)
+                    + intr.center, np.nan), in_front
 
 
 def in_image(uv, intr: Intrinsics) -> np.ndarray:
@@ -64,13 +67,18 @@ def in_image(uv, intr: Intrinsics) -> np.ndarray:
 
 
 def projection_jacobians(points_c, intr: Intrinsics) -> np.ndarray:
-    """Stacked (N, 2, 3) pinhole derivatives; callers guarantee z > z_min."""
+    """Stacked (N, 2, 3) pinhole derivatives; callers guarantee z > z_min.
+    Row i of a block is g_i e_i + q_i e_z, (g, q) = `jacobian_factors`."""
     pts = np.asarray(points_c, dtype=float).reshape(-1, 3)
-    n = pts.shape[0]
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    jac = np.zeros((n, 2, 3))
-    jac[:, 0, 0] = intr.fx / z
-    jac[:, 0, 2] = -intr.fx * x / z**2
-    jac[:, 1, 1] = intr.fy / z
-    jac[:, 1, 2] = -intr.fy * y / z**2
+    g, q = jacobian_factors(pts, intr)
+    jac = np.zeros((pts.shape[0], 2, 3))
+    jac[:, (0, 1), (0, 1)] = g
+    jac[:, :, 2] = q
     return jac
+
+
+def jacobian_factors(pts: np.ndarray, intr: Intrinsics):
+    """(f / z, -f * (x, y) / z**2), each (N, 2), of an (N, 3) float stack:
+    the diagonal and the z column of the pinhole derivative."""
+    z = pts[:, 2:]
+    return intr.focal / z, intr.neg_focal * pts[:, :2] / z**2

@@ -166,7 +166,12 @@ def _write_run_outputs(out: Path, scenario: Scenario, result: BatchResult,
     if records:
         reference = result.reference
         if reference is None:
-            reference = geodesic_reference_for(records[0])
+            try:
+                reference = geodesic_reference_for(records[0])
+            except (np.linalg.LinAlgError, FloatingPointError) as exc:
+                logger.warning("episode 0's geodesic rollout raised %r; "
+                               "series_trajectory.csv lacks it", exc)
+                reference = np.empty((0, 3))
         _write_series(out, records[0], reference)
 
 

@@ -1,34 +1,12 @@
 """Scenario configuration: a single JSON file with one section per
 subsystem. Paths inside the file resolve relative to the file's directory.
 
-Schema (defaults in parentheses: the dataclass defaults of the classes
-that own the fields, which an optional field that is absent or `null`
-keeps). Numbers must be finite (an integer too large for a float is
-not, where a float is accepted), a bool is not a number, and a key not
-listed here is an error:
-
-    seed                  int (0)
-    dt                    float (0.0333...)
-    max_frames            int (450)
-    model_path            str, required
-    n_keypoints           int (8)
-    intrinsics            {fx, fy, cx, cy, width, height}, required
-    sensing               {sigma_px, anisotropy, dropout_prob, outlier_prob,
-                           outlier_px, covariance_fidelity, fidelity_scale,
-                           blackout_frames: [start, stop] ints | null,
-                           occluder_half: str | null}
-    filter_noise          {sigma_vp, sigma_vw}, required
-    control               {lambda, entropy_threshold: float | null (= inf),
-                           reduced_scale, v_max, w_max}
-    actuation             {sigma_v, sigma_w} (0, 0)
-    initial_pose          {height, translation_var, rotation_max_deg}, required
-    desired_pose          {height, translation_var, rotation_max_deg}, required
-    init_prior            {sigma_t, sigma_phi} (0, 0)
-    convergence           {v_eps, k_hold} (1e-3, 10)
-    gate_level            float (0.999)
-    z_min                 float (1e-3)
-    uncertainty_policy    bool (true)
-    variant               "coupled-ekf" | "pbvs-perframe" | "none"
+`scenario_from_dict` reads every field, with its type; README's
+"Scenario configuration" table gives each one's meaning and default (the
+dataclass default of the class that owns the field, which an optional
+field that is absent or `null` keeps). Numbers must be finite (an
+integer too large for a float is not, where a float is accepted), a bool
+is not a number, and a key that no read asks for is an error.
 """
 from __future__ import annotations
 
@@ -165,7 +143,6 @@ def _pose_sampler(section: "_Reader") -> PoseSampler:
     )
 
 
-
 class _Reader:
     """Field access with path-qualified error messages. Every key asked
     for is remembered, so that reject_unknown can report the rest."""
@@ -222,11 +199,11 @@ class _Reader:
 
     def build(self, cls, **fields):
         """cls(**fields) without the _UNSET fields, with fields read from
-        this section. cls validates
-        them, raising a ValueError whose message starts with the name of
-        the field at fault; it becomes a ConfigError with the field's path,
-        taken from the reader that read it: this one, or a section of it
-        (a Scenario's k_hold is convergence.k_hold)."""
+        this section. cls validates them, raising a ValueError whose
+        message starts with the name of the field at fault; it becomes a
+        ConfigError with the field's path, taken from the reader that read
+        it: this one, or a section of it (a Scenario's k_hold is
+        convergence.k_hold)."""
         try:
             return cls(**{k: v for k, v in fields.items() if v is not _UNSET})
         except ValueError as exc:

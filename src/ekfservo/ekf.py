@@ -31,11 +31,8 @@ conditioned; eigvalsh decides only the rest, with the same verdict.
 of N beliefs (mean a Pose of (N, 3, 3) and (N, 3) arrays, P (N, 6, 6))
 with an (N, 6) twist or a stacked Measurement; the single form is the
 N = 1 case of the stacked one, and slice i of a stacked result has the
-same bits as the single call on slice i. An update makes one pass in
-three stages: projection, Jacobians, H P, S and the gate once for all
-beliefs, over all n keypoint rows of each (unusable ones zeroed); the
-gain once per count of kept keypoints; then one covariance clamp and one
-mean injection for all updated beliefs.
+same bits as the single call on slice i; `update` lists the three
+stages of a stacked update.
 """
 from __future__ import annotations
 
@@ -45,10 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .camera import DEFAULT_Z_MIN, Intrinsics, projection_jacobians, project_points
+from .camera import DEFAULT_Z_MIN, Intrinsics, jacobian_factors, project_points
 from .keypoints import KeypointSet, Measurement
-from .lie import (Pose, _hat_stacked, cholesky_certifies, clamp_psd, exp_so3,
-                  symmetrize)
+from .lie import Pose, cholesky_certifies, clamp_psd, exp_so3, symmetrize
 
 INNOVATION_COND_LIMIT = 1e12
 # the certificate's margin: it passes condition numbers up to about
@@ -56,6 +52,15 @@ INNOVATION_COND_LIMIT = 1e12
 _COND_MARGIN = 10.0 / INNOVATION_COND_LIMIT
 _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
+# [-J, J hat(C X)] is (g_i, g_i, q_i, row i of J hat(C X)) times row i of
+# _BLOCK_SIGNS, so the zeros of -J are -0.0 as negation makes them
+_BLOCK_SIGNS = np.array([[-1.0, -0.0, -1.0, 1.0, 1.0, 1.0],
+                         [-0.0, -1.0, -1.0, 1.0, 1.0, 1.0]])
+# hat(v) = (v @ _HAT_ROWS).reshape(3, 3), exact but for the signs of zeros
+_HAT_ROWS = np.zeros((3, 9))
+_HAT_ROWS[(2, 1, 2, 0, 1, 0), (1, 2, 3, 5, 6, 7)] = (-1, 1, 1, -1, -1, 1)
+_BLOCK_SIGNS.setflags(write=False)
+_HAT_ROWS.setflags(write=False)
 
 
 class SingularInnovation(RuntimeError):
@@ -159,13 +164,10 @@ def measurement_jacobian(pose: Pose, kps: KeypointSet, intr: Intrinsics,
 def _masked_blocks(rotated, pts_c, mask, intr: Intrinsics) -> np.ndarray:
     """`_jacobian_blocks` of M points, zero where `mask` is False; those
     points take unit depth, so that no depth behind z_min is divided by."""
-    every = mask.all()
-    if not every:
-        pts_c = np.where(mask[:, None], pts_c, 1.0)
-    h = _jacobian_blocks(rotated, pts_c, intr)
-    if not every:
-        h = np.where(mask[:, None, None], h, 0.0)
-    return h
+    if np.count_nonzero(mask) == mask.size:
+        return _jacobian_blocks(rotated, pts_c, intr)
+    h = _jacobian_blocks(rotated, np.where(mask[:, None], pts_c, 1.0), intr)
+    return np.where(mask[:, None, None], h, 0.0)
 
 
 def _jacobian_blocks(rotated, pts_c, intr: Intrinsics) -> np.ndarray:
@@ -175,10 +177,20 @@ def _jacobian_blocks(rotated, pts_c, intr: Intrinsics) -> np.ndarray:
     Shared on purpose by `_masked_blocks` (for `measurement_jacobian` and
     `update`) and by `pnp.refine_pose`, which already holds C @ X and
     builds blocks for its usable keypoints only.
+
+    Each block is [-J, J hat(C X)] in closed form: row i of J is
+    g_i e_i + q_i e_z (`camera.jacobian_factors`), so row i of J hat(C X)
+    is g_i hat_i + q_i hat_z. Each entry is summed as
+    einsum("nij,njk->nik", J, hat) sums it, from +0 in the same order;
+    the terms that sum also adds are exact zeros, which change nothing
+    after a +0 start, nor do the signs of hat's zeros. So for finite C X
+    and depths z > 0 the bits are the einsum's, signed zeros included.
     """
-    jp = projection_jacobians(pts_c, intr)
-    return np.concatenate(
-        [-jp, np.einsum("nij,njk->nik", jp, _hat_stacked(rotated))], axis=2)
+    g, q = jacobian_factors(pts_c, intr)
+    g, q = g[:, :, None], q[:, :, None]
+    k = (rotated @ _HAT_ROWS).reshape(-1, 3, 3)  # hat(C X)
+    return np.concatenate([g, g, q, (0.0 + g * k[:, :2]) + q * k[:, 2:]],
+                          axis=2) * _BLOCK_SIGNS
 
 
 def _gate_threshold(level: float) -> float:
@@ -246,17 +258,14 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     3. once for every updated belief: clamp_psd, exp_so3 and the mean
        injection.
 
-    Stage 1 multiplies over all n keypoints' rows for every belief, one
-    alone included, where the update needs only its m usable ones. Its
-    kept rows have the bits of a product over those m rows alone only
-    because numpy's matmul gives each element the same bits whatever the
-    other rows and columns of its operands. That held on random stacks
-    and is pinned by the oracle tests, but only on the numpy and BLAS
-    build they run on: a BLAS that picks its kernel by matrix shape could
-    make any update's bits depend on n and on the rest of its stack, and
-    those tests would then fail.
-    When numpy raises inside the stack, the update is redone one belief at
-    a time, so that only the belief that raises fails.
+    Stage 1 multiplies over all n keypoint rows, one belief alone
+    included, where the update needs only its m usable ones; its kept rows
+    have the bits of a product over those m rows only because numpy's
+    matmul gives each element the same bits whatever the rest of its
+    operands, which the oracle tests pin on the numpy and BLAS build they
+    run on (a BLAS that picks its kernel by shape would break it). When
+    numpy raises inside the stack, the update is redone one belief at a
+    time, so that only the belief that raises fails.
     """
     if state.P.ndim == 2:
         res = update(_stack_one(state),

@@ -15,7 +15,7 @@ import numpy as np
 from .camera import DEFAULT_Z_MIN, Intrinsics
 from .ekf import _jacobian_blocks, predict_keypoints
 from .keypoints import KeypointSet, Measurement
-from .lie import Pose, pose_boxplus
+from .lie import Pose, exp_so3
 
 MIN_POINTS = 4
 # Gauss-Newton: at most ITERS iterations, each solving the normal
@@ -24,6 +24,8 @@ MIN_POINTS = 4
 ITERS = 10
 DAMPING = 1e-9
 STEP_TOL = 1e-12
+_REG = DAMPING * np.eye(6)
+_REG.setflags(write=False)
 
 
 def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
@@ -31,47 +33,56 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
     """Weighted Gauss-Newton pose refinement from the previous estimate.
 
     The weights, the inverses of the reported covariances of the visible
-    keypoints, are computed once per call; if one of them is singular,
-    the whole call uses identity weights (`measure` adds a floor to every
+    keypoints, are computed lazily: once per call, by the first iteration
+    with MIN_POINTS usable keypoints, and an iteration whose usable set
+    is the visible set takes them whole. If one of them is singular, the
+    whole call uses identity weights (`measure` adds a floor to every
     reported covariance, so it never hands one over). Each iteration
     makes exactly one `predict_keypoints` call, so counting those calls
     counts iterations, and builds Jacobian blocks for the usable keypoints
-    only.
+    only, in the closed form of `ekf._jacobian_blocks`.
 
     Returns None when fewer than MIN_POINTS usable keypoints are visible;
     the caller then holds its previous pose.
     """
     visible = meas.visible
-    try:
-        w_visible = np.linalg.inv(meas.cov[visible])
-    except np.linalg.LinAlgError:
-        w_visible = np.broadcast_to(np.eye(2), (int(visible.sum()), 2, 2))
-    reg = DAMPING * np.eye(6)
+    visible_idx = np.flatnonzero(visible)
+    w_visible = None
     pose = prev
     for _ in range(ITERS):
         uv_pred, ok = predict_keypoints(pose, kps, intr, z_min)
-        usable = visible & ok
-        idx = np.flatnonzero(usable)
+        # with every keypoint in front, the usable ones are the visible ones
+        idx = (visible_idx if np.count_nonzero(ok) == ok.size
+               else np.flatnonzero(visible & ok))
         if idx.size < MIN_POINTS:
             return None
+        if w_visible is None:
+            try:
+                w_visible = np.linalg.inv(meas.cov[visible_idx])
+            except np.linalg.LinAlgError:
+                w_visible = np.broadcast_to(np.eye(2),
+                                            (visible_idx.size, 2, 2))
+        w = (w_visible if idx.size == visible_idx.size
+             else w_visible[ok[visible_idx]])
         # C @ X of the usable keypoints, taken from the product over all
         # of them so that the rows match predict_keypoints' bit for bit
         rotated = (kps.points3d @ pose.C.T)[idx]
         h = _jacobian_blocks(rotated, rotated + pose.t, intr)
 
         res = meas.uv[idx] - uv_pred[idx]
-        w = w_visible[usable[visible]]
         a = np.einsum("mji,mjk,mkl->il", h, w, h)
         b = np.einsum("mji,mjk,mk->i", h, w, res)
         # residual model after a step d is eps + H d, so the minimizer is
         # d = -(H^T W H)^-1 H^T W eps
         try:
-            delta = -np.linalg.solve(a + reg, b)
+            delta = -np.linalg.solve(a + _REG, b)
         except np.linalg.LinAlgError:
             return None
-        if not np.isfinite(delta).all():
+        # |d|^2 is finite exactly when d is, unless it overflows
+        step2 = delta.dot(delta)
+        if not math.isfinite(step2) and not np.isfinite(delta).all():
             return None
-        pose = pose_boxplus(pose, delta)
-        if math.sqrt(delta.dot(delta)) < STEP_TOL:
+        pose = Pose(exp_so3(delta[3:]) @ pose.C, pose.t + delta[:3])
+        if math.sqrt(step2) < STEP_TOL:
             break
     return pose

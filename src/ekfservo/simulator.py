@@ -12,20 +12,16 @@ which is what makes actuation noise a filter disturbance.
 Episodes are pure functions of (scenario, seed); batches give each trial
 seed = base seed + trial index.
 
-One engine, `run_episodes`, runs any number of trials in lockstep: frame k
-of every active trial is computed together, with the filter, sensing and
-dynamics stacked along a leading trial axis (one `propagate`, `measure`,
-`update` and `step_dynamics` call per frame for all active trials, the
-commands as the [v, w] rows of one (N, 6) array). The control step
-stacks its probabilistic part: one `velocity_jacobian`,
-`velocity_covariance` and `entropy` call per frame for every trial that
-has not failed, while the relative pose, the servo law, the clamp and
-the entropy policy still run once per active trial, as does the PnP
-refinement. A trial leaves the active set when it converges or fails.
-Each trial keeps its own Generator and draws from it in the order a lone
-run does, and the stacked kernels give every trial the bits of its lone
-run, so a record does not depend on the batch width or on
-`--parallelism`. `run_episode` is the one-trial call of the same engine.
+One engine, `run_episodes`, runs any number of trials in lockstep, frame
+k of every active trial together (README's "Engine" paragraph): one
+`propagate`, `measure`, `update` and `step_dynamics` call per frame for
+all of them, the commands the [v, w] rows of one (N, 6) array, and one
+`velocity_jacobian`, `velocity_covariance` and `entropy` call for the
+trials that have not failed; the relative pose, servo law, clamp, policy
+and PnP refinement run per trial. A trial leaves when it converges or
+fails. Each trial draws from its own Generator in a lone run's order,
+and the stacked kernels give it its lone run's bits, so a record does
+not depend on the batch width or on `--parallelism`.
 """
 from __future__ import annotations
 
@@ -52,7 +48,6 @@ from .ekf import (
     NoiseParams,
     SingularInnovation,
     initialize,
-    predict_keypoints,
     propagate,
     update,
 )
@@ -234,18 +229,43 @@ def step_dynamics(gt_co: Pose, cmd, sigma_v: float, sigma_w: float,
     SE(3); the object stays fixed in the world. One pose, a twist [v, w]
     and a Generator; or a stack of N poses, an (N, 6) array of commands
     and N Generators, pose i drawing from rng[i] what a single call would.
+
+    A stacked step that raises a LinAlgError or FloatingPointError is
+    redone one pose at a time with the noise already drawn; if some poses
+    raise alone too, StepFailed(stepped stack, errors) is raised, the
+    failing poses unmoved and errors per pose None or its exception.
     """
     if isinstance(rng, np.random.Generator):
-        out = step_dynamics(Pose(gt_co.C[None], gt_co.t[None]),
-                            np.asarray(cmd, dtype=float)[None], sigma_v,
-                            sigma_w, dt, (rng,))
+        try:
+            out = step_dynamics(Pose(gt_co.C[None], gt_co.t[None]),
+                                np.asarray(cmd, dtype=float)[None], sigma_v,
+                                sigma_w, dt, (rng,))
+        except StepFailed as exc:
+            raise exc.args[1][0] from None
         return Pose(out.C[0], out.t[0])
     noise = np.empty((len(rng), 6))
     for i, gen in enumerate(rng):
         gen.standard_normal(out=noise[i])
     noise[:, :3] *= sigma_v
     noise[:, 3:] *= sigma_w
-    return Pose(*_advance(gt_co.C, gt_co.t, cmd + noise, dt))
+    xi = cmd + noise
+    try:
+        return Pose(*_advance(gt_co.C, gt_co.t, xi, dt))
+    except (np.linalg.LinAlgError, FloatingPointError):
+        c, t, errors = gt_co.C.copy(), gt_co.t.copy(), [None] * len(rng)
+    for i in range(len(rng)):
+        one = slice(i, i + 1)
+        try:
+            c[one], t[one] = _advance(gt_co.C[one], gt_co.t[one], xi[one], dt)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            errors[i] = exc
+    if any(errors):
+        raise StepFailed(Pose(c, t), errors)
+    return Pose(c, t)
+
+
+class StepFailed(RuntimeError):
+    """See `step_dynamics`."""
 
 
 def _advance(c_co: np.ndarray, t_co: np.ndarray, xi: np.ndarray,
@@ -374,15 +394,22 @@ class _Lockstep:
             if failures or converged:
                 done = np.zeros(self.ids.size, dtype=bool)
                 done[list(failures) + converged] = True
-                self._finish(done)
-                self._keep(~done)
-                if not self.ids.size:
+                if not self._drop(done):
                     break
-            self.gt = step_dynamics(self.gt, self.prev_cmd,
-                                    sc.actuation_sigma_v,
-                                    sc.actuation_sigma_w, sc.dt, self.rngs)
+            try:
+                self.gt = step_dynamics(self.gt, self.prev_cmd,
+                                        sc.actuation_sigma_v,
+                                        sc.actuation_sigma_w, sc.dt, self.rngs)
+            except StepFailed as exc:
+                self.gt, errors = exc.args
+                done = np.array([e is not None for e in errors])
+                for j in np.flatnonzero(done).tolist():
+                    self.records[self.ids[j]].failure = _failure_text(
+                        k, errors[j])
+                if not self._drop(done):
+                    break
         else:
-            self._finish(np.ones(self.ids.size, dtype=bool))
+            self._drop(np.ones(self.ids.size, dtype=bool))
         self.rows.store(self.records)
 
     def _update(self, k, meas, failures):
@@ -398,25 +425,31 @@ class _Lockstep:
                 res.used.sum(axis=1), res.residual_rms)
 
     def _refine(self, meas):
-        """The PnP baseline, one refine_pose call per active trial."""
+        """The PnP baseline, one refine_pose call per active trial, then one
+        stacked projection of the refined poses for their residual RMS."""
         sc, kps, mean = self.sc, self.kps, self.state.mean
         n = self.ids.size
         n_vis = meas.visible.sum(axis=1)
         n_used = np.zeros(n, dtype=int)
         rms = np.full(n, np.nan)
+        refined = []
         for j in range(n):
             one = Measurement(meas.uv[j], meas.cov[j], meas.visible[j])
-            refined = refine_pose(Pose(mean.C[j].copy(), mean.t[j].copy()),
-                                  one, kps, sc.intrinsics, z_min=sc.z_min)
-            if refined is None:
-                continue
-            mean.C[j], mean.t[j] = refined.C, refined.t
-            n_used[j] = n_vis[j]
-            uv, ok = predict_keypoints(refined, kps, sc.intrinsics, sc.z_min)
-            usable = one.visible & ok
-            if np.any(usable):
-                rms[j] = float(np.sqrt(np.mean(
-                    (one.uv[usable] - uv[usable]).ravel()**2)))
+            pose = refine_pose(Pose(mean.C[j].copy(), mean.t[j].copy()),
+                               one, kps, sc.intrinsics, z_min=sc.z_min)
+            if pose is not None:
+                mean.C[j], mean.t[j] = pose.C, pose.t
+                refined.append(j)
+        if refined:
+            n_used[refined] = n_vis[refined]
+            pts_c = kps.points3d @ mean.C[refined].swapaxes(1, 2)
+            uv, ok = project_points(pts_c + mean.t[refined][:, None, :],
+                                    sc.intrinsics, sc.z_min)
+            diff = meas.uv[refined] - uv.reshape(len(refined), -1, 2)
+            usable = meas.visible[refined] & ok.reshape(len(refined), -1)
+            for j, d, use in zip(refined, diff, usable):
+                if use.any():
+                    rms[j] = float(np.sqrt(np.mean(d[use].ravel()**2)))
         return mean, np.full((n, 6, 6), np.nan), n_vis, n_used, rms
 
     def _control(self, est, p_est, failures):
@@ -468,15 +501,14 @@ class _Lockstep:
                 converged.append(j)
         return cmd, raw, vcov, ent, converged
 
-    def _finish(self, done: np.ndarray) -> None:
-        """The final ground truth of the trials in rows `done`: the pose of
-        their last frame, before any step."""
+    def _drop(self, done: np.ndarray) -> bool:
+        """End the trials in rows `done`, each with its final ground truth
+        the pose of its last frame, before any step; False when no trial
+        is left."""
         for j in np.flatnonzero(done).tolist():
             self.records[self.ids[j]].final_gt = Pose(self.gt.C[j].copy(),
                                                       self.gt.t[j].copy())
-
-    def _keep(self, keep: np.ndarray) -> None:
-        rows = np.flatnonzero(keep)
+        rows = np.flatnonzero(~done)
         self.ids = self.ids[rows]
         kept = rows.tolist()
         self.rngs = [self.rngs[j] for j in kept]
@@ -486,6 +518,7 @@ class _Lockstep:
         self.gt = Pose(self.gt.C[rows], self.gt.t[rows])
         self.prev_cmd = self.prev_cmd[rows]
         self.hold = [self.hold[j] for j in kept]
+        return bool(kept)
 
 
 def _failure_text(k: int, exc: Exception) -> str:

@@ -7,7 +7,9 @@ refinement, SO(3)/projection kernels and servo-loop kernels are the
 earlier straightforward implementations (a per-keypoint `solve` gate, a
 full-SVD condition number, a stacked-rotation `einsum` noise model,
 weights inverted and Jacobians filled for every keypoint on each
-Gauss-Newton iteration, `np.where` projection, numpy norms and reductions
+Gauss-Newton iteration, `np.where` projection, column-wise projection
+derivatives and Jacobian blocks by `einsum` over a zero-filled hat
+stack, numpy norms and reductions
 with temporary Poses in the control and rollout code, an eigendecomposition
 on every covariance clamp), kept verbatim so the optimised library path can
 be checked bit for bit. `run_episode_reference` is the single-trial
@@ -23,7 +25,7 @@ import math
 import numpy as np
 from scipy.stats import chi2
 
-from ekfservo.camera import in_image, projection_jacobians, project_points
+from ekfservo.camera import in_image, project_points
 from ekfservo.cli import EPISODE_HEADER, SUMMARY_HEADER, _summary_row
 from ekfservo.control import ControlConfig, apply_policy
 from ekfservo.ekf import (
@@ -144,18 +146,34 @@ def _measurement_jacobian_reference(state, kps, intr, z_min):
     n = len(kps)
     blocks = np.zeros((n, 2, 6))
     if np.any(ok):
-        jp = projection_jacobians(pts_c[ok], intr)
-        blocks[ok, :, :3] = -jp
-        hats = np.zeros((int(ok.sum()), 3, 3))
-        rx = rotated[ok]
-        hats[:, 0, 1] = -rx[:, 2]
-        hats[:, 0, 2] = rx[:, 1]
-        hats[:, 1, 0] = rx[:, 2]
-        hats[:, 1, 2] = -rx[:, 0]
-        hats[:, 2, 0] = -rx[:, 1]
-        hats[:, 2, 1] = rx[:, 0]
-        blocks[ok, :, 3:] = np.einsum("nij,njk->nik", jp, hats)
+        blocks[ok] = jacobian_blocks_reference(rotated[ok], pts_c[ok], intr)
     return blocks, ok
+
+
+def projection_jacobians_reference(points_c, intr) -> np.ndarray:
+    """Stacked (N, 2, 3) pinhole derivatives, one column at a time."""
+    pts = np.asarray(points_c, dtype=float).reshape(-1, 3)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    jac = np.zeros((pts.shape[0], 2, 3))
+    jac[:, 0, 0] = intr.fx / z
+    jac[:, 0, 2] = -intr.fx * x / z**2
+    jac[:, 1, 1] = intr.fy / z
+    jac[:, 1, 2] = -intr.fy * y / z**2
+    return jac
+
+
+def jacobian_blocks_reference(rotated, pts_c, intr) -> np.ndarray:
+    """[-J, J @ hat(C X)] per point, the product by einsum over a
+    zero-filled hat stack."""
+    jp = projection_jacobians_reference(pts_c, intr)
+    hats = np.zeros((rotated.shape[0], 3, 3))
+    hats[:, 0, 1] = -rotated[:, 2]
+    hats[:, 0, 2] = rotated[:, 1]
+    hats[:, 1, 0] = rotated[:, 2]
+    hats[:, 1, 2] = -rotated[:, 0]
+    hats[:, 2, 0] = -rotated[:, 1]
+    hats[:, 2, 1] = rotated[:, 0]
+    return np.concatenate([-jp, np.einsum("nij,njk->nik", jp, hats)], axis=2)
 
 
 def gate_reference(residuals, h_blocks, p_prior, covs, level):

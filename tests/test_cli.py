@@ -281,3 +281,35 @@ def test_unknown_field_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sensing.dropout_prb" in err and "sensing.dropout_prob" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, edit", [
+    (None, {"dt": 1e300}),
+    ("control", {"lambda": 1e300, "v_max": 1e300, "w_max": 1e300}),
+], ids=["dt", "control"])
+def test_numerical_trouble_fails_trials_not_the_run(tmp_path, capsys,
+                                                    section, edit):
+    """Finite but extreme settings make numpy raise in the dynamics step
+    and in episode 0's geodesic rollout. Each trial fails with a label,
+    the run exits 0 and writes every file, and series_trajectory.csv
+    holds the actual path alone, with one warning."""
+    raw = json.loads(Path(NOMINAL).read_text())
+    raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
+    (raw if section is None else raw[section]).update(edit)
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        rc = main(["run", "--config", str(cfg), "--trials", "2",
+                   "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["failures"] == 2
+    assert sorted(_tree(out)) == [
+        "episodes/episode_0000.csv", "episodes/episode_0001.csv",
+        "series_pose_error.csv", "series_trajectory.csv",
+        "series_velocity.csv", "summary.csv", "summary.json"]
+    traj = (out / "series_trajectory.csv").read_text().strip().split("\n")
+    assert {line.split(",")[0] for line in traj[1:]} == {"actual"}
+    err = capsys.readouterr().err
+    assert err.count("WARNING") == 1 and "geodesic" in err

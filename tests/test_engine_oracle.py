@@ -14,6 +14,8 @@ from conftest import scenario
 from ekfservo.ekf import FilterState
 from oracles import run_episode_reference, same_record
 
+pytestmark = pytest.mark.oracle
+
 SHIPPED = ("adverse", "consistency", "correlation", "noise_free", "nominal",
            "occlusion")
 TRIALS = 5

@@ -1,10 +1,11 @@
-"""The SO(3) and projection kernels against their reference copies in
-oracles.py, bit for bit on seeded random inputs, and the stacked forms of
-the Lie kernels against their single-slice calls."""
+"""The SO(3), projection and Jacobian-block kernels against their
+reference copies in oracles.py, bit for bit on seeded random inputs, and
+the stacked forms of the Lie kernels against their single-slice calls."""
 import numpy as np
 import pytest
 
-from ekfservo.camera import Intrinsics, project_points
+from ekfservo.camera import Intrinsics, project_points, projection_jacobians
+from ekfservo.ekf import _jacobian_blocks
 from ekfservo.lie import (
     _EXP_SERIES_EPS,
     _JAC_SERIES_EPS,
@@ -17,11 +18,15 @@ from ekfservo.lie import (
 from oracles import (
     exp_se3_reference,
     exp_so3_reference,
+    jacobian_blocks_reference,
     orthonormalize_reference,
     project_points_reference,
+    projection_jacobians_reference,
     same_bits,
     shuffled_stacks,
 )
+
+pytestmark = pytest.mark.oracle
 
 
 def _rotvecs(rng, n):
@@ -66,6 +71,40 @@ def test_project_points_bit_identical(behind):
         assert same_bits(uv, uv_ref)
         assert same_bits(ok, ok_ref)
     assert (masked > 100) == behind
+
+
+def test_jacobian_blocks_bit_identical_at_exact_zeros():
+    """The closed-form blocks against the einsum over a hat stack. Besides
+    random points, C X holds +0.0 and -0.0 coordinates and some points lie
+    on the optical axis (x or y of C X + t exactly +-0), where a closed
+    form that sums in another order flips the sign of a zero; recorded
+    calls never reach exact zeros."""
+    rng = np.random.default_rng(26)
+    intr = Intrinsics(460.0, 455.0, 320.0, 240.0, 640, 480)
+    z_neg_zeros = rot_zeros = 0
+    for case in range(2000):
+        n = int(rng.integers(1, 12))
+        rotated = rng.uniform(-0.1, 0.1, size=(n, 3))
+        t = np.array([*rng.uniform(-0.1, 0.1, size=2), 0.4])
+        if case % 2:
+            rotated[rng.uniform(size=(n, 3)) < 0.3] = 0.0
+            rotated[rng.uniform(size=(n, 3)) < 0.3] = -0.0
+        if case % 4 == 1:
+            t[:2] = 0.0
+        pts_c = rotated + t
+        if case % 3 == 0:
+            axis = rng.uniform(size=(n, 2)) < 0.5
+            pts_c[:, :2][axis] = rng.choice([0.0, -0.0], size=int(axis.sum()))
+        got = _jacobian_blocks(rotated, pts_c, intr)
+        ref = jacobian_blocks_reference(rotated, pts_c, intr)
+        assert same_bits(got, ref), (rotated, pts_c)
+        assert same_bits(projection_jacobians(pts_c, intr),
+                         projection_jacobians_reference(pts_c, intr))
+        z_col = ref[:, :, 2]
+        z_neg_zeros += int(np.signbit(z_col[z_col == 0]).sum())
+        rot_zeros += int((ref[:, :, 3:] == 0).sum())
+    # -0.0 reaches the z column, and exact zeros the rotational entries
+    assert z_neg_zeros > 100 and rot_zeros > 1000
 
 
 def test_hat_stacked_rows_equal_hat():

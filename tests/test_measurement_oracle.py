@@ -30,6 +30,8 @@ from ekfservo.lie import Pose, cholesky_certifies
 from ekfservo.simulator import LOOK_DOWN
 from oracles import measure_reference, same_bits, update_reference
 
+pytestmark = pytest.mark.oracle
+
 SHIPPED = ("adverse", "consistency", "correlation", "noise_free", "nominal",
            "occlusion")
 RECORDED_FRAMES = 30

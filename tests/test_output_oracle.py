@@ -28,6 +28,8 @@ from oracles import (
     uncertainty_correlation_reference,
 )
 
+pytestmark = pytest.mark.oracle
+
 SHIPPED = ("adverse", "consistency", "correlation", "noise_free", "nominal",
            "occlusion")
 

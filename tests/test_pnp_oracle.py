@@ -18,6 +18,8 @@ from ekfservo.pnp import refine_pose
 from ekfservo.simulator import LOOK_DOWN
 from oracles import refine_pose_reference, same_bits
 
+pytestmark = pytest.mark.oracle
+
 SHIPPED = ("adverse", "consistency", "correlation", "noise_free", "nominal",
            "occlusion")
 RECORDED_FRAMES = 30

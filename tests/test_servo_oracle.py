@@ -55,6 +55,8 @@ from oracles import (
     velocity_jacobian_reference,
 )
 
+pytestmark = pytest.mark.oracle
+
 SHIPPED = ("adverse", "consistency", "correlation", "noise_free", "nominal",
            "occlusion")
 RECORDED_FRAMES = 60

@@ -298,3 +298,49 @@ def test_episode_variant_none_is_pure_tracking(nominal_scenario):
     err = pose_boxminus(Pose(rec.gt_C[-1], rec.gt_t[-1]),
                         Pose(rec.est_C[-1], rec.est_t[-1]))
     assert np.linalg.norm(err[:3]) < 0.01
+
+
+def test_step_failure_fails_its_trial(nominal_scenario, monkeypatch):
+    """A dynamics step that raises inside the stack is redone one trial at
+    a time with the noise already drawn: only the trial whose own step
+    raises fails, labelled with its frame, and the others equal their
+    solo runs."""
+    sc = replace(nominal_scenario, max_frames=12)
+    solo = [run_episode(sc, sc.seed + i) for i in range(3)]
+    real = sim._advance
+    calls = []
+
+    def advance(c_co, t_co, xi, dt):
+        calls.append(len(c_co))
+        # the stacked step of frame 5, then trial 1's step alone
+        if len(calls) in (6, 8):
+            raise np.linalg.LinAlgError("poisoned")
+        return real(c_co, t_co, xi, dt)
+
+    monkeypatch.setattr(sim, "_advance", advance)
+    records = sim.run_episodes(sc, [sc.seed + i for i in range(3)])
+    assert calls[5:9] == [3, 1, 1, 1]
+    assert records[1].failure == "frame 5: LinAlgError: poisoned"
+    assert records[1].frames == 6
+    assert np.array_equal(records[1].final_gt.t, records[1].gt_t[5])
+    for i in (0, 2):
+        assert same_record(records[i], solo[i]), i
+
+
+def test_single_step_failure_raises(rng):
+    """One pose and one Generator: the step's own exception propagates."""
+    gt = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.3]))
+    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+        step_dynamics(gt, np.full(6, 1e300), 0.0, 0.0, 1e300, rng)
+
+
+def test_huge_dt_fails_each_trial_with_its_label():
+    """dt = 1e300 overflows the first dynamics step of every trial: each
+    fails at frame 0 with numpy's exception named, and the batch ends."""
+    sc = replace(scenario("nominal"), dt=1e300)
+    with np.errstate(all="ignore"):
+        res = run_batch(sc, 2)
+    assert res.summary.failures == 2
+    for rec in res.records:
+        assert rec.failure.startswith("frame 0: LinAlgError: ")
+        assert rec.frames == 1
