@@ -27,24 +27,26 @@ symmetric S, exceeds INNOVATION_COND_LIMIT. A Cholesky factorization of a
 shifted S (`lie.cholesky_certifies`) certifies most innovations well
 conditioned; eigvalsh decides only the rest, with the same verdict.
 
-`propagate` and `update` take one belief (mean a Pose, P 6x6) or a stack
-of N beliefs (mean a Pose of (N, 3, 3) and (N, 3) arrays, P (N, 6, 6))
-with an (N, 6) twist or a stacked Measurement; the single form is the
-N = 1 case of the stacked one, and slice i of a stacked result has the
-same bits as the single call on slice i; `update` lists the three
-stages of a stacked update.
+`update` takes a stack of N beliefs (mean a Pose of (N, 3, 3) and (N, 3)
+arrays, P (N, 6, 6)) and a stacked Measurement, one belief being a stack
+of one, and reports each belief's numerical failure in its row of
+`UpdateResult.errors`; slice i of its result has the bits of the update
+of belief i alone, and `update` lists its three stages. `propagate`
+takes such a stack with an (N, 6) array of twists, or one belief (mean
+a Pose, P 6x6) with one twist, which it runs as a stack of one.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .camera import DEFAULT_Z_MIN, Intrinsics, jacobian_factors, project_points
 from .keypoints import KeypointSet, Measurement
-from .lie import Pose, cholesky_certifies, clamp_psd, exp_so3, symmetrize
+from .lie import (Pose, cholesky_certifies, clamp_psd, exp_so3, pose_boxplus,
+                  symmetrize)
 
 INNOVATION_COND_LIMIT = 1e12
 # the certificate's margin: it passes condition numbers up to about
@@ -114,8 +116,10 @@ def propagate(state: FilterState, twist, dt: float,
         raise ValueError("dt must be positive")
     twist = np.asarray(twist, dtype=float)
     if state.P.ndim == 2:
-        return _unstack_one(propagate(_stack_one(state), twist[None], dt,
-                                      noise))
+        mean = Pose(state.mean.C[None], state.mean.t[None])
+        out = propagate(FilterState(mean, state.P[None]), twist[None], dt,
+                        noise)
+        return FilterState(Pose(out.mean.C[0], out.mean.t[0]), out.P[0])
     r = exp_so3(-twist[:, 3:] * dt)
     t_new = (r @ state.mean.t[:, :, None])[:, :, 0] - twist[:, :3] * dt
     c_new = r @ state.mean.C
@@ -125,15 +129,6 @@ def propagate(state: FilterState, twist, dt: float,
     f[:, 3:, 3:] = r
     p_new = f @ state.P @ f.swapaxes(1, 2) + noise.rate_covariance * dt
     return FilterState(Pose(c_new, t_new), symmetrize(p_new))
-
-
-def _stack_one(state: FilterState) -> FilterState:
-    return FilterState(Pose(state.mean.C[None], state.mean.t[None]),
-                       state.P[None])
-
-
-def _unstack_one(state: FilterState) -> FilterState:
-    return FilterState(Pose(state.mean.C[0], state.mean.t[0]), state.P[0])
 
 
 def predict_keypoints(pose: Pose, kps: KeypointSet, intr: Intrinsics,
@@ -215,17 +210,16 @@ def _mahalanobis_keep(residuals, s_blocks, thresh: float) -> np.ndarray:
 
 @dataclass
 class UpdateResult:
-    """One update's outcome; for a stack of N beliefs every per-keypoint
-    or per-frame field gains a leading axis of N."""
+    """A stacked update's outcome, one row per belief."""
 
     state: FilterState
-    used: np.ndarray          # per-keypoint flag: entered the update
-    n_visible: int            # measured-visible keypoints this frame
-    residual_rms: float       # RMS of used residual components, NaN if none
-    all_rejected: bool        # visible keypoints existed but all were gated
-    # stacked updates only: per belief, None or the exception that failed
-    # it (its row of `state` then holds the prior)
-    errors: list | None = None
+    used: np.ndarray          # (N, n) flags: the keypoint entered the update
+    n_visible: np.ndarray     # measured-visible keypoints this frame
+    residual_rms: np.ndarray  # RMS of used residual components, NaN if none
+    all_rejected: np.ndarray  # visible keypoints existed but all were gated
+    # per belief, None or the exception that failed it (its row of `state`
+    # then holds the prior)
+    errors: list = field(default_factory=list)
 
 
 def update(state: FilterState, meas: Measurement, kps: KeypointSet,
@@ -238,13 +232,12 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     then t += dt and C <- exp(hat(dphi)) C. The covariance update
     (I - K H) P is insensitive to that sign choice. Only
     measured-visible, predictable, gated keypoints enter; with none, the
-    prediction is returned unchanged. A non-finite or ill-conditioned
-    innovation raises SingularInnovation.
+    prediction is returned unchanged.
 
-    A stack of N beliefs with a stacked measurement raises nothing for
-    one belief's numerical trouble: that belief's entry of `errors` holds
-    the exception the single update would have raised (SingularInnovation,
-    or a LinAlgError or FloatingPointError from numpy), and the others are
+    One belief's numerical trouble raises nothing: its entry of `errors`
+    holds the exception (SingularInnovation for a non-finite or
+    ill-conditioned innovation, or a LinAlgError or FloatingPointError
+    from numpy), its row keeps the prior, and the other beliefs are
     unaffected. The stack runs in three stages:
 
     1. once for every belief with a usable keypoint: projection, the
@@ -255,8 +248,8 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
        S + Q, then the condition test (a Cholesky certificate of the
        shifted S + Q, with eigvalsh only where it fails; see
        `_ill_conditioned`), the solve, K eps and I - K H;
-    3. once for every updated belief: clamp_psd, exp_so3 and the mean
-       injection.
+    3. once for every updated belief: clamp_psd and the mean injection,
+       `pose_boxplus`.
 
     Stage 1 multiplies over all n keypoint rows, one belief alone
     included, where the update needs only its m usable ones; its kept rows
@@ -267,40 +260,27 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     numpy raises inside the stack, the update is redone one belief at a
     time, so that only the belief that raises fails.
     """
-    if state.P.ndim == 2:
-        res = update(_stack_one(state),
-                     Measurement(meas.uv[None], meas.cov[None],
-                                 meas.visible[None]),
-                     kps, intr, gate_level, z_min)
-        if res.errors[0] is not None:
-            raise res.errors[0]
-        return UpdateResult(_unstack_one(res.state), res.used[0],
-                            int(res.n_visible[0]), float(res.residual_rms[0]),
-                            bool(res.all_rejected[0]))
     try:
         return _update_stack(state, meas, kps, intr,
                              _gate_threshold(gate_level), z_min)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        n_beliefs = state.P.shape[0]
-        if n_beliefs == 1:
+        if state.P.shape[0] == 1:
             return _unchanged(state, meas, [exc])
-        parts = [update(FilterState(Pose(state.mean.C[i:i + 1],
-                                         state.mean.t[i:i + 1]),
-                                    state.P[i:i + 1]),
-                        Measurement(meas.uv[i:i + 1], meas.cov[i:i + 1],
-                                    meas.visible[i:i + 1]),
-                        kps, intr, gate_level, z_min)
-                 for i in range(n_beliefs)]
-        return UpdateResult(
-            FilterState(
-                Pose(np.concatenate([r.state.mean.C for r in parts]),
-                     np.concatenate([r.state.mean.t for r in parts])),
-                np.concatenate([r.state.P for r in parts])),
-            np.concatenate([r.used for r in parts]),
-            np.concatenate([r.n_visible for r in parts]),
-            np.concatenate([r.residual_rms for r in parts]),
-            np.concatenate([r.all_rejected for r in parts]),
-            [r.errors[0] for r in parts])
+    out = _unchanged(state, meas, [])
+    for i in range(state.P.shape[0]):
+        one = slice(i, i + 1)
+        res = update(FilterState(Pose(state.mean.C[one], state.mean.t[one]),
+                                 state.P[one]),
+                     Measurement(meas.uv[one], meas.cov[one],
+                                 meas.visible[one]),
+                     kps, intr, gate_level, z_min)
+        out.state.mean.C[one], out.state.mean.t[one] = (res.state.mean.C,
+                                                        res.state.mean.t)
+        out.state.P[one], out.used[one] = res.state.P, res.used
+        out.residual_rms[one] = res.residual_rms
+        out.all_rejected[one] = res.all_rejected
+        out.errors += res.errors
+    return out
 
 
 def _unchanged(state: FilterState, meas: Measurement,
@@ -399,11 +379,9 @@ def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
         keep[~updated] = False
 
     # stage 3, over every updated belief
-    mean = state.mean
     if n_act == n_beliefs and updated.all():
         return UpdateResult(
-            FilterState(Pose(exp_so3(delta[:, 3:]) @ mean.C,
-                             mean.t + delta[:, :3]),
+            FilterState(pose_boxplus(state.mean, delta),
                         clamp_psd(ikh @ state.P)),
             keep, meas.visible.sum(axis=1), rms, all_rejected, errors)
     out = _unchanged(state, meas, errors)
@@ -411,9 +389,9 @@ def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
     out.all_rejected[ids] = all_rejected
     at = ids[updated]
     if at.size:
+        mean = pose_boxplus(Pose(state.mean.C[at], state.mean.t[at]), delta)
+        out.state.mean.C[at], out.state.mean.t[at] = mean.C, mean.t
         out.state.P[at] = clamp_psd(ikh @ state.P[at])
-        out.state.mean.C[at] = exp_so3(delta[:, 3:]) @ mean.C[at]
-        out.state.mean.t[at] = mean.t[at] + delta[:, :3]
         out.residual_rms[at] = rms
     return out
 

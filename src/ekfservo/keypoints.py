@@ -178,10 +178,12 @@ class SensingProfile:
 
 @dataclass
 class Measurement:
-    """One frame of detected keypoints, aligned with a KeypointSet.
+    """One frame of detected keypoints, aligned with a KeypointSet; its
+    len() is the number of keypoints.
 
     Rows with visible == False carry NaN for uv and cov. A stacked
-    measurement of N poses has a leading axis of N on every field.
+    measurement of N poses, as `measure` makes, has a leading axis of N
+    on every field.
     """
 
     uv: np.ndarray
@@ -189,28 +191,22 @@ class Measurement:
     visible: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.visible)
+        return self.visible.shape[-1]
 
 
 def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
             profile: SensingProfile, rng,
             frame: int | None = None,
             z_min: float = DEFAULT_Z_MIN) -> Measurement:
-    """Synthesize one frame of noisy keypoint detections.
+    """Synthesize one frame of noisy keypoint detections for a stack of N
+    poses (C (N, 3, 3), t (N, 3)) with a sequence of N Generators; every
+    field of the Measurement has a leading axis of N.
 
     The per-keypoint random draws happen in a fixed order and count
     regardless of visibility outcomes, so the stream stays bit-identical
-    for a given seed, independent of what gets occluded.
-
-    `rng` is one Generator for one pose, or a sequence of N Generators for
-    a stack of N poses (C (N, 3, 3), t (N, 3)); then every field of the
-    Measurement gains a leading axis of N, and pose i draws from rng[i]
-    exactly what a single call would.
+    for a given seed, independent of what gets occluded; pose i draws
+    from rng[i] alone, so its row does not depend on the other poses.
     """
-    if isinstance(rng, np.random.Generator):
-        one = measure(Pose(gt_pose.C[None], gt_pose.t[None]), kps, intr,
-                      profile, (rng,), frame, z_min)
-        return Measurement(one.uv[0], one.cov[0], one.visible[0])
     n_poses, n = len(rng), len(kps)
     # uniform(0, b) draws b * random() (plus 0.0), and the three uniform
     # draws after the Gaussian pairs are consecutive

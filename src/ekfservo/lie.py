@@ -19,7 +19,9 @@ cheaper for one slice (`log_so3`, `right_jacobian_inv`, `clamp_psd` and
 `rotation_to_quaternion` run their stacked code on a stack of one, and
 `right_jacobian_inv` runs it on a single input too, as a stack without
 the leading axis). A `Pose` may likewise hold a stack, C (N, 3, 3) and
-t (N, 3); its methods take single poses.
+t (N, 3); its methods take single poses, and `pose_boxplus` takes one
+pose or a stack, slice i of a stacked result having the bits of the call
+on slice i alone.
 """
 from __future__ import annotations
 
@@ -420,9 +422,10 @@ class Pose:
 
 def pose_boxplus(pose: Pose, delta) -> Pose:
     """Apply a tangent increment [dt, dphi] under the left convention:
-    t + dt, exp(hat(dphi)) @ C."""
-    delta = np.asarray(delta, dtype=float).reshape(6)
-    return Pose(exp_so3(delta[3:]) @ pose.C, pose.t + delta[:3])
+    t + dt, exp(hat(dphi)) @ C; one pose and a 6-vector, or a stack of N
+    poses and an (N, 6) array."""
+    delta = np.asarray(delta, dtype=float)
+    return Pose(exp_so3(delta[..., 3:]) @ pose.C, pose.t + delta[..., :3])
 
 
 def pose_boxminus(a: Pose, b: Pose) -> np.ndarray:

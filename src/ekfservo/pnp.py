@@ -15,7 +15,7 @@ import numpy as np
 from .camera import DEFAULT_Z_MIN, Intrinsics
 from .ekf import _jacobian_blocks, predict_keypoints
 from .keypoints import KeypointSet, Measurement
-from .lie import Pose, exp_so3
+from .lie import Pose, pose_boxplus
 
 MIN_POINTS = 4
 # Gauss-Newton: at most ITERS iterations, each solving the normal
@@ -82,7 +82,7 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
         step2 = delta.dot(delta)
         if not math.isfinite(step2) and not np.isfinite(delta).all():
             return None
-        pose = Pose(exp_so3(delta[3:]) @ pose.C, pose.t + delta[:3])
+        pose = pose_boxplus(pose, delta)
         if math.sqrt(step2) < STEP_TOL:
             break
     return pose

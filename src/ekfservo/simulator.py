@@ -19,9 +19,11 @@ all of them, the commands the [v, w] rows of one (N, 6) array, and one
 `velocity_jacobian`, `velocity_covariance` and `entropy` call for the
 trials that have not failed; the relative pose, servo law, clamp, policy
 and PnP refinement run per trial. A trial leaves when it converges or
-fails. Each trial draws from its own Generator in a lone run's order,
-and the stacked kernels give it its lone run's bits, so a record does
-not depend on the batch width or on `--parallelism`.
+fails: `update` and `step_dynamics` take stacks only (one trial is a
+stack of one) and return each row's numerical failure in their `errors`.
+Each trial draws from its own Generator in a lone run's order, and the
+stacked kernels give it its lone run's bits, so a record does not depend
+on the batch width or on `--parallelism`.
 """
 from __future__ import annotations
 
@@ -222,50 +224,36 @@ def sample_poses(scenario: Scenario, kps: KeypointSet,
 
 
 def step_dynamics(gt_co: Pose, cmd, sigma_v: float, sigma_w: float,
-                  dt: float, rng) -> Pose:
-    """Execute a commanded twist corrupted by Gaussian actuation noise.
+                  dt: float, rng) -> tuple[Pose, list]:
+    """Execute commanded twists corrupted by Gaussian actuation noise, for
+    a stack of N poses, an (N, 6) array of commands [v, w] and N
+    Generators, pose i drawing from rng[i] alone.
 
     The camera world pose integrates the executed body twist exactly on
-    SE(3); the object stays fixed in the world. One pose, a twist [v, w]
-    and a Generator; or a stack of N poses, an (N, 6) array of commands
-    and N Generators, pose i drawing from rng[i] what a single call would.
-
-    A stacked step that raises a LinAlgError or FloatingPointError is
-    redone one pose at a time with the noise already drawn; if some poses
-    raise alone too, StepFailed(stepped stack, errors) is raised, the
-    failing poses unmoved and errors per pose None or its exception.
+    SE(3); the object stays fixed in the world. Returns the stepped poses
+    and `errors`, per pose None or the LinAlgError or FloatingPointError
+    that failed its step, as `UpdateResult.errors` does; a failed pose is
+    returned unmoved. A stack that raises is redone one pose at a time
+    with the noise already drawn, so only the poses that raise alone fail.
     """
-    if isinstance(rng, np.random.Generator):
-        try:
-            out = step_dynamics(Pose(gt_co.C[None], gt_co.t[None]),
-                                np.asarray(cmd, dtype=float)[None], sigma_v,
-                                sigma_w, dt, (rng,))
-        except StepFailed as exc:
-            raise exc.args[1][0] from None
-        return Pose(out.C[0], out.t[0])
     noise = np.empty((len(rng), 6))
     for i, gen in enumerate(rng):
         gen.standard_normal(out=noise[i])
     noise[:, :3] *= sigma_v
     noise[:, 3:] *= sigma_w
     xi = cmd + noise
+    errors = [None] * len(rng)
     try:
-        return Pose(*_advance(gt_co.C, gt_co.t, xi, dt))
+        return Pose(*_advance(gt_co.C, gt_co.t, xi, dt)), errors
     except (np.linalg.LinAlgError, FloatingPointError):
-        c, t, errors = gt_co.C.copy(), gt_co.t.copy(), [None] * len(rng)
+        c, t = gt_co.C.copy(), gt_co.t.copy()
     for i in range(len(rng)):
         one = slice(i, i + 1)
         try:
             c[one], t[one] = _advance(gt_co.C[one], gt_co.t[one], xi[one], dt)
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             errors[i] = exc
-    if any(errors):
-        raise StepFailed(Pose(c, t), errors)
-    return Pose(c, t)
-
-
-class StepFailed(RuntimeError):
-    """See `step_dynamics`."""
+    return Pose(c, t), errors
 
 
 def _advance(c_co: np.ndarray, t_co: np.ndarray, xi: np.ndarray,
@@ -297,7 +285,7 @@ def run_episodes(scenario: Scenario, seeds) -> list:
     """Run one trial per seed in lockstep; record i is the record that
     `seeds[i]` gives alone, bit for bit."""
     kps = fps_select(scenario.model, scenario.n_keypoints)
-    records, rngs, priors = [], [], []
+    records, rngs, deltas = [], [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         initial, desired = sample_poses(scenario, kps, rng)
@@ -306,13 +294,13 @@ def run_episodes(scenario: Scenario, seeds) -> list:
             initial_gt=initial, control=scenario.control, dt=scenario.dt,
             v_eps=scenario.v_eps, k_hold=scenario.k_hold,
             max_frames=scenario.max_frames))
-        init_delta = np.concatenate([
+        deltas.append(np.concatenate([  # the prior's offset from initial
             scenario.init_sigma_t * rng.standard_normal(3),
-            scenario.init_sigma_phi * rng.standard_normal(3)])
-        priors.append(pose_boxplus(initial, init_delta))
+            scenario.init_sigma_phi * rng.standard_normal(3)]))
         rngs.append(rng)
     if records:
-        _Lockstep(scenario, kps, records, rngs, priors).run()
+        with _quiet():
+            _Lockstep(scenario, kps, records, rngs, deltas).run()
     for record in records:
         if record.failure:
             logger.debug("episode seed=%d failed: %s", record.seed,
@@ -325,21 +313,18 @@ class _Lockstep:
     trial `ids[j]`; rows are dropped as their trials end. `state.mean`
     holds each trial's estimate, the filter's or the PnP baseline's."""
 
-    def __init__(self, scenario, kps, records, rngs, priors):
+    def __init__(self, scenario, kps, records, rngs, deltas):
         self.sc, self.kps, self.records = scenario, kps, records
         n = len(records)
         self.ids = np.arange(n)
         self.rngs = rngs
         self.use_ekf = scenario.variant in ("coupled-ekf", "none")
         self.servo = scenario.variant != "none"
-        p0 = initialize(priors[0], scenario.init_sigma_t,
-                        scenario.init_sigma_phi).P
-        self.state = FilterState(
-            Pose(np.array([p.C for p in priors]),
-                 np.array([p.t for p in priors])),
-            np.repeat(p0[None], n, axis=0))
         self.gt = Pose(np.array([rec.initial_gt.C for rec in records]),
                        np.array([rec.initial_gt.t for rec in records]))
+        prior = initialize(pose_boxplus(self.gt, np.array(deltas)),
+                           scenario.init_sigma_t, scenario.init_sigma_phi)
+        self.state = FilterState(prior.mean, np.repeat(prior.P[None], n, 0))
         self.prev_cmd = np.zeros((n, 6))
         self.hold = [0] * n  # frames in a row with a command below v_eps
         self.rows = _FrameRows(scenario.max_frames, n)
@@ -369,13 +354,11 @@ class _Lockstep:
                 belief_ok = np.isfinite(p_est).all(axis=(1, 2))
                 if self.servo:
                     belief_ok &= np.isfinite(ent)
-            bad = ~(finite & belief_ok)
-            if bad.any():
-                for j in np.flatnonzero(bad).tolist():
-                    failures.setdefault(
-                        j, f"frame {k}: non-finite estimate or command"
-                        if not finite[j]
-                        else f"frame {k}: non-finite covariance or entropy")
+            for j in np.flatnonzero(~(finite & belief_ok)).tolist():
+                failures.setdefault(
+                    j, f"frame {k}: non-finite estimate or command"
+                    if not finite[j]
+                    else f"frame {k}: non-finite covariance or entropy")
             if failures:
                 at = np.ones(self.ids.size, dtype=bool)
                 at[list(failures)] = False
@@ -385,31 +368,21 @@ class _Lockstep:
                              est.C[at], est.t[at], p_est[at], cmd[at],
                              raw[at], vcov[at], ent[at], rms[at], n_vis[at],
                              n_used[at])
-            for j, text in failures.items():
-                self.records[self.ids[j]].failure = text
             converged = [j for j in converged if j not in failures]
             for j in converged:
                 self.records[self.ids[j]].converged = True
             self.prev_cmd = cmd
-            if failures or converged:
-                done = np.zeros(self.ids.size, dtype=bool)
-                done[list(failures) + converged] = True
-                if not self._drop(done):
-                    break
-            try:
-                self.gt = step_dynamics(self.gt, self.prev_cmd,
-                                        sc.actuation_sigma_v,
-                                        sc.actuation_sigma_w, sc.dt, self.rngs)
-            except StepFailed as exc:
-                self.gt, errors = exc.args
-                done = np.array([e is not None for e in errors])
-                for j in np.flatnonzero(done).tolist():
-                    self.records[self.ids[j]].failure = _failure_text(
-                        k, errors[j])
-                if not self._drop(done):
-                    break
+            if (failures or converged) and not self._drop(failures, converged):
+                break
+            self.gt, errors = step_dynamics(self.gt, self.prev_cmd,
+                                            sc.actuation_sigma_v,
+                                            sc.actuation_sigma_w, sc.dt,
+                                            self.rngs)
+            failures = _failures(k, errors)
+            if failures and not self._drop(failures):
+                break
         else:
-            self._drop(np.ones(self.ids.size, dtype=bool))
+            self._drop({}, range(self.ids.size))
         self.rows.store(self.records)
 
     def _update(self, k, meas, failures):
@@ -417,9 +390,7 @@ class _Lockstep:
         level = 1.0 if k < GATE_WARMUP_FRAMES else sc.gate_level
         res = update(self.state, meas, self.kps, sc.intrinsics, level,
                      z_min=sc.z_min)
-        for j, exc in enumerate(res.errors):
-            if exc is not None:
-                failures[j] = _failure_text(k, exc)
+        failures.update(_failures(k, res.errors))
         self.state = res.state
         return (res.state.mean, res.state.P, res.n_visible,
                 res.used.sum(axis=1), res.residual_rms)
@@ -501,13 +472,16 @@ class _Lockstep:
                 converged.append(j)
         return cmd, raw, vcov, ent, converged
 
-    def _drop(self, done: np.ndarray) -> bool:
-        """End the trials in rows `done`, each with its final ground truth
-        the pose of its last frame, before any step; False when no trial
-        is left."""
+    def _drop(self, failures: dict, ended=()) -> bool:
+        """End the trials in rows `ended` and in rows `failures` (row ->
+        failure text), each with its final ground truth the pose of its
+        last frame, before any step; False when no trial is left."""
+        done = np.zeros(self.ids.size, dtype=bool)
+        done[[*failures, *ended]] = True
         for j in np.flatnonzero(done).tolist():
-            self.records[self.ids[j]].final_gt = Pose(self.gt.C[j].copy(),
-                                                      self.gt.t[j].copy())
+            record = self.records[self.ids[j]]
+            record.failure = failures.get(j)
+            record.final_gt = Pose(self.gt.C[j].copy(), self.gt.t[j].copy())
         rows = np.flatnonzero(~done)
         self.ids = self.ids[rows]
         kept = rows.tolist()
@@ -521,10 +495,20 @@ class _Lockstep:
         return bool(kept)
 
 
-def _failure_text(k: int, exc: Exception) -> str:
-    if isinstance(exc, SingularInnovation):
-        return f"frame {k}: {exc}"
-    return f"frame {k}: {type(exc).__name__}: {exc}"
+def _failures(k: int, errors: list) -> dict:
+    """Row -> failure text at frame k, for each row of a kernel's `errors`
+    that holds an exception."""
+    return {j: f"frame {k}: {exc}" if isinstance(exc, SingularInnovation)
+            else f"frame {k}: {type(exc).__name__}: {exc}"
+            for j, exc in enumerate(errors) if exc is not None}
+
+
+def _quiet():
+    """np.errstate silencing overflow and invalid-value warnings where each
+    ends in a labelled failure (a finiteness test or a numpy exception);
+    a setting other than "warn", such as "raise", is kept."""
+    return np.errstate(**{key: "ignore" for key, how in np.geterr().items()
+                          if key in ("over", "invalid") and how == "warn"})
 
 
 def geodesic_reference(initial: Pose, desired: Pose, cfg: ControlConfig,
@@ -532,17 +516,17 @@ def geodesic_reference(initial: Pose, desired: Pose, cfg: ControlConfig,
                        max_frames: int) -> np.ndarray:
     """Camera positions of the noise-free, perfect-information servo
     rollout between the same poses: the shortest-path reference."""
-    gt = initial
-    positions = []
-    hold = 0
-    for _ in range(max_frames):
+    gt, positions, hold = initial, [], 0
+    with _quiet():
+        for _ in range(max_frames):
+            positions.append(-(gt.C.T @ gt.t))
+            cmd = clamp_twist(pbvs_law(relative_pose(desired, gt), cfg.lam),
+                              cfg)
+            hold = hold + 1 if math.sqrt(cmd.dot(cmd)) < v_eps else 0
+            if hold >= k_hold:
+                break
+            gt = Pose(*_advance(gt.C, gt.t, cmd, dt))
         positions.append(-(gt.C.T @ gt.t))
-        cmd = clamp_twist(pbvs_law(relative_pose(desired, gt), cfg.lam), cfg)
-        hold = hold + 1 if math.sqrt(cmd.dot(cmd)) < v_eps else 0
-        if hold >= k_hold:
-            break
-        gt = Pose(*_advance(gt.C, gt.t, cmd, dt))
-    positions.append(-(gt.C.T @ gt.t))
     return np.array(positions)
 
 

@@ -6,6 +6,7 @@ import pytest
 from ekfservo.camera import Intrinsics
 from ekfservo.config import load_scenario
 from ekfservo.keypoints import ObjectModel, load_object_points
+from ekfservo.lie import Pose
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -34,6 +35,12 @@ def intr() -> Intrinsics:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def one_pose_stack(pose: Pose) -> Pose:
+    """The stack of one pose, C (1, 3, 3) and t (1, 3), that the stacked
+    kernels take for a single trial."""
+    return Pose(pose.C[None], pose.t[None])
 
 
 def scenario(name: str):

@@ -3,10 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import REPO, SCENARIOS
@@ -292,17 +292,20 @@ def test_numerical_trouble_fails_trials_not_the_run(tmp_path, capsys,
     """Finite but extreme settings make numpy raise in the dynamics step
     and in episode 0's geodesic rollout. Each trial fails with a label,
     the run exits 0 and writes every file, and series_trajectory.csv
-    holds the actual path alone, with one warning."""
+    holds the actual path alone, with one warning and no numpy
+    RuntimeWarning beside it."""
     raw = json.loads(Path(NOMINAL).read_text())
     raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
     (raw if section is None else raw[section]).update(edit)
     cfg = tmp_path / "extreme.json"
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "o"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["run", "--config", str(cfg), "--trials", "2",
                    "--out", str(out)])
     assert rc == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     summary = json.loads((out / "summary.json").read_text())["summary"]
     assert summary["failures"] == 2
     assert sorted(_tree(out)) == [

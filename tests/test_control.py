@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import one_pose_stack
 from ekfservo.control import (
     ControlConfig,
     apply_policy,
@@ -175,15 +176,16 @@ def test_perfect_information_decay_rate(rng):
 
     lam, dt = 0.5, 1.0 / 30.0
     desired = Pose(LOOK_DOWN, [0.0, 0.0, 0.15])
-    gt = Pose(exp_so3(random_rotvec(rng, 1.2)) @ LOOK_DOWN,
-              np.array([0.06, -0.08, 0.32]))
+    gt = one_pose_stack(Pose(exp_so3(random_rotvec(rng, 1.2)) @ LOOK_DOWN,
+                             np.array([0.06, -0.08, 0.32])))
     bound = np.exp(-lam * dt) * (1.0 + 1e-3)
     for _ in range(400):
         rel = relative_pose(desired, gt)
         e_t0 = np.linalg.norm(rel.t)
         e_r0 = np.linalg.norm(log_so3(rel.C))
         cmd = pbvs_law(rel, lam)  # no clamp
-        gt = step_dynamics(gt, cmd, 0.0, 0.0, dt, rng)
+        gt, errors = step_dynamics(gt, cmd, 0.0, 0.0, dt, [rng])
+        assert errors == [None]
         rel = relative_pose(desired, gt)
         if e_t0 > 1e-10:
             assert np.linalg.norm(rel.t) <= bound * e_t0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import one_pose_stack
 from ekfservo.camera import Intrinsics
 from ekfservo.ekf import (
     FilterState,
@@ -36,6 +37,11 @@ def _random_state(rng, p_scale=1e-4) -> FilterState:
     pose = Pose(exp_so3(random_rotvec(rng, 0.8)) @ LOOK_DOWN,
                 np.array([0.0, 0.0, 0.3]) + rng.uniform(-0.05, 0.05, 3))
     return FilterState(pose, p_scale * np.eye(6))
+
+
+def _one_belief(state: FilterState) -> FilterState:
+    """The stack of one belief that `update` takes."""
+    return FilterState(one_pose_stack(state.mean), state.P[None])
 
 
 def test_initialize_exact_prior():
@@ -115,10 +121,9 @@ def test_predict_keypoints_matches_manual(intr, model, rng):
 def test_zero_noise_zero_residual(intr, model):
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
-    meas = measure(gt, kps, intr, SensingProfile(sigma_px=0.0),
-                   np.random.default_rng(0))
+    meas = _noiseless_measurement(gt, kps, intr)
     uv, _ = predict_keypoints(gt, kps, intr)
-    assert np.allclose(meas.uv - uv, 0.0, atol=1e-12)
+    assert np.allclose(meas.uv[0] - uv, 0.0, atol=1e-12)
 
 
 def test_measurement_jacobian_matches_fd(intr, model, rng):
@@ -154,8 +159,8 @@ def test_keypoints_behind_camera_excluded(intr, model):
     out of the update instead of raising."""
     kps = fps_select(model, 8)
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
-    meas = measure(gt, kps, intr, SensingProfile(sigma_px=2.0),
-                   np.random.default_rng(1))
+    meas = measure(one_pose_stack(gt), kps, intr, SensingProfile(sigma_px=2.0),
+                   [np.random.default_rng(1)])
     # belief puts the object center barely in front: some keypoints land
     # behind the z_min plane
     straddling = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.005]))
@@ -163,8 +168,9 @@ def test_keypoints_behind_camera_excluded(intr, model):
     uv, ok = predict_keypoints(st.mean, kps, intr)
     assert not ok.all() and ok.any()
     assert np.all(np.isnan(uv[~ok]))
-    res = update(st, meas, kps, intr, gate_level=1.0)
-    assert not res.used[~ok].any()
+    res = update(_one_belief(st), meas, kps, intr, gate_level=1.0)
+    assert res.errors == [None]
+    assert not res.used[0, ~ok].any()
 
 
 def test_measurement_jacobian_zero_behind_camera(intr, model):
@@ -239,18 +245,19 @@ def test_gate_threshold_matches_scipy_chi2():
 
 
 def _noiseless_measurement(gt, kps, intr):
-    return measure(gt, kps, intr, SensingProfile(sigma_px=0.0),
-                   np.random.default_rng(0))
+    return measure(one_pose_stack(gt), kps, intr, SensingProfile(sigma_px=0.0),
+                   [np.random.default_rng(0)])
 
 
 def test_update_zero_residual_keeps_mean_shrinks_p(intr, model):
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
     st = initialize(gt, 0.01, 0.02)
-    res = update(st, _noiseless_measurement(gt, kps, intr), kps, intr)
-    assert np.allclose(res.state.mean.t, gt.t, atol=1e-9)
-    assert np.allclose(res.state.mean.C, gt.C, atol=1e-9)
-    assert np.trace(res.state.P) <= np.trace(st.P) + 1e-15
+    res = update(_one_belief(st), _noiseless_measurement(gt, kps, intr), kps,
+                 intr)
+    assert np.allclose(res.state.mean.t[0], gt.t, atol=1e-9)
+    assert np.allclose(res.state.mean.C[0], gt.C, atol=1e-9)
+    assert np.trace(res.state.P[0]) <= np.trace(st.P) + 1e-15
     assert res.used.sum() == 8
 
 
@@ -258,11 +265,11 @@ def test_update_reduces_perturbed_prior_error(intr, model):
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
     prior = pose_boxplus(gt, np.array([0.02, -0.008, 0.012, 0.0, 0.0, 0.0]))
-    st = initialize(prior, 0.02, 0.05)
+    st = _one_belief(initialize(prior, 0.02, 0.05))
     res = update(st, _noiseless_measurement(gt, kps, intr), kps, intr,
                  gate_level=1.0)
     before = np.linalg.norm(prior.t - gt.t)
-    after = np.linalg.norm(res.state.mean.t - gt.t)
+    after = np.linalg.norm(res.state.mean.t[0] - gt.t)
     assert after < before
 
 
@@ -270,13 +277,14 @@ def test_update_trace_never_grows(intr, model, rng):
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
     prof = SensingProfile(sigma_px=2.0, anisotropy=1.5)
-    st = initialize(gt, 0.005, 0.02)
+    st = _one_belief(initialize(gt, 0.005, 0.02))
     for k in range(50):
-        st_prior = propagate(st, np.zeros(6), DT, NOISE)
-        meas = measure(gt, kps, intr, prof, rng)
+        st_prior = propagate(st, np.zeros((1, 6)), DT, NOISE)
+        meas = measure(one_pose_stack(gt), kps, intr, prof, [rng])
         res = update(st_prior, meas, kps, intr)
-        assert np.trace(res.state.P) <= np.trace(st_prior.P) + 1e-12
-        eig = np.linalg.eigvalsh(res.state.P)
+        assert res.errors == [None]
+        assert np.trace(res.state.P[0]) <= np.trace(st_prior.P[0]) + 1e-12
+        eig = np.linalg.eigvalsh(res.state.P[0])
         assert eig.min() > -1e-10
         st = res.state
 
@@ -284,35 +292,39 @@ def test_update_trace_never_grows(intr, model, rng):
 def test_update_all_invisible_is_identity(intr, model, rng):
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
-    st = initialize(gt, 0.02, 0.05)
-    meas = measure(gt, kps, intr, SensingProfile(dropout_prob=1.0), rng)
+    st = _one_belief(initialize(gt, 0.02, 0.05))
+    meas = measure(one_pose_stack(gt), kps, intr,
+                   SensingProfile(dropout_prob=1.0), [rng])
     res = update(st, meas, kps, intr)
-    assert res.n_visible == 0 and not res.used.any()
+    assert res.n_visible[0] == 0 and not res.used.any()
     assert np.array_equal(res.state.P, st.P)
 
 
 def test_update_all_rejected_flag(intr, model):
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
-    st = initialize(gt, 1e-6, 1e-6)
+    st = _one_belief(initialize(gt, 1e-6, 1e-6))
     meas = _noiseless_measurement(gt, kps, intr)
     shifted = Measurement(uv=meas.uv + 500.0, cov=meas.cov * 1e4,
                           visible=meas.visible)
     res = update(st, shifted, kps, intr, gate_level=0.999)
-    assert res.all_rejected and not res.used.any()
+    assert res.all_rejected[0] and not res.used.any()
 
 
 def test_update_singular_innovation(intr, model):
+    """An ill-conditioned innovation fails the belief with
+    SingularInnovation in `errors`, and its row keeps the prior."""
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
-    st = initialize(gt, 10.0, 3.0)  # enormous prior vs the PD floor
-    with pytest.raises(SingularInnovation):
-        update(st, _noiseless_measurement(gt, kps, intr), kps, intr,
-               gate_level=1.0)
+    st = _one_belief(initialize(gt, 10.0, 3.0))  # enormous vs the PD floor
+    res = update(st, _noiseless_measurement(gt, kps, intr), kps, intr,
+                 gate_level=1.0)
+    assert isinstance(res.errors[0], SingularInnovation)
+    assert np.array_equal(res.state.P, st.P)
 
 
 def test_update_nonfinite_innovation_raises(intr, model):
-    """A NaN covariance makes the innovation non-finite; the update raises
+    """A NaN covariance makes the innovation non-finite; the update reports
     SingularInnovation rather than gating every keypoint away."""
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
@@ -320,8 +332,10 @@ def test_update_nonfinite_innovation_raises(intr, model):
     p_nan = 1e-4 * np.eye(6)
     p_nan[2, 4] = np.nan
     for level in (1.0, 0.999):
-        with pytest.raises(SingularInnovation, match="non-finite"):
-            update(FilterState(gt, p_nan), meas, kps, intr, gate_level=level)
+        res = update(_one_belief(FilterState(gt, p_nan)), meas, kps, intr,
+                     gate_level=level)
+        assert isinstance(res.errors[0], SingularInnovation)
+        assert "non-finite" in str(res.errors[0])
 
 
 def test_exact_model_tracking_thousand_frames(intr, model):
@@ -330,19 +344,20 @@ def test_exact_model_tracking_thousand_frames(intr, model):
     tracks to better than 1e-8."""
     kps = fps_select(model, 8)
     gt = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.35]))
-    st = initialize(gt, 0.0, 0.0)
+    st = _one_belief(initialize(gt, 0.0, 0.0))
     tiny = NoiseParams(1e-9, 1e-9)
     twist = np.array([0.004, -0.002, 0.003, 0.02, -0.03, 0.015])
     worst_t = worst_r = worst_resid = 0.0
     for k in range(1000):
         gt = propagate(FilterState(gt, np.zeros((6, 6))), twist, DT, tiny).mean
-        st = propagate(st, twist, DT, tiny)
+        st = propagate(st, twist[None], DT, tiny)
         meas = _noiseless_measurement(gt, kps, intr)
-        uv_pred, _ = predict_keypoints(st.mean, kps, intr)
-        worst_resid = max(worst_resid, float(np.abs(meas.uv - uv_pred).max()))
-        res = update(st, meas, kps, intr)
-        st = res.state
-        err = pose_boxminus(gt, st.mean)
+        uv_pred, _ = predict_keypoints(Pose(st.mean.C[0], st.mean.t[0]), kps,
+                                       intr)
+        worst_resid = max(worst_resid,
+                          float(np.abs(meas.uv[0] - uv_pred).max()))
+        st = update(st, meas, kps, intr).state
+        err = pose_boxminus(gt, Pose(st.mean.C[0], st.mean.t[0]))
         worst_t = max(worst_t, float(np.linalg.norm(err[:3])))
         worst_r = max(worst_r, float(np.linalg.norm(err[3:])))
     assert worst_resid < 1e-6

@@ -12,6 +12,7 @@ from ekfservo.keypoints import (
     load_object_points,
     measure,
 )
+from conftest import one_pose_stack
 from ekfservo.lie import Pose
 from ekfservo.simulator import LOOK_DOWN
 
@@ -98,19 +99,20 @@ def test_fps_too_few_points():
 def test_measure_zero_noise_is_exact(gt_pose, model, intr, rng):
     kps = fps_select(model, 8)
     prof = SensingProfile(sigma_px=0.0)
-    meas = measure(gt_pose, kps, intr, prof, rng)
-    assert meas.visible.all()
+    meas = measure(one_pose_stack(gt_pose), kps, intr, prof, [rng])
+    assert meas.visible.shape == (1, 8) and meas.visible.all()
     from ekfservo.camera import project_points
 
     uv_true, _ = project_points(gt_pose.apply(kps.points3d), intr)
-    assert np.allclose(meas.uv, uv_true, atol=1e-12)
+    assert np.allclose(meas.uv[0], uv_true, atol=1e-12)
     # reported covariance keeps the PD floor
-    assert np.allclose(meas.cov[0], REPORTED_SIGMA_FLOOR_PX**2 * np.eye(2))
+    assert np.allclose(meas.cov[0, 0], REPORTED_SIGMA_FLOOR_PX**2 * np.eye(2))
 
 
 def test_measure_full_dropout(gt_pose, model, intr, rng):
     kps = fps_select(model, 8)
-    meas = measure(gt_pose, kps, intr, SensingProfile(dropout_prob=1.0), rng)
+    meas = measure(one_pose_stack(gt_pose), kps, intr,
+                   SensingProfile(dropout_prob=1.0), [rng])
     assert not meas.visible.any()
     assert np.all(np.isnan(meas.uv))
 
@@ -119,9 +121,10 @@ def test_measure_deterministic_stream(gt_pose, model, intr):
     kps = fps_select(model, 8)
     prof = SensingProfile(sigma_px=1.5, anisotropy=2.0, dropout_prob=0.2,
                           outlier_prob=0.1)
-    a = [measure(gt_pose, kps, intr, prof, np.random.default_rng(3), frame=k)
+    gt = one_pose_stack(gt_pose)
+    a = [measure(gt, kps, intr, prof, [np.random.default_rng(3)], frame=k)
          for k in range(20)]
-    b = [measure(gt_pose, kps, intr, prof, np.random.default_rng(3), frame=k)
+    b = [measure(gt, kps, intr, prof, [np.random.default_rng(3)], frame=k)
          for k in range(20)]
     for ma, mb in zip(a, b):
         assert np.array_equal(ma.visible, mb.visible)
@@ -133,7 +136,8 @@ def test_measure_blackout_window(gt_pose, model, intr, rng):
     kps = fps_select(model, 8)
     prof = SensingProfile(blackout_frames=(5, 8))
     for k in range(10):
-        meas = measure(gt_pose, kps, intr, prof, rng, frame=k)
+        meas = measure(one_pose_stack(gt_pose), kps, intr, prof, [rng],
+                       frame=k)
         if 5 <= k < 8:
             assert not meas.visible.any()
         else:
@@ -147,36 +151,38 @@ def test_measure_occluder_half(gt_pose, model, intr, rng):
     uv_true, _ = project_points(gt_pose.apply(kps.points3d), intr)
     for half, pred in (("left", uv_true[:, 0] < intr.width / 2),
                        ("top", uv_true[:, 1] < intr.height / 2)):
-        meas = measure(gt_pose, kps, intr,
+        meas = measure(one_pose_stack(gt_pose), kps, intr,
                        SensingProfile(sigma_px=0.0, occluder_half=half),
-                       np.random.default_rng(0))
-        assert np.array_equal(meas.visible, ~pred)
+                       [np.random.default_rng(0)])
+        assert np.array_equal(meas.visible[0], ~pred)
 
 
 def test_measure_behind_camera_invisible(model, intr, rng):
     kps = fps_select(model, 8)
     behind = Pose(LOOK_DOWN, np.array([0.0, 0.0, -0.3]))
-    meas = measure(behind, kps, intr, SensingProfile(), rng)
+    meas = measure(one_pose_stack(behind), kps, intr, SensingProfile(),
+                   [rng])
     assert not meas.visible.any()
 
 
 def test_reported_covariance_fidelity(gt_pose, model, intr):
     kps = fps_select(model, 8)
     kw = dict(sigma_px=2.0, anisotropy=1.5)
-    honest = measure(gt_pose, kps, intr, SensingProfile(**kw),
-                     np.random.default_rng(5))
-    over = measure(gt_pose, kps, intr,
+    gt = one_pose_stack(gt_pose)
+    honest = measure(gt, kps, intr, SensingProfile(**kw),
+                     [np.random.default_rng(5)])
+    over = measure(gt, kps, intr,
                    SensingProfile(covariance_fidelity="overconfident",
                                   fidelity_scale=2.0, **kw),
-                   np.random.default_rng(5))
-    under = measure(gt_pose, kps, intr,
+                   [np.random.default_rng(5)])
+    under = measure(gt, kps, intr,
                     SensingProfile(covariance_fidelity="underconfident",
                                    fidelity_scale=2.0, **kw),
-                    np.random.default_rng(5))
+                    [np.random.default_rng(5)])
     floor = REPORTED_SIGMA_FLOOR_PX**2 * np.eye(2)
-    base = honest.cov[0] - floor
-    assert np.allclose(over.cov[0] - floor, base / 2.0, atol=1e-12)
-    assert np.allclose(under.cov[0] - floor, base * 2.0, atol=1e-12)
+    base = honest.cov[0, 0] - floor
+    assert np.allclose(over.cov[0, 0] - floor, base / 2.0, atol=1e-12)
+    assert np.allclose(under.cov[0, 0] - floor, base * 2.0, atol=1e-12)
     # noisy values identical: fidelity only changes what is reported
     assert np.array_equal(honest.uv, over.uv)
 
@@ -193,11 +199,12 @@ def test_whitened_noise_covariance_is_identity(gt_pose, model, intr):
     acc = np.zeros((2, 2))
     count = 0
     chi2_sum = 0.0
+    gt = one_pose_stack(gt_pose)
     for _ in range(12500):
-        meas = measure(gt_pose, kps, intr, prof, rng)
+        meas = measure(gt, kps, intr, prof, [rng])
         for i in range(8):
-            d = meas.uv[i] - uv_true[i]
-            li = np.linalg.cholesky(meas.cov[i])
+            d = meas.uv[0, i] - uv_true[i]
+            li = np.linalg.cholesky(meas.cov[0, i])
             w = np.linalg.solve(li, d)
             acc += np.outer(w, w)
             chi2_sum += float(w @ w)
@@ -223,6 +230,7 @@ def test_profile_validation():
 
 def test_measurement_len(gt_pose, model, intr, rng):
     kps = fps_select(model, 8)
-    meas = measure(gt_pose, kps, intr, SensingProfile(), rng)
+    meas = measure(one_pose_stack(gt_pose), kps, intr, SensingProfile(),
+                   [rng])
     assert len(meas) == 8
     assert isinstance(meas, Measurement)

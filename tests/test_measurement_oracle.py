@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import chi2
 
 import ekfservo.simulator as sim
-from conftest import scenario
+from conftest import one_pose_stack, scenario
 from ekfservo.ekf import (
     INNOVATION_COND_LIMIT,
     _COND_MARGIN,
@@ -44,17 +44,25 @@ def _outcome(fn, *args):
         return SingularInnovation
 
 
-def _assert_same_update(new, ref):
-    if ref is SingularInnovation or new is SingularInnovation:
-        assert new is ref
+def _fields(res, j=None):
+    """The outcome of row j of a stacked update, or of a single reference
+    update when j is None."""
+    fields = (res.state.mean.C, res.state.mean.t, res.state.P, res.used,
+              res.n_visible, res.residual_rms, res.all_rejected)
+    return fields if j is None else tuple(f[j] for f in fields)
+
+
+def _assert_same_update(res, j, ref, i=None):
+    """Row j of the stacked update `res` has the bits of `ref`: its row i,
+    or the single reference update when i is None. A reference that
+    raised SingularInnovation is matched by that exception in row j's
+    `errors`."""
+    if ref is SingularInnovation:
+        assert isinstance(res.errors[j], SingularInnovation)
         return
-    assert same_bits(new.state.mean.C, ref.state.mean.C)
-    assert same_bits(new.state.mean.t, ref.state.mean.t)
-    assert same_bits(new.state.P, ref.state.P)
-    assert same_bits(new.used, ref.used)
-    assert new.n_visible == ref.n_visible
-    assert same_bits(new.residual_rms, ref.residual_rms)
-    assert new.all_rejected == ref.all_rejected
+    assert res.errors[j] is None
+    for new, want in zip(_fields(res, j), _fields(ref, i), strict=True):
+        assert same_bits(new, want)
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +106,8 @@ def test_update_bit_identical_to_reference(recorded):
     partial = 0
     for state, meas, kps, intr, level, z_min in updates:
         ref = update_reference(state, meas, kps, intr, level, z_min)
-        new = _outcome(update, state, meas, kps, intr, level, z_min)
-        _assert_same_update(new, ref)
+        _assert_same_update(
+            update(*_stack([(state, meas)]), kps, intr, level, z_min), 0, ref)
         if 0 < ref.used.sum() < ref.n_visible:
             partial += 1
     # the gated sub-block path of the innovation is exercised, not only
@@ -141,15 +149,9 @@ def test_stacked_update_matches_single_updates(recorded, intr, model):
         counts = set()
         for j, (state, one, *_) in enumerate(calls):
             ref = update_reference(state, one, kps, intr_, level, z_min)
-            _assert_same_update(update(state, one, kps, intr_, level, z_min),
-                                ref)
-            assert same_bits(res.state.mean.C[j], ref.state.mean.C)
-            assert same_bits(res.state.mean.t[j], ref.state.mean.t)
-            assert same_bits(res.state.P[j], ref.state.P)
-            assert same_bits(res.used[j], ref.used)
-            assert res.n_visible[j] == ref.n_visible
-            assert same_bits(res.residual_rms[j], ref.residual_rms)
-            assert res.all_rejected[j] == ref.all_rejected
+            alone = update(*_stack([(state, one)]), kps, intr_, level, z_min)
+            _assert_same_update(alone, 0, ref)
+            _assert_same_update(res, j, ref)
             counts.add(int(one.visible.sum()))
             partial += 0 < ref.used.sum() < ref.n_visible
         mixed += len(counts) > 1
@@ -170,10 +172,8 @@ def test_stacked_update_fails_one_belief(recorded):
     assert str(res.errors[2]) == "non-finite innovation"
     assert same_bits(res.state.mean.C[2], stacked.mean.C[2])
     for j in (0, 1, 3):
-        assert res.errors[j] is None
-        ref = update(calls[j][0], calls[j][1], kps, intr, level, z_min)
-        assert same_bits(res.state.P[j], ref.state.P)
-        assert same_bits(res.state.mean.t[j], ref.state.mean.t)
+        alone = update(*_stack([calls[j][:2]]), kps, intr, level, z_min)
+        _assert_same_update(res, j, alone, 0)
 
 
 def test_measure_bit_identical_to_reference(recorded):
@@ -182,26 +182,34 @@ def test_measure_bit_identical_to_reference(recorded):
         rng_new, rng_ref = np.random.default_rng(), np.random.default_rng()
         rng_new.bit_generator.state = rng_state
         rng_ref.bit_generator.state = rng_state
-        new = measure(gt, kps, intr, profile, rng_new, frame=frame,
-                      z_min=z_min)
+        new = measure(one_pose_stack(gt), kps, intr, profile, [rng_new],
+                      frame=frame, z_min=z_min)
         ref = measure_reference(gt, kps, intr, profile, rng_ref, frame, z_min)
-        assert same_bits(new.uv, ref.uv)
-        assert same_bits(new.cov, ref.cov)
-        assert same_bits(new.visible, ref.visible)
+        assert same_bits(new.uv, ref.uv[None])
+        assert same_bits(new.cov, ref.cov[None])
+        assert same_bits(new.visible, ref.visible[None])
+
+
+def _frame(gt, kps, intr, sigma_px, seed) -> Measurement:
+    """One frame of `measure` for the pose gt, taken from its stack of
+    one, for the single updates of oracles.py and `_stack`."""
+    profile = SensingProfile(sigma_px=sigma_px)
+    m = measure(one_pose_stack(gt), kps, intr, profile,
+                [np.random.default_rng(seed)])
+    return Measurement(m.uv[0], m.cov[0], m.visible[0])
 
 
 def test_singular_innovation_matches_reference(intr, model):
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
-    meas = measure(gt, kps, intr, SensingProfile(sigma_px=0.0),
-                   np.random.default_rng(0))
+    meas = _frame(gt, kps, intr, 0.0, 0)
     for sigma_t, sigma_phi, singular in ((10.0, 3.0, True),
                                          (0.01, 0.02, False)):
         st_prior = initialize(gt, sigma_t, sigma_phi)
         ref = _outcome(update_reference, st_prior, meas, kps, intr, 1.0, 1e-3)
         assert (ref is SingularInnovation) == singular
-        _assert_same_update(
-            _outcome(update, st_prior, meas, kps, intr, 1.0, 1e-3), ref)
+        new = update(*_stack([(st_prior, meas)]), kps, intr, 1.0, 1e-3)
+        _assert_same_update(new, 0, ref)
 
 
 def _mixed_stack(intr, model):
@@ -211,10 +219,8 @@ def _mixed_stack(intr, model):
     are all gated out and one with a NaN covariance."""
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
-    meas = measure(gt, kps, intr, SensingProfile(sigma_px=0.3),
-                   np.random.default_rng(3))
-    exact = measure(gt, kps, intr, SensingProfile(sigma_px=0.0),
-                    np.random.default_rng(3))
+    meas = _frame(gt, kps, intr, 0.3, 3)
+    exact = _frame(gt, kps, intr, 0.0, 3)
     assert meas.visible.all() and exact.visible.all()
     healthy = initialize(gt, 0.01, 0.02)
     ill = initialize(gt, 10.0, 3.0)  # enormous prior vs the PD floor
@@ -263,9 +269,11 @@ def test_mixed_stack_slices_equal_single_updates(intr, model, monkeypatch):
     assert eigvalsh_calls == [(2, 16, 16)]
     outcome = {}
     for j, (label, state, one) in enumerate(cases):
-        ref = _outcome(update, state, one, kps, intr, 0.999, 1e-3)
-        if ref is SingularInnovation:  # the belief keeps its prior
+        alone = update(*_stack([(state, one)]), kps, intr, 0.999, 1e-3)
+        if alone.errors[0] is not None:  # the belief keeps its prior
+            assert isinstance(alone.errors[0], SingularInnovation), label
             assert isinstance(res.errors[j], SingularInnovation), label
+            assert str(res.errors[j]) == str(alone.errors[0])
             assert same_bits(res.state.mean.C[j], stacked.mean.C[j])
             assert same_bits(res.state.mean.t[j], stacked.mean.t[j])
             assert same_bits(res.state.P[j], stacked.P[j])
@@ -273,15 +281,8 @@ def test_mixed_stack_slices_equal_single_updates(intr, model, monkeypatch):
             assert np.isnan(res.residual_rms[j])
             outcome[label] = str(res.errors[j])
             continue
-        assert res.errors[j] is None, label
-        assert same_bits(res.state.mean.C[j], ref.state.mean.C)
-        assert same_bits(res.state.mean.t[j], ref.state.mean.t)
-        assert same_bits(res.state.P[j], ref.state.P)
-        assert same_bits(res.used[j], ref.used)
-        assert res.n_visible[j] == ref.n_visible
-        assert same_bits(res.residual_rms[j], ref.residual_rms)
-        assert res.all_rejected[j] == ref.all_rejected
-        outcome[label] = (int(ref.used.sum()), ref.all_rejected)
+        _assert_same_update(res, j, alone, 0)
+        outcome[label] = (int(alone.used.sum()), bool(alone.all_rejected[0]))
     assert outcome == {
         "healthy": (8, False),
         "ill-conditioned": "innovation condition number exceeds 1e+12",

@@ -1,5 +1,6 @@
 import numpy as np
 
+from conftest import one_pose_stack
 from ekfservo.keypoints import Measurement, SensingProfile, fps_select, measure
 from ekfservo.lie import Pose, pose_boxminus, pose_boxplus
 from ekfservo.pnp import refine_pose
@@ -9,9 +10,11 @@ from ekfservo.simulator import LOOK_DOWN
 def _setup(model, intr, sigma=0.0, seed=0):
     kps = fps_select(model, 8)
     gt = Pose(LOOK_DOWN, np.array([0.01, -0.02, 0.28]))
-    meas = measure(gt, kps, intr, SensingProfile(sigma_px=sigma),
-                   np.random.default_rng(seed))
-    return kps, gt, meas
+    frame = measure(one_pose_stack(gt), kps, intr,
+                    SensingProfile(sigma_px=sigma),
+                    [np.random.default_rng(seed)])
+    # refine_pose takes one trial's frame, row 0 of the stack
+    return kps, gt, Measurement(frame.uv[0], frame.cov[0], frame.visible[0])
 
 
 def test_recovers_pose_from_clean_measurements(model, intr):

@@ -11,7 +11,7 @@ import pytest
 import ekfservo.pnp as pnp
 import ekfservo.simulator as sim
 import oracles
-from conftest import scenario
+from conftest import one_pose_stack, scenario
 from ekfservo.keypoints import Measurement, SensingProfile, fps_select, measure
 from ekfservo.lie import Pose, pose_boxplus
 from ekfservo.pnp import refine_pose
@@ -91,8 +91,10 @@ def test_one_predict_call_per_reference_iteration(recorded, monkeypatch):
 def clean(model, intr):
     kps = fps_select(model, 8)
     gt = Pose(LOOK_DOWN, np.array([0.01, -0.02, 0.28]))
-    meas = measure(gt, kps, intr, SensingProfile(sigma_px=0.4),
-                   np.random.default_rng(5))
+    frame = measure(one_pose_stack(gt), kps, intr,
+                    SensingProfile(sigma_px=0.4), [np.random.default_rng(5)])
+    # refine_pose takes one trial's frame, row 0 of the stack
+    meas = Measurement(frame.uv[0], frame.cov[0], frame.visible[0])
     start = pose_boxplus(gt, np.array([0.02, -0.01, 0.03, 0.08, -0.05, 0.04]))
     return kps, gt, meas, start
 

@@ -14,7 +14,7 @@ import pytest
 
 import ekfservo.ekf as ekf
 import ekfservo.simulator as sim
-from conftest import scenario
+from conftest import one_pose_stack, scenario
 from ekfservo.control import (
     ControlConfig,
     clamp_twist,
@@ -209,9 +209,11 @@ def test_step_dynamics_bit_identical(recorded):
         rng_new, rng_ref = np.random.default_rng(), np.random.default_rng()
         rng_new.bit_generator.state = state
         rng_ref.bit_generator.state = state
-        new = step_dynamics(gt, cmd, sigma_v, sigma_w, dt, rng_new)
+        new, errors = step_dynamics(one_pose_stack(gt), cmd[None], sigma_v,
+                                    sigma_w, dt, [rng_new])
         ref = step_dynamics_reference(gt, cmd, sigma_v, sigma_w, dt, rng_ref)
-        assert _same_pose(new, ref)
+        assert errors == [None]
+        assert _same_pose(new, one_pose_stack(ref))
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 

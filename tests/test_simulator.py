@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 import ekfservo.simulator as sim
-from conftest import scenario
+from conftest import one_pose_stack, scenario
 from ekfservo.ekf import FilterState, NoiseParams
 from ekfservo.keypoints import ObjectModel, SensingProfile, fps_select
 from ekfservo.lie import Pose, exp_se3, log_so3, pose_boxminus
@@ -20,7 +20,7 @@ from ekfservo.simulator import (
     sample_poses,
     step_dynamics,
 )
-from oracles import same_record
+from oracles import same_bits, same_record
 
 
 def _compact_model():
@@ -93,9 +93,11 @@ def test_sample_poses_infeasible(nominal_scenario, rng):
 
 def test_step_dynamics_zero_twist(rng):
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
-    out = step_dynamics(gt, np.zeros(6), 0.0, 0.0, 1.0 / 30.0, rng)
-    assert np.allclose(out.C, gt.C, atol=1e-15)
-    assert np.allclose(out.t, gt.t, atol=1e-15)
+    out, errors = step_dynamics(one_pose_stack(gt), np.zeros((1, 6)), 0.0,
+                                0.0, 1.0 / 30.0, [rng])
+    assert errors == [None]
+    assert np.allclose(out.C[0], gt.C, atol=1e-15)
+    assert np.allclose(out.t[0], gt.t, atol=1e-15)
 
 
 def test_step_dynamics_matches_filter_model_first_order(rng):
@@ -105,35 +107,36 @@ def test_step_dynamics_matches_filter_model_first_order(rng):
     gt = Pose(LOOK_DOWN, np.array([0.02, -0.01, 0.3]))
     tw = np.array([0.2, -0.1, 0.15, 0.6, 0.3, -0.4])
     dt = 1e-3
-    out = step_dynamics(gt, tw, 0.0, 0.0, dt, rng)
+    out, _ = step_dynamics(one_pose_stack(gt), tw[None], 0.0, 0.0, dt, [rng])
     from ekfservo.lie import exp_so3
 
     r = exp_so3(-tw[3:] * dt)
     t_model = r @ gt.t - tw[:3] * dt
     c_model = r @ gt.C
-    assert np.abs(out.t - t_model).max() < 1e-6
-    assert np.abs(out.C - c_model).max() < 1e-6
+    assert np.abs(out.t[0] - t_model).max() < 1e-6
+    assert np.abs(out.C[0] - c_model).max() < 1e-6
 
 
 def test_step_dynamics_rotation_preserves_range(rng):
     gt = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.3]))
     tw = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.8])
-    out = step_dynamics(gt, tw, 0.0, 0.0, 0.5, rng)
-    assert abs(np.linalg.norm(out.t) - np.linalg.norm(gt.t)) < 1e-12
+    out, _ = step_dynamics(one_pose_stack(gt), tw[None], 0.0, 0.0, 0.5, [rng])
+    assert abs(np.linalg.norm(out.t[0]) - np.linalg.norm(gt.t)) < 1e-12
 
 
 def test_step_dynamics_exact_se3_integration(rng):
     gt = Pose(LOOK_DOWN, np.array([0.01, 0.02, 0.4]))
     tw = np.array([0.1, -0.05, 0.2, 0.3, -0.2, 0.25])
     dt = 0.2
-    out = step_dynamics(gt, tw, 0.0, 0.0, dt, rng)
+    out, _ = step_dynamics(one_pose_stack(gt), tw[None], 0.0, 0.0, dt, [rng])
     t_wc = gt.inverse().as_matrix()
     d_c, d_t = exp_se3(tw, dt)
     step = np.eye(4)
     step[:3, :3] = d_c
     step[:3, 3] = d_t
     expected = np.linalg.inv(t_wc @ step)
-    assert np.abs(out.as_matrix() - expected).max() < 1e-12
+    assert np.abs(out.C[0] - expected[:3, :3]).max() < 1e-12
+    assert np.abs(out.t[0] - expected[:3, 3]).max() < 1e-12
 
 
 def test_single_frame_episode(nominal_scenario):
@@ -327,11 +330,29 @@ def test_step_failure_fails_its_trial(nominal_scenario, monkeypatch):
         assert same_record(records[i], solo[i]), i
 
 
-def test_single_step_failure_raises(rng):
-    """One pose and one Generator: the step's own exception propagates."""
-    gt = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.3]))
-    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-        step_dynamics(gt, np.full(6, 1e300), 0.0, 0.0, 1e300, rng)
+def test_step_failure_returns_its_row_unmoved():
+    """In a stack of three poses with one command row at 1e300, that row
+    comes back unmoved with its LinAlgError in `errors`, and the other two
+    rows have the bits of their own stacks of one."""
+    gt = Pose(np.repeat(LOOK_DOWN[None], 3, axis=0),
+              np.array([[0.0, 0.0, 0.3], [0.01, -0.02, 0.25],
+                        [-0.03, 0.01, 0.35]]))
+    cmd = np.repeat([[0.1, -0.05, 0.2, 0.3, -0.2, 0.25]], 3, axis=0)
+    cmd[1] = 1e300
+    args = (0.01, 0.02, 1.0 / 30.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, errors = step_dynamics(
+            gt, cmd, *args, [np.random.default_rng(i) for i in range(3)])
+    assert isinstance(errors[1], np.linalg.LinAlgError)
+    assert same_bits(out.C[1], gt.C[1]) and same_bits(out.t[1], gt.t[1])
+    for i in (0, 2):
+        one = slice(i, i + 1)
+        alone, alone_errors = step_dynamics(
+            Pose(gt.C[one], gt.t[one]), cmd[one], *args,
+            [np.random.default_rng(i)])
+        assert errors[i] is None and alone_errors == [None]
+        assert same_bits(out.C[i], alone.C[0])
+        assert same_bits(out.t[i], alone.t[0])
 
 
 def test_huge_dt_fails_each_trial_with_its_label():
