@@ -58,11 +58,11 @@ def project_points(points_c, intr: Intrinsics,
 
 
 def in_image(uv, intr: Intrinsics) -> np.ndarray:
-    """Boundary-inclusive containment test for pixel coordinates (N, 2)."""
+    """Boundary-inclusive containment test for pixel coordinates (N, 2);
+    a NaN or infinite coordinate fails one of the bounds."""
     uv = np.asarray(uv, dtype=float).reshape(-1, 2)
     ok = (uv[:, 0] >= 0.0) & (uv[:, 0] <= intr.width)
     ok &= (uv[:, 1] >= 0.0) & (uv[:, 1] <= intr.height)
-    ok &= np.all(np.isfinite(uv), axis=1)
     return ok
 
 

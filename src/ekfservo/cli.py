@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +41,7 @@ EPISODE_HEADER = (
     "est_qw,est_qx,est_qy,est_qz,est_tx,est_ty,est_tz,"
     "cmd_vx,cmd_vy,cmd_vz,cmd_wx,cmd_wy,cmd_wz,entropy,resid_rms"
 )
-SUMMARY_HEADER = (
-    "variant,trials,successes,failures,sr_percent,te_mm_mean,te_mm_std,"
-    "re_deg_mean,re_deg_std,lr_mean,lr_std,correlation_r,nees_mean"
-)
+SUMMARY_HEADER = ",".join(f.name for f in fields(Summary))
 
 
 def main(argv=None) -> int:
@@ -212,12 +209,11 @@ def _csv(header: str, lines: list) -> str:
 
 
 def _summary_row(s: Summary) -> str:
-    vals = [s.variant, str(s.trials), str(s.successes), str(s.failures),
-            _fmt(s.sr_percent)]
-    for v in (s.te_mm_mean, s.te_mm_std, s.re_deg_mean, s.re_deg_std,
-              s.lr_mean, s.lr_std, s.correlation_r, s.nees_mean):
-        vals.append(_fmt(float("nan") if v is None else v))
-    return ",".join(vals)
+    """Summary's fields in order: a str as is, an int by str, a float by
+    _fmt, None as nan."""
+    return ",".join(str(v) if isinstance(v, (str, int))
+                    else _fmt(float("nan") if v is None else v)
+                    for v in astuple(s))
 
 
 def _fmt(x) -> str:

@@ -19,9 +19,9 @@ cheaper for one slice (`log_so3`, `right_jacobian_inv`, `clamp_psd` and
 `rotation_to_quaternion` run their stacked code on a stack of one, and
 `right_jacobian_inv` runs it on a single input too, as a stack without
 the leading axis). A `Pose` may likewise hold a stack, C (N, 3, 3) and
-t (N, 3); its methods take single poses, and `pose_boxplus` takes one
-pose or a stack, slice i of a stacked result having the bits of the call
-on slice i alone.
+t (N, 3); its methods take single poses, and `pose_boxplus` and
+`pose_boxminus` take one pose or a stack, slice i of a stacked result
+having the bits of the call on slice i alone.
 """
 from __future__ import annotations
 
@@ -430,5 +430,7 @@ def pose_boxplus(pose: Pose, delta) -> Pose:
 
 def pose_boxminus(a: Pose, b: Pose) -> np.ndarray:
     """Tangent difference of a relative to b, inverse of pose_boxplus:
-    [a.t - b.t, log(a.C @ b.C^T)]."""
-    return np.concatenate([a.t - b.t, log_so3(a.C @ b.C.T)])
+    [a.t - b.t, log(a.C @ b.C^T)]; two poses give a 6-vector, two stacks
+    of N an (N, 6) array."""
+    return np.concatenate([a.t - b.t, log_so3(a.C @ b.C.swapaxes(-1, -2))],
+                          axis=-1)

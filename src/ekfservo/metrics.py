@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import pbvs_law, relative_pose
 from .keypoints import ObjectModel
-from .lie import Pose, log_so3
+from .lie import Pose, log_so3, pose_boxminus
 from .simulator import EpisodeRecord, geodesic_reference_for
 
 
@@ -103,10 +103,8 @@ def nees(records) -> NeesResult:
         finite = np.isfinite(rec.P).all(axis=(1, 2))
         if not finite.any():
             continue
-        # pose_boxminus(gt, est) per frame, without building the Poses
-        rot = rec.gt_C[finite] @ rec.est_C[finite].swapaxes(-1, -2)
-        delta = np.concatenate([rec.gt_t[finite] - rec.est_t[finite],
-                                log_so3(rot)], axis=1)
+        delta = pose_boxminus(Pose(rec.gt_C[finite], rec.gt_t[finite]),
+                              Pose(rec.est_C[finite], rec.est_t[finite]))
         values.append(_mahalanobis_squared(rec.P[finite], delta))
     vals = np.concatenate(values)
     if not len(vals):
@@ -115,18 +113,9 @@ def nees(records) -> NeesResult:
 
 
 def _mahalanobis_squared(p: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """delta_k^T p_k^-1 delta_k per frame, by one stacked solve; a frame
-    whose p is singular is dropped. When the stacked solve raises, one
-    stacked slogdet finds the singular frames (sign 0: the LU factorization
-    that solve also runs met a zero pivot) and the others are solved in one
-    stack, in frame order; only if that raises too is each frame solved
-    alone."""
-    try:
-        return np.vecdot(delta, np.linalg.solve(p, delta[:, :, None])[:, :, 0])
-    except np.linalg.LinAlgError:
-        pass
-    regular = np.linalg.slogdet(p).sign != 0
-    p, delta = p[regular], delta[regular]
+    """delta_k^T p_k^-1 delta_k per frame, by one stacked solve; when that
+    raises, each frame is solved alone and a frame whose p is singular is
+    dropped."""
     try:
         return np.vecdot(delta, np.linalg.solve(p, delta[:, :, None])[:, :, 0])
     except np.linalg.LinAlgError:

@@ -23,13 +23,14 @@ fails: `update` and `step_dynamics` take stacks only (one trial is a
 stack of one) and return each row's numerical failure in their `errors`.
 Each trial draws from its own Generator in a lone run's order, and the
 stacked kernels give it its lone run's bits, so a record does not depend
-on the batch width or on `--parallelism`.
+on the batch width or on `--parallelism`. `run_batch` imports and starts
+its worker pool only when it runs more than one worker.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -560,18 +561,14 @@ def run_batch(scenario: Scenario, trials: int,
     else:
         bounds = [trials * w // workers for w in range(workers + 1)]
         chunks = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+        # local import: only a pool needs multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_episodes_task,
-                             [(scenario, chunk) for chunk in chunks])
+            parts = pool.map(run_episodes, itertools.repeat(scenario), chunks)
             records = [rec for part in parts for rec in part]
     rollouts = {}
     summary = summarize(records, scenario.model, scenario.variant, rollouts)
     return BatchResult(records, summary, rollouts.get(0))
-
-
-def _episodes_task(args) -> list:
-    scenario, seeds = args
-    return run_episodes(scenario, seeds)
 
 
 class _FrameRows:

@@ -47,6 +47,16 @@ def test_behind_camera_raises(k600):
     assert not ok[0] and np.all(np.isnan(uv[0]))
 
 
+def test_in_image_non_finite_outside_boundary_inside(k600):
+    w, h = float(k600.width), float(k600.height)
+    bad = [(v, 100.0) for v in (np.nan, np.inf, -np.inf)]
+    bad += [(100.0, v) for v in (np.nan, np.inf, -np.inf)]
+    assert not in_image(bad, k600).any()
+    edges = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h), (w, 100.0),
+             (100.0, h)]
+    assert in_image(edges, k600).all()
+
+
 def test_project_points_masks_behind(k600):
     pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     uv, ok = project_points(pts, k600)

@@ -244,17 +244,28 @@ def test_log_level_env_var(tmp_path, monkeypatch):
     assert logging.getLogger().getEffectiveLevel() == logging.WARNING
 
 
-def test_cli_import_leaves_scipy_out():
-    """scipy is a test-only dependency: importing the CLI must not load it."""
+def _loaded_by_cli_import(packages) -> str:
+    """The modules of the given top-level packages in sys.modules after a
+    fresh interpreter imports ekfservo.cli, as a printed sorted list."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, ekfservo.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+            f"if m.split('.')[0] in {tuple(packages)!r}))")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test-only dependency: importing the CLI must not load it."""
+    assert _loaded_by_cli_import(["scipy"]) == "[]"
+
+
+def test_cli_import_leaves_worker_pool_out():
+    """The worker pool is built only for --parallelism > 1, so importing
+    the CLI loads neither multiprocessing nor concurrent.futures."""
+    assert _loaded_by_cli_import(["multiprocessing", "concurrent"]) == "[]"
 
 
 def test_propagation_variant_exit_2(tmp_path, capsys):

@@ -18,7 +18,14 @@ from ekfservo.lie import (
     rotation_to_quaternion,
     symmetrize,
 )
-from oracles import expm_series, hat3, random_rotvec, rel_error, se3_exp_series
+from oracles import (
+    expm_series,
+    hat3,
+    random_rotvec,
+    rel_error,
+    same_bits,
+    se3_exp_series,
+)
 
 # exp_so3((0.3, -0.2, 0.5)) computed once with the 30-term series oracle
 EXP_FROZEN = np.array([
@@ -270,6 +277,25 @@ def test_boxplus_boxminus_roundtrip(rng):
     delta = rng.standard_normal(6) * 0.3
     q = pose_boxplus(p, delta)
     assert np.allclose(pose_boxminus(q, p), delta, atol=1e-9)
+    stack = Pose(np.stack([exp_so3(random_rotvec(rng, 2.0))
+                           for _ in range(5)]), rng.standard_normal((5, 3)))
+    deltas = rng.standard_normal((5, 6)) * 0.3
+    assert np.allclose(pose_boxminus(pose_boxplus(stack, deltas), stack),
+                       deltas, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_pose_boxminus_stack_matches_single(rng, n):
+    def poses():
+        return Pose(np.stack([exp_so3(random_rotvec(rng, 3.0))
+                              for _ in range(n)]),
+                    rng.standard_normal((n, 3)))
+    a, b = poses(), poses()
+    out = pose_boxminus(a, b)
+    assert out.shape == (n, 6)
+    for i in range(n):
+        single = pose_boxminus(Pose(a.C[i], a.t[i]), Pose(b.C[i], b.t[i]))
+        assert same_bits(out[i], single)
 
 
 def test_clamp_psd_clips_small_negatives():

@@ -124,11 +124,19 @@ def test_nees_and_correlation_bit_identical(records):
     """Per scenario and pooled, with a record whose frames a per-frame
     baseline leaves non-finite. noise_free starts from an exactly known
     pose, so its first covariance is singular and the stacked solve falls
-    back to per-frame solves."""
+    back to per-frame solves; so does a record with one mid-episode
+    covariance made singular."""
     gappy = copy.deepcopy(records["adverse"][0])
     gappy.P[::3] = np.nan
     gappy.entropy[::4] = np.nan
-    groups = list(records.values()) + [[gappy],
+    # one mid-episode covariance exactly singular: the stacked solve raises
+    # on a record whose singular frame is not the first
+    singular = copy.deepcopy(gappy)
+    k = 3 * (gappy.frames // 6) + 1  # past the middle, not a NaN frame
+    singular.P[k, 2, :] = 0.0
+    singular.P[k, :, 2] = 0.0
+    assert nees([singular]).count == nees([gappy]).count - 1
+    groups = list(records.values()) + [[gappy], [singular],
                                        sum(records.values(), [gappy])]
     for recs in groups:
         res = nees(recs)
