@@ -94,8 +94,7 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
             dropout_prob=sensing.optional("dropout_prob", (int, float)),
             outlier_prob=sensing.optional("outlier_prob", (int, float)),
             outlier_px=sensing.optional("outlier_px", (int, float)),
-            covariance_fidelity=sensing.optional("covariance_fidelity", str),
-            fidelity_scale=sensing.optional("fidelity_scale", (int, float)),
+            reported_scale=sensing.optional("reported_scale", (int, float)),
             blackout_frames=blackout,
             occluder_half=sensing.optional("occluder_half", str),
         ),

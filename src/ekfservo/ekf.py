@@ -69,6 +69,14 @@ class SingularInnovation(RuntimeError):
     """Innovation matrix is numerically singular (degenerate geometry)."""
 
 
+def require_finite_square(name: str, std) -> None:
+    """Raise a ValueError whose message starts with name unless std**2,
+    which the covariances built from a std take, is a finite float."""
+    if not math.isfinite(float(std) * std):  # a float's ** would raise
+        raise ValueError(f"{name} must be at most about 1.34e154, so that "
+                         "its square is finite")
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Velocity-noise standard deviations of the motion prior."""
@@ -78,8 +86,10 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("sigma_vp", "sigma_vw"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
+            require_finite_square(name, value)
 
     @cached_property
     def rate_covariance(self) -> np.ndarray:

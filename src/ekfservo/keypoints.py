@@ -15,7 +15,6 @@ import numpy as np
 from .camera import DEFAULT_Z_MIN, Intrinsics, in_image, project_points
 from .lie import Pose
 
-_FIDELITIES = ("honest", "overconfident", "underconfident")
 _OCCLUDER_HALVES = (None, "left", "right", "top", "bottom")
 
 # Reported covariances carry a tiny isotropic floor so they stay positive
@@ -125,12 +124,11 @@ def fps_select(model: ObjectModel, n: int) -> KeypointSet:
 class SensingProfile:
     """Noise and corruption model for the synthetic detector.
 
-    covariance_fidelity controls the *reported* covariance relative to the
-    true sampling covariance: "honest" reports it exactly, "overconfident"
-    divides by fidelity_scale, "underconfident" multiplies by it. Outliers
-    are never reflected in the reported covariance. blackout_frames is a
-    half-open frame interval [start, stop) during which every keypoint is
-    dropped; occluder_half hides keypoints whose noiseless projection falls
+    reported_scale is the factor between the *reported* covariance and the
+    true sampling covariance: 1 reports it honestly, above 1 under-confident,
+    below 1 over-confident. Outliers are never reflected in the reported
+    covariance. blackout_frames is a half-open frame interval [start, stop)
+    during which every keypoint is dropped; occluder_half hides keypoints whose noiseless projection falls
     in the given image half.
     """
 
@@ -139,8 +137,7 @@ class SensingProfile:
     dropout_prob: float = 0.0
     outlier_prob: float = 0.0
     outlier_px: float = 40.0
-    covariance_fidelity: str = "honest"
-    fidelity_scale: float = 1.0
+    reported_scale: float = 1.0
     blackout_frames: tuple[int, int] | None = None
     occluder_half: str | None = None
 
@@ -155,10 +152,8 @@ class SensingProfile:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.covariance_fidelity not in _FIDELITIES:
-            raise ValueError(f"covariance_fidelity must be one of {_FIDELITIES}")
-        if self.fidelity_scale < 1.0:
-            raise ValueError("fidelity_scale must be >= 1")
+        if self.reported_scale <= 0:
+            raise ValueError("reported_scale must be positive")
         if self.occluder_half not in _OCCLUDER_HALVES:
             raise ValueError(f"occluder_half must be one of {_OCCLUDER_HALVES}")
         if self.blackout_frames is not None:
@@ -166,14 +161,6 @@ class SensingProfile:
             if not 0 <= start <= stop:
                 raise ValueError("blackout_frames [start, stop) must have "
                                  "0 <= start <= stop")
-
-    @property
-    def reported_scale(self) -> float:
-        if self.covariance_fidelity == "overconfident":
-            return 1.0 / self.fidelity_scale
-        if self.covariance_fidelity == "underconfident":
-            return self.fidelity_scale
-        return 1.0
 
 
 @dataclass

@@ -52,6 +52,7 @@ from .ekf import (
     SingularInnovation,
     initialize,
     propagate,
+    require_finite_square,
     update,
 )
 from .keypoints import (
@@ -162,6 +163,8 @@ class Scenario:
                            ("sigma_phi", self.init_sigma_phi)):
             if value < 0:
                 raise ValueError(f"{key} must be >= 0")
+        require_finite_square("sigma_t", self.init_sigma_t)
+        require_finite_square("sigma_phi", self.init_sigma_phi)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.seed < 0:  # numpy seeds only from non-negative integers
@@ -287,20 +290,20 @@ def run_episodes(scenario: Scenario, seeds) -> list:
     `seeds[i]` gives alone, bit for bit."""
     kps = fps_select(scenario.model, scenario.n_keypoints)
     records, rngs, deltas = [], [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        initial, desired = sample_poses(scenario, kps, rng)
-        records.append(EpisodeRecord(
-            seed=seed, variant=scenario.variant, desired=desired,
-            initial_gt=initial, control=scenario.control, dt=scenario.dt,
-            v_eps=scenario.v_eps, k_hold=scenario.k_hold,
-            max_frames=scenario.max_frames))
-        deltas.append(np.concatenate([  # the prior's offset from initial
-            scenario.init_sigma_t * rng.standard_normal(3),
-            scenario.init_sigma_phi * rng.standard_normal(3)]))
-        rngs.append(rng)
-    if records:
-        with _quiet():
+    with _quiet():  # an overflowing pose ends in a label or is infeasible
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            initial, desired = sample_poses(scenario, kps, rng)
+            records.append(EpisodeRecord(
+                seed=seed, variant=scenario.variant, desired=desired,
+                initial_gt=initial, control=scenario.control, dt=scenario.dt,
+                v_eps=scenario.v_eps, k_hold=scenario.k_hold,
+                max_frames=scenario.max_frames))
+            deltas.append(np.concatenate([  # the prior's offset from initial
+                scenario.init_sigma_t * rng.standard_normal(3),
+                scenario.init_sigma_phi * rng.standard_normal(3)]))
+            rngs.append(rng)
+        if records:
             _Lockstep(scenario, kps, records, rngs, deltas).run()
     for record in records:
         if record.failure:

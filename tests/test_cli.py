@@ -84,6 +84,9 @@ def test_missing_field_exit_2(tmp_path, capsys):
     ("filter_noise", "sigma_vp", float("inf")),
     (None, "seed", -5),
     pytest.param(None, "dt", 10**400, id="None-dt-int_1e400"),
+    # the filter squares these stds, and 1e300 squared is no float
+    ("filter_noise", "sigma_vw", 1e300),
+    ("init_prior", "sigma_phi", 1e300),
 ])
 def test_invalid_field_value_exit_2(tmp_path, capsys, section, key, value):
     raw = json.loads(Path(NOMINAL).read_text())
@@ -95,7 +98,9 @@ def test_invalid_field_value_exit_2(tmp_path, capsys, section, key, value):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     path = key if section is None else f"{section}.{key}"
-    assert path in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err
 
 
 def test_unallocatable_max_frames_exit_1(tmp_path, capsys):
@@ -297,14 +302,16 @@ def test_unknown_field_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("section, edit", [
     (None, {"dt": 1e300}),
     ("control", {"lambda": 1e300, "v_max": 1e300, "w_max": 1e300}),
-], ids=["dt", "control"])
+    ("desired_pose", {"rotation_max_deg": 1e300}),
+], ids=["dt", "control", "desired_pose"])
 def test_numerical_trouble_fails_trials_not_the_run(tmp_path, capsys,
                                                     section, edit):
     """Finite but extreme settings make numpy raise in the dynamics step
-    and in episode 0's geodesic rollout. Each trial fails with a label,
-    the run exits 0 and writes every file, and series_trajectory.csv
-    holds the actual path alone, with one warning and no numpy
-    RuntimeWarning beside it."""
+    and in episode 0's geodesic rollout; a rotation_max_deg of 1e300
+    overflows the pose sampler into a non-finite desired pose first. Each
+    trial fails with a label, the run exits 0 and writes every file, and
+    series_trajectory.csv holds the actual path alone, with one warning
+    and no numpy RuntimeWarning beside it."""
     raw = json.loads(Path(NOMINAL).read_text())
     raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
     (raw if section is None else raw[section]).update(edit)
@@ -327,3 +334,23 @@ def test_numerical_trouble_fails_trials_not_the_run(tmp_path, capsys,
     assert {line.split(",")[0] for line in traj[1:]} == {"actual"}
     err = capsys.readouterr().err
     assert err.count("WARNING") == 1 and "geodesic" in err
+
+
+
+def test_overflowing_initial_pose_sample_is_infeasible(tmp_path, capsys):
+    """rotation_max_deg 1e300 overflows exp_so3 in the pose sampler, so no
+    initial pose is observable: the run ends in the infeasible-scenario
+    error line alone, with no numpy RuntimeWarning."""
+    raw = json.loads(Path(NOMINAL).read_text())
+    raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
+    raw["initial_pose"]["rotation_max_deg"] = 1e300
+    cfg = tmp_path / "spin.json"
+    cfg.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--config", str(cfg), "--trials", "2",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == ("error: infeasible scenario: no fully "
+                                       "observable initial pose in 100 draws\n")

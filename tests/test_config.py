@@ -235,6 +235,18 @@ def test_propagation_variant_is_unknown(tmp_path, value):
     assert "unknown field propagation_variant" in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [("covariance_fidelity", "honest"),
+                                        ("fidelity_scale", 2.0)])
+def test_covariance_fidelity_fields_are_unknown(tmp_path, key, value):
+    """One factor, sensing.reported_scale, sets the reported covariance;
+    the two keys it replaced are unknown, with no alias."""
+    raw = _valid_dict()
+    raw["sensing"][key] = value
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_write(tmp_path, raw))
+    assert f"unknown field sensing.{key}" in str(err.value)
+
+
 def test_unknown_field_in_optional_section_rejected(tmp_path):
     raw = _valid_dict()
     raw["actuation"] = {"sigma_vv": 0.1}
@@ -271,6 +283,13 @@ def test_unknown_field_in_optional_section_rejected(tmp_path):
     pytest.param("control", "v_max", 10**400, "control.v_max",
                  id="control-v_max-int_1e400-control.v_max"),
     (None, "seed", -5, "seed"),
+    ("sensing", "reported_scale", 0.0, "sensing.reported_scale"),
+    ("sensing", "reported_scale", -1.0, "sensing.reported_scale"),
+    # stds that the filter squares: the square must be a finite float
+    ("filter_noise", "sigma_vp", 1e300, "filter_noise.sigma_vp"),
+    ("filter_noise", "sigma_vw", 1e300, "filter_noise.sigma_vw"),
+    ("init_prior", "sigma_t", 1e300, "init_prior.sigma_t"),
+    ("init_prior", "sigma_phi", 1e300, "init_prior.sigma_phi"),
 ])
 def test_out_of_range_value_rejected_at_load(tmp_path, section, key, value,
                                              path):
@@ -289,6 +308,7 @@ def test_out_of_range_value_rejected_at_load(tmp_path, section, key, value,
     ("convergence", "k_hold", 1), ("sensing", "blackout_frames", [5, 5]),
     ("initial_pose", "translation_var", 0.0), ("actuation", "sigma_v", 0.0),
     ("init_prior", "sigma_t", 0.0), ("sensing", "outlier_px", 0.0),
+    ("filter_noise", "sigma_vp", 1e154), ("init_prior", "sigma_t", 1.3e154),
     # numpy seeds from any non-negative int; a seed is never a float
     pytest.param(None, "seed", 10**400, id="None-seed-int_1e400")])
 def test_boundary_value_accepted(tmp_path, section, key, value):

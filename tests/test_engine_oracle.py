@@ -72,6 +72,20 @@ def test_engine_matches_when_trials_end_at_different_frames(pool):
     assert all(same_record(a, b) for a, b in zip(ref, batch.records))
 
 
+@pytest.mark.parametrize("name, threshold", [("occlusion", -31.42),
+                                             ("adverse", -33.40)])
+def test_engine_matches_when_the_entropy_policy_fires(name, threshold, pool):
+    """Full-length coupled-ekf episodes with an entropy threshold that
+    some frames exceed, so the policy reduces their commands (and the
+    hold test reads the reduced command)."""
+    base = scenario(name)
+    sc = replace(base, variant="coupled-ekf", control=replace(
+        base.control, entropy_threshold=threshold))
+    ref = _check_widths(sc, pool)
+    entropy = np.concatenate([rec.entropy for rec in ref])
+    assert 0 < np.count_nonzero(entropy > threshold) < entropy.size
+
+
 @pytest.mark.parametrize("poison, errstate, failure", [
     (np.nan, "ignore", "frame 3: non-finite innovation"),
     (1e300, "raise",

@@ -171,20 +171,17 @@ def test_reported_covariance_fidelity(gt_pose, model, intr):
     gt = one_pose_stack(gt_pose)
     honest = measure(gt, kps, intr, SensingProfile(**kw),
                      [np.random.default_rng(5)])
-    over = measure(gt, kps, intr,
-                   SensingProfile(covariance_fidelity="overconfident",
-                                  fidelity_scale=2.0, **kw),
+    over = measure(gt, kps, intr, SensingProfile(reported_scale=0.5, **kw),
                    [np.random.default_rng(5)])
-    under = measure(gt, kps, intr,
-                    SensingProfile(covariance_fidelity="underconfident",
-                                   fidelity_scale=2.0, **kw),
+    under = measure(gt, kps, intr, SensingProfile(reported_scale=2.0, **kw),
                     [np.random.default_rng(5)])
     floor = REPORTED_SIGMA_FLOOR_PX**2 * np.eye(2)
     base = honest.cov[0, 0] - floor
     assert np.allclose(over.cov[0, 0] - floor, base / 2.0, atol=1e-12)
     assert np.allclose(under.cov[0, 0] - floor, base * 2.0, atol=1e-12)
-    # noisy values identical: fidelity only changes what is reported
+    # noisy values identical: the scale only changes what is reported
     assert np.array_equal(honest.uv, over.uv)
+    assert np.array_equal(honest.uv, under.uv)
 
 
 def test_whitened_noise_covariance_is_identity(gt_pose, model, intr):
@@ -221,7 +218,7 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         SensingProfile(dropout_prob=1.5)
     with pytest.raises(ValueError):
-        SensingProfile(covariance_fidelity="optimistic")
+        SensingProfile(reported_scale=0.0)
     with pytest.raises(ValueError):
         SensingProfile(anisotropy=0.5)
     with pytest.raises(ValueError):
