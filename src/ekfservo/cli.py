@@ -30,6 +30,7 @@ from .simulator import (
     EpisodeRecord,
     InfeasibleScenario,
     Scenario,
+    _quiet,
     geodesic_reference_for,
     run_batch,
 )
@@ -184,7 +185,8 @@ def _episode_csv(rec: EpisodeRecord) -> str:
 def _write_series(out: Path, rec: EpisodeRecord, reference) -> None:
     """The pose error, commanded twist and camera path of one episode, and
     its geodesic reference path."""
-    te, re = te_re(Pose(rec.gt_C, rec.gt_t), rec.desired)
+    with _quiet():
+        te, re = te_re(Pose(rec.gt_C, rec.gt_t), rec.desired)
     _write_text(out / "series_pose_error.csv",
                 _csv("frame,te_mm,re_deg", _rows(np.stack([te, re], axis=1))))
     _write_text(out / "series_velocity.csv", _csv(

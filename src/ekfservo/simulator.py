@@ -429,11 +429,10 @@ class _Lockstep:
 
     def _control(self, est, p_est, failures):
         """Commanded and raw twists, twist covariance and entropy per
-        active trial, and the rows whose command has stayed below v_eps
-        for k_hold frames. The relative pose, servo law and clamp run per
-        trial, the velocity Jacobian, twist covariance and entropy once
-        for every row that has not failed, and the entropy policy and hold
-        test per trial again, all through this module's names."""
+        active trial, and the rows whose hold test is met. The servo step
+        and the entropy policy run per trial, the velocity Jacobian, twist
+        covariance and entropy once for every row that has not failed, all
+        through this module's names."""
         sc, cfg = self.sc, self.sc.control
         n = self.ids.size
         cmd = np.zeros((n, 6))
@@ -443,37 +442,26 @@ class _Lockstep:
         converged = []
         if not self.servo:
             return cmd, raw, vcov, ent, converged
-        rels = []  # the relative poses of the rows that have not failed
-        for j, (i, c, t) in enumerate(zip(self.ids.tolist(), est.C, est.t)):
-            if j in failures:
-                continue
-            rel = relative_pose(self.records[i].desired, Pose(c, t))
+        live = [j for j in range(n) if j not in failures]  # rows not failed
+        rels = []  # the relative poses of the live rows
+        for j in live:
+            rel, raw[j], cmd[j], self.hold[j] = _servo_step(
+                self.records[self.ids[j]].desired, Pose(est.C[j], est.t[j]),
+                cfg, sc.v_eps, self.hold[j])
             rels.append(rel)
-            raw[j] = raw_tw = pbvs_law(rel, cfg.lam)
-            cmd[j] = clamp_twist(raw_tw, cfg)
-        if self.use_ekf and rels:
-            rows = slice(None)
+            if self.hold[j] >= sc.k_hold:
+                converged.append(j)
+        if self.use_ekf and live:
             if failures:
-                rows = np.ones(n, dtype=bool)
-                rows[list(failures)] = False
-                est = Pose(est.C[rows], est.t[rows])
+                est, p_est = Pose(est.C[live], est.t[live]), p_est[live]
             rel = Pose(np.array([r.C for r in rels]),
                        np.array([r.t for r in rels]))
             jac = velocity_jacobian(rel, est, cfg)
-            vcov[rows] = cov = velocity_covariance(jac, p_est[rows])
-            ent[rows] = entropy(cov)
-        policy = self.use_ekf and sc.uncertainty_policy
-        for j in range(n):
-            if j in failures:
-                continue
-            cmd_tw = cmd[j]
-            if policy:
-                cmd[j] = cmd_tw = apply_policy(cmd_tw, ent[j], cfg)
-            hold = (self.hold[j] + 1
-                    if math.sqrt(cmd_tw.dot(cmd_tw)) < sc.v_eps else 0)
-            self.hold[j] = hold
-            if hold >= sc.k_hold:
-                converged.append(j)
+            vcov[live] = cov = velocity_covariance(jac, p_est)
+            ent[live] = entropy(cov)
+        if self.use_ekf and sc.uncertainty_policy:
+            for j in live:
+                cmd[j] = apply_policy(cmd[j], ent[j], cfg)
         return cmd, raw, vcov, ent, converged
 
     def _drop(self, failures: dict, ended=()) -> bool:
@@ -515,6 +503,18 @@ def _quiet():
                           if key in ("over", "invalid") and how == "warn"})
 
 
+def _servo_step(desired: Pose, current: Pose, cfg: ControlConfig,
+                v_eps: float, hold: int) -> tuple:
+    """The relative pose, raw law and clamped command for one pose, and
+    the hold count after it: the frames in a row whose clamped command
+    stayed below v_eps. The entropy policy scales only the command sent,
+    so a reduced command never holds a trial that is still moving."""
+    rel = relative_pose(desired, current)
+    raw = pbvs_law(rel, cfg.lam)
+    cmd = clamp_twist(raw, cfg)
+    return rel, raw, cmd, hold + 1 if math.sqrt(cmd.dot(cmd)) < v_eps else 0
+
+
 def geodesic_reference(initial: Pose, desired: Pose, cfg: ControlConfig,
                        dt: float, v_eps: float, k_hold: int,
                        max_frames: int) -> np.ndarray:
@@ -524,9 +524,7 @@ def geodesic_reference(initial: Pose, desired: Pose, cfg: ControlConfig,
     with _quiet():
         for _ in range(max_frames):
             positions.append(-(gt.C.T @ gt.t))
-            cmd = clamp_twist(pbvs_law(relative_pose(desired, gt), cfg.lam),
-                              cfg)
-            hold = hold + 1 if math.sqrt(cmd.dot(cmd)) < v_eps else 0
+            _, _, cmd, hold = _servo_step(desired, gt, cfg, v_eps, hold)
             if hold >= k_hold:
                 break
             gt = Pose(*_advance(gt.C, gt.t, cmd, dt))
@@ -570,7 +568,9 @@ def run_batch(scenario: Scenario, trials: int,
             parts = pool.map(run_episodes, itertools.repeat(scenario), chunks)
             records = [rec for part in parts for rec in part]
     rollouts = {}
-    summary = summarize(records, scenario.model, scenario.variant, rollouts)
+    with _quiet():  # a trial driven out to overflow gives nan metrics
+        summary = summarize(records, scenario.model, scenario.variant,
+                            rollouts)
     return BatchResult(records, summary, rollouts.get(0))
 
 

@@ -774,18 +774,17 @@ def run_episode_reference(scenario, seed):
         if servo:
             rel = relative_pose_reference(desired, est)
             raw_tw = pbvs_law_reference(rel, scenario.control.lam)
+            cmd_tw = clamped = clamp_twist_reference(raw_tw, scenario.control)
             if use_ekf:
                 jac = velocity_jacobian_reference(desired, state,
                                                   scenario.control)
                 vcov = velocity_covariance_reference(jac, state.P)
                 ent = entropy_reference(vcov)
-                cmd_tw = clamp_twist_reference(raw_tw, scenario.control)
                 if scenario.uncertainty_policy:
-                    cmd_tw = apply_policy(cmd_tw, ent, scenario.control)
+                    cmd_tw = apply_policy(clamped, ent, scenario.control)
             else:
                 vcov = np.full((6, 6), np.nan)
                 ent = float("nan")
-                cmd_tw = clamp_twist_reference(raw_tw, scenario.control)
         else:
             raw_tw = cmd_tw = np.zeros(6)
             vcov = np.full((6, 6), np.nan)
@@ -799,7 +798,9 @@ def run_episode_reference(scenario, seed):
                     rms, n_vis, n_used)
 
         if servo:
-            hold = hold + 1 if np.linalg.norm(cmd_tw) < scenario.v_eps else 0
+            # the clamped command, before the entropy policy: a reduced
+            # command does not hold a trial that is still moving
+            hold = hold + 1 if np.linalg.norm(clamped) < scenario.v_eps else 0
             if hold >= scenario.k_hold:
                 record.converged = True
                 break

@@ -203,6 +203,34 @@ def test_criterion_5_occlusion_coasting():
     assert elapsed < 120.0
 
 
+def test_entropy_policy_slows_blind_motion_without_losing_success():
+    """The paper's uncertainty-aware control on occlusion_policy.json: 30
+    coupled-ekf trials, the entropy policy on against the same seeds with
+    it off. Success is no lower with it on, and the camera moves less,
+    on average, while the keypoints are blacked out. The price is
+    printed beside: the estimate error where the blackout ends (its last
+    blind frame and the first frame back) and the length ratio."""
+    sc = scenario("occlusion_policy")
+    start, stop = sc.sensing.blackout_frames
+    assert math.isfinite(sc.control.entropy_threshold)
+    sr, blind = {}, {}
+    for policy in (True, False):
+        res = run_batch(replace(sc, uncertainty_policy=policy), 30)
+        sr[policy] = res.summary.sr_percent
+        blind[policy] = 1000.0 * np.mean([
+            trajectory_length(rec.camera_positions()[start:stop + 1])
+            for rec in res.records])
+        err = [1000.0 * np.mean([np.linalg.norm(rec.est_t[k] - rec.gt_t[k])
+                                 for rec in res.records if rec.frames > k])
+               for k in (stop - 1, stop)]
+        print(f"policy {'on' if policy else 'off'}: SR {sr[policy]:.0f}%, "
+              f"blind path {blind[policy]:.1f} mm, estimate error at frames "
+              f"{stop - 1}/{stop} {err[0]:.2f}/{err[1]:.2f} mm, "
+              f"LR {res.summary.lr_mean:.3f}")
+    assert sr[True] >= sr[False]
+    assert blind[True] < blind[False]
+
+
 def test_criterion_6_uncertainty_correlation():
     start = time.perf_counter()
     sc = scenario("correlation")

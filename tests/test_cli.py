@@ -354,3 +354,30 @@ def test_overflowing_initial_pose_sample_is_infeasible(tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert capsys.readouterr().err == ("error: infeasible scenario: no fully "
                                        "observable initial pose in 100 draws\n")
+
+
+def test_overflowing_actuation_noise_prints_no_warning(tmp_path, capsys):
+    """actuation.sigma_v 1e300 throws the camera out to about 1e299 m,
+    where no keypoint is visible and the trials run to max_frames. Their
+    entropy, NEES and pose errors overflow to inf or nan in the summary
+    and in the series files; the run exits 0 with every file written and
+    prints neither a numpy RuntimeWarning nor anything else."""
+    raw = json.loads(Path(NOMINAL).read_text())
+    raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
+    raw["actuation"]["sigma_v"] = 1e300
+    raw["max_frames"] = 40
+    cfg = tmp_path / "shaky.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--config", str(cfg), "--trials", "2",
+                   "--out", str(out)])
+    assert rc == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == ""
+    assert len(_tree(out)) == 7
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert (summary["successes"], summary["nees_mean"]) == (0, None)
+    pose_error = (out / "series_pose_error.csv").read_text()
+    assert "inf" in pose_error

@@ -17,7 +17,7 @@ from oracles import run_episode_reference, same_record
 pytestmark = pytest.mark.oracle
 
 SHIPPED = ("adverse", "consistency", "correlation", "noise_free", "nominal",
-           "occlusion")
+           "occlusion", "occlusion_policy")
 TRIALS = 5
 WIDTHS = (1, 2, 5)
 SHORT_FRAMES = 40
@@ -76,8 +76,8 @@ def test_engine_matches_when_trials_end_at_different_frames(pool):
                                              ("adverse", -33.40)])
 def test_engine_matches_when_the_entropy_policy_fires(name, threshold, pool):
     """Full-length coupled-ekf episodes with an entropy threshold that
-    some frames exceed, so the policy reduces their commands (and the
-    hold test reads the reduced command)."""
+    some frames exceed, so the policy reduces their commands; the hold
+    test reads the clamped command from before the reduction."""
     base = scenario(name)
     sc = replace(base, variant="coupled-ekf", control=replace(
         base.control, entropy_threshold=threshold))

@@ -6,6 +6,7 @@ from scipy.stats import kstest
 
 import ekfservo.simulator as sim
 from conftest import one_pose_stack, scenario
+from ekfservo.control import clamp_twist
 from ekfservo.ekf import FilterState, NoiseParams
 from ekfservo.keypoints import ObjectModel, SensingProfile, fps_select
 from ekfservo.lie import Pose, exp_se3, log_so3, pose_boxminus
@@ -175,6 +176,22 @@ def test_occlusion_window_coasting(nominal_scenario):
         rec = run_episode(sc, seed)
         assert rec.n_visible[35] == 0  # window active
         assert success(rec, sc.model)
+
+
+def test_reduced_command_does_not_hold_a_moving_trial():
+    """With the entropy policy on, seeds 91, 96 and 101 of
+    occlusion_policy.json have their commands cut tenfold, below v_eps,
+    inside the blackout while the servo law still asks for more. The hold
+    test reads the clamped command from before that cut, so these trials
+    run on past the blackout, and each converges on a clamped command that
+    stayed below v_eps for its last k_hold frames."""
+    sc = scenario("occlusion_policy")
+    start, stop = sc.sensing.blackout_frames
+    for rec in sim.run_episodes(sc, [91, 96, 101]):
+        assert (rec.entropy[start:stop] > sc.control.entropy_threshold).any()
+        assert rec.converged and rec.frames > stop
+        held = [clamp_twist(raw, sc.control) for raw in rec.raw[-sc.k_hold:]]
+        assert all(np.linalg.norm(cmd) < sc.v_eps for cmd in held)
 
 
 def test_batch_zero_trials(nominal_scenario):

@@ -88,28 +88,40 @@ def test_batch_calls_control_once_per_recorded_trial_frame(monkeypatch,
                       "refine_pose": refines}
 
 
-@pytest.mark.parametrize("variant, policy, applies", [
-    ("coupled-ekf", True, True),
-    ("coupled-ekf", False, False),
-    ("pbvs-perframe", True, False),
-])
+@pytest.mark.parametrize("variant, policy, applies, threshold", [
+    ("coupled-ekf", True, True, None),
+    ("coupled-ekf", False, False, None),
+    ("pbvs-perframe", True, False, None),
+    ("coupled-ekf", True, True, -33.40),
+], ids=["coupled-ekf-True-True", "coupled-ekf-False-False",
+        "pbvs-perframe-True-False", "coupled-ekf-True-True-fires"])
 def test_batch_clamps_once_per_recorded_trial_frame(monkeypatch, variant,
-                                                     policy, applies):
+                                                     policy, applies,
+                                                     threshold):
     """control.us_per_frame sums the control spans, clamp_twist and
     apply_policy among them. In a lockstep batch, clamp_twist runs once per
     recorded trial-frame through the simulator's name, and apply_policy,
     which clamps through the control module's own name, once more for
     coupled-ekf with the policy on; pbvs-perframe has no entropy and never
-    applies it."""
+    applies it. The counts hold when a finite threshold makes the policy
+    reduce some of the commands, too."""
     counts = _counting(monkeypatch, ("clamp_twist", "apply_policy"))
-    res = sim.run_batch(replace(scenario("adverse"), variant=variant,
-                                uncertainty_policy=policy, max_frames=40), 3)
+    sc = scenario("adverse")
+    if threshold is not None:
+        sc = replace(sc, control=replace(sc.control,
+                                         entropy_threshold=threshold))
+    res = sim.run_batch(replace(sc, variant=variant, uncertainty_policy=policy,
+                                max_frames=40), 3)
     frames = sum(rec.frames for rec in res.records)
     assert all(rec.failure is None and not rec.converged
                for rec in res.records)
     assert frames == 3 * 40
     assert counts == {"clamp_twist": frames,
                       "apply_policy": frames if applies else 0}
+    if threshold is not None:
+        fired = sum(int((rec.entropy > threshold).sum())
+                    for rec in res.records)
+        assert 0 < fired < frames
 
 
 def test_batch_without_servoing_calls_no_control(monkeypatch):
