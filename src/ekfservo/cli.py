@@ -110,7 +110,8 @@ def _prepare_scenario(args, variant=None) -> Scenario:
     elif getattr(args, "variant", None):
         updates["variant"] = args.variant
     if args.no_uncertainty_policy:
-        updates["uncertainty_policy"] = False
+        updates["control"] = replace(scenario.control,
+                                     entropy_threshold=float("inf"))
     return replace(scenario, **updates) if updates else scenario
 
 
@@ -155,7 +156,7 @@ def _write_run_outputs(out: Path, scenario: Scenario, result: BatchResult,
             "trials": args.trials,
             "base_seed": scenario.seed,
             "variant": scenario.variant,
-            "uncertainty_policy": scenario.uncertainty_policy,
+            "uncertainty_policy": not args.no_uncertainty_policy,
         },
     }
     _write_json(out / "summary.json", payload)

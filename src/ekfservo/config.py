@@ -125,7 +125,6 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
         k_hold=conv.optional("k_hold", int),
         gate_level=ctx.optional("gate_level", (int, float)),
         z_min=ctx.optional("z_min", (int, float)),
-        uncertainty_policy=ctx.optional("uncertainty_policy", bool),
         variant=ctx.optional("variant", str),
         seed=ctx.optional("seed", int),
     )

@@ -7,16 +7,15 @@ camera frames to a camera twist,
 
 and the filter covariance is pushed through its linearization to obtain a
 twist covariance and a scalar differential entropy. An entropy threshold
-gates a velocity reduction; the magnitude clamp is applied after the
-policy so safety reductions cannot be undone.
+gates a velocity reduction of the clamped command.
 
 A twist is a plain float array [v_p, w]: translational velocity v_p (m/s)
 and angular velocity w (rad/s), both in the camera frame; shape (6,), or
 (N, 6) for a stack. `relative_pose`, `pbvs_law`, `velocity_jacobian`,
-`velocity_covariance` and `entropy` take one pose or matrix or a stack of
-N (a Pose of (N, 3, 3) and (N, 3) arrays, or (N, 6, 6) matrices), row i
-of a stacked result with the bits of the call on row i alone; the clamp
-and the entropy policy take one twist. The stacked twist covariance
+`velocity_covariance`, `entropy` and `apply_policy` take one pose, matrix
+or twist, or a stack of N (a Pose of (N, 3, 3) and (N, 3) arrays, or
+(N, 6, 6) matrices), row i of a stacked result with the bits of the call
+on row i alone; the clamp takes one twist. The stacked twist covariance
 rests, like the stacked EKF update, on numpy's matrix product giving each
 slice of a stack the bits of the same product on that slice alone, which
 the oracle tests establish only on the numpy and BLAS build they run on.
@@ -157,10 +156,10 @@ def entropy(cov):
     return 0.5 * (6.0 * math.log(_TWO_PI_E) + logdet)
 
 
-def apply_policy(twist: np.ndarray, entropy: float,
-                 cfg: ControlConfig) -> np.ndarray:
-    """Reduce the twist when its entropy exceeds the threshold, then
-    clamp."""
-    if math.isfinite(entropy) and entropy > cfg.entropy_threshold:
-        twist = twist * cfg.reduced_scale
-    return clamp_twist(twist, cfg)
+def apply_policy(twist: np.ndarray, entropy, cfg: ControlConfig) -> np.ndarray:
+    """The twist, (6,) with a float entropy or (N, 6) with (N,), times
+    reduced_scale where the entropy is finite and above the threshold, else
+    as is. No clamp: a factor in [0, 1] enlarges no clamped component."""
+    entropy = np.asarray(entropy)
+    fired = np.isfinite(entropy) & (entropy > cfg.entropy_threshold)
+    return np.where(fired[..., None], twist * cfg.reduced_scale, twist)

@@ -16,9 +16,9 @@ One engine, `run_episodes`, runs any number of trials in lockstep, frame
 k of every active trial together (README's "Engine" paragraph): one
 `propagate`, `measure`, `update` and `step_dynamics` call per frame for
 all of them, the commands the [v, w] rows of one (N, 6) array, and one
-`velocity_jacobian`, `velocity_covariance` and `entropy` call for the
-trials that have not failed; the relative pose, servo law, clamp, policy
-and PnP refinement run per trial. A trial leaves when it converges or
+`velocity_jacobian`, `velocity_covariance`, `entropy` and `apply_policy`
+call for the trials that have not failed; the relative pose, servo law,
+clamp and PnP refinement run per trial. A trial leaves when it converges or
 fails: `update` and `step_dynamics` take stacks only (one trial is a
 stack of one) and return each row's numerical failure in their `errors`.
 Each trial draws from its own Generator in a lone run's order, and the
@@ -101,9 +101,10 @@ class PoseSampler:
     def __post_init__(self):
         if self.height <= 0:
             raise ValueError("height must be positive")
-        for name in ("translation_var", "rotation_max_deg"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.translation_var < 0:
+            raise ValueError("translation_var must be >= 0")
+        if not 0 <= self.rotation_max_deg <= 180:  # beyond, angles only wrap
+            raise ValueError("rotation_max_deg must lie in [0, 180]")
 
     def sample(self, rng: np.random.Generator) -> Pose:
         offset = rng.uniform(-self.translation_var, self.translation_var, size=3)
@@ -134,7 +135,6 @@ class Scenario:
     k_hold: int = 10
     gate_level: float = 0.999
     z_min: float = DEFAULT_Z_MIN
-    uncertainty_policy: bool = True
     variant: str = "coupled-ekf"
     seed: int = 0
 
@@ -429,10 +429,9 @@ class _Lockstep:
 
     def _control(self, est, p_est, failures):
         """Commanded and raw twists, twist covariance and entropy per
-        active trial, and the rows whose hold test is met. The servo step
-        and the entropy policy run per trial, the velocity Jacobian, twist
-        covariance and entropy once for every row that has not failed, all
-        through this module's names."""
+        active trial, and the rows whose hold test is met: the servo step
+        per trial, the rest of the control chain once for every row that
+        has not failed, all through this module's names."""
         sc, cfg = self.sc, self.sc.control
         n = self.ids.size
         cmd = np.zeros((n, 6))
@@ -458,10 +457,8 @@ class _Lockstep:
                        np.array([r.t for r in rels]))
             jac = velocity_jacobian(rel, est, cfg)
             vcov[live] = cov = velocity_covariance(jac, p_est)
-            ent[live] = entropy(cov)
-        if self.use_ekf and sc.uncertainty_policy:
-            for j in live:
-                cmd[j] = apply_policy(cmd[j], ent[j], cfg)
+            ent[live] = h = entropy(cov)
+            cmd[live] = apply_policy(cmd[live], h, cfg)
         return cmd, raw, vcov, ent, converged
 
     def _drop(self, failures: dict, ended=()) -> bool:
@@ -589,8 +586,11 @@ class _FrameRows:
 
     def __init__(self, max_frames: int, trials: int):
         self.frames = np.zeros(trials, dtype=int)
-        self.arrays = [np.empty((trials, max_frames) + shape, dtype=dtype)
-                       for _, shape, dtype in self._FIELDS]
+        try:
+            self.arrays = [np.empty((trials, max_frames) + shape, dtype=dtype)
+                           for _, shape, dtype in self._FIELDS]
+        except ValueError as exc:  # a shape past numpy's largest array
+            raise MemoryError(str(exc)) from exc
 
     def append(self, k: int, ids: np.ndarray, *values) -> None:
         """Frame k of the trials `ids`, one value stack per field."""

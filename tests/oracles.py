@@ -780,8 +780,7 @@ def run_episode_reference(scenario, seed):
                                                   scenario.control)
                 vcov = velocity_covariance_reference(jac, state.P)
                 ent = entropy_reference(vcov)
-                if scenario.uncertainty_policy:
-                    cmd_tw = apply_policy(clamped, ent, scenario.control)
+                cmd_tw = apply_policy(clamped, ent, scenario.control)
             else:
                 vcov = np.full((6, 6), np.nan)
                 ent = float("nan")
@@ -977,9 +976,11 @@ def _json_reference(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def run_tree_reference(records, scenario, config: str, trials: int):
+def run_tree_reference(records, scenario, config: str, trials: int,
+                       policy: bool = True):
     """The files `ekfservo run` writes for these records, by path relative
-    to its output directory, and the summary."""
+    to its output directory, and the summary; policy is False for a run
+    with --no-uncertainty-policy."""
     summary = summarize_reference(records, scenario.model, scenario.variant)
     files = {f"episodes/episode_{i:04d}.csv": episode_csv_reference(rec)
              for i, rec in enumerate(records)}
@@ -988,7 +989,7 @@ def run_tree_reference(records, scenario, config: str, trials: int):
         "invocation": {"config": config, "trials": trials,
                        "base_seed": scenario.seed,
                        "variant": scenario.variant,
-                       "uncertainty_policy": scenario.uncertainty_policy}})
+                       "uncertainty_policy": policy}})
     files["summary.csv"] = (SUMMARY_HEADER + "\n" + _summary_row(summary)
                             + "\n")
     if records:

@@ -214,8 +214,9 @@ def test_entropy_policy_slows_blind_motion_without_losing_success():
     start, stop = sc.sensing.blackout_frames
     assert math.isfinite(sc.control.entropy_threshold)
     sr, blind = {}, {}
+    off = replace(sc.control, entropy_threshold=math.inf)
     for policy in (True, False):
-        res = run_batch(replace(sc, uncertainty_policy=policy), 30)
+        res = run_batch(sc if policy else replace(sc, control=off), 30)
         sr[policy] = res.summary.sr_percent
         blind[policy] = 1000.0 * np.mean([
             trajectory_length(rec.camera_positions()[start:stop + 1])

@@ -87,6 +87,10 @@ def test_missing_field_exit_2(tmp_path, capsys):
     # the filter squares these stds, and 1e300 squared is no float
     ("filter_noise", "sigma_vw", 1e300),
     ("init_prior", "sigma_phi", 1e300),
+    # above 180 degrees the sampled angle only wraps
+    ("desired_pose", "rotation_max_deg", 1e300),
+    ("initial_pose", "rotation_max_deg", 1e300),
+    ("initial_pose", "rotation_max_deg", 180.5),
 ])
 def test_invalid_field_value_exit_2(tmp_path, capsys, section, key, value):
     raw = json.loads(Path(NOMINAL).read_text())
@@ -118,6 +122,25 @@ def test_unallocatable_max_frames_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "max_frames" in err and "--trials" in err
+
+
+@pytest.mark.parametrize("max_frames", [2**62, 10**18, 10**19])
+def test_oversized_max_frames_exit_1(tmp_path, capsys, max_frames):
+    """From max_frames 2**62 on, the per-frame arrays' shape is past the
+    largest array numpy can describe, which it reports as a ValueError,
+    not a MemoryError; the run ends in the same one error line as a
+    budget that merely does not fit."""
+    raw = json.loads(Path(NOMINAL).read_text())
+    raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
+    raw["max_frames"] = max_frames
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(big), "--trials", "2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory for max_frames x --trials frames; lower "
+        "max_frames or --trials\n")
 
 
 def test_emitted_files_conform_to_schemas(tmp_path):
@@ -165,6 +188,33 @@ def test_variant_and_policy_flags(tmp_path):
     assert summary["invocation"]["uncertainty_policy"] is False
     # the memoryless baseline reports no filter-based statistics
     assert summary["summary"]["nees_mean"] is None
+
+
+def test_policy_flag_equals_null_threshold(tmp_path):
+    """The entropy policy has one switch: --no-uncertainty-policy sets
+    control.entropy_threshold to inf, which a null threshold already is,
+    so both write the same bytes. w_max 0.4 is no power of two, so a
+    second clamp of the clamped command would trim a one-ulp overshoot
+    (seeds 42-51 reach the angular limit)."""
+    raw = json.loads(Path(NOMINAL).read_text())
+    raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
+    raw["control"].update(entropy_threshold=None, w_max=0.4)
+    cfg = tmp_path / "w04.json"
+    cfg.write_text(json.dumps(raw))
+    trees = []
+    for flag in ([], ["--no-uncertainty-policy"]):
+        out = tmp_path / f"o{len(trees)}"
+        assert main(["run", "--config", str(cfg), "--trials", "10",
+                     "--out", str(out)] + flag) == 0
+        trees.append(_tree(out))
+    on, off = trees
+    echo = [json.loads(t.pop("summary.json")) for t in trees]
+    assert [e["invocation"]["uncertainty_policy"] for e in echo] == [True,
+                                                                     False]
+    assert echo[0]["summary"] == echo[1]["summary"]
+    assert len(on) == 14 and on.keys() == off.keys()
+    for name in on:
+        assert on[name] == off[name], name
 
 
 def test_compare_writes_side_by_side_table(tmp_path):
@@ -302,16 +352,14 @@ def test_unknown_field_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("section, edit", [
     (None, {"dt": 1e300}),
     ("control", {"lambda": 1e300, "v_max": 1e300, "w_max": 1e300}),
-    ("desired_pose", {"rotation_max_deg": 1e300}),
-], ids=["dt", "control", "desired_pose"])
+], ids=["dt", "control"])
 def test_numerical_trouble_fails_trials_not_the_run(tmp_path, capsys,
                                                     section, edit):
     """Finite but extreme settings make numpy raise in the dynamics step
-    and in episode 0's geodesic rollout; a rotation_max_deg of 1e300
-    overflows the pose sampler into a non-finite desired pose first. Each
-    trial fails with a label, the run exits 0 and writes every file, and
-    series_trajectory.csv holds the actual path alone, with one warning
-    and no numpy RuntimeWarning beside it."""
+    and in episode 0's geodesic rollout. Each trial fails with a label,
+    the run exits 0 and writes every file, and series_trajectory.csv
+    holds the actual path alone, with one warning and no numpy
+    RuntimeWarning beside it."""
     raw = json.loads(Path(NOMINAL).read_text())
     raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
     (raw if section is None else raw[section]).update(edit)
@@ -336,14 +384,13 @@ def test_numerical_trouble_fails_trials_not_the_run(tmp_path, capsys,
     assert err.count("WARNING") == 1 and "geodesic" in err
 
 
-
 def test_overflowing_initial_pose_sample_is_infeasible(tmp_path, capsys):
-    """rotation_max_deg 1e300 overflows exp_so3 in the pose sampler, so no
-    initial pose is observable: the run ends in the infeasible-scenario
-    error line alone, with no numpy RuntimeWarning."""
+    """A camera 1 cm above an object 4 cm deep has keypoints behind it in
+    every draw, so no initial pose is observable: the run ends in the
+    infeasible-scenario error line alone, with no numpy RuntimeWarning."""
     raw = json.loads(Path(NOMINAL).read_text())
     raw["model_path"] = str(SCENARIOS.parent / "models" / "bracket.xyz")
-    raw["initial_pose"]["rotation_max_deg"] = 1e300
+    raw["initial_pose"].update(height=0.01, translation_var=0.0)
     cfg = tmp_path / "spin.json"
     cfg.write_text(json.dumps(raw))
     with warnings.catch_warnings(record=True) as caught:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SCENARIOS
+from ekfservo.cli import main
 from ekfservo.config import ConfigError, load_scenario
 from ekfservo.control import ControlConfig
 from ekfservo.keypoints import SensingProfile
@@ -51,7 +52,6 @@ def test_required_fields_alone_take_the_defaults(tmp_path):
     assert (sc.init_sigma_t, sc.init_sigma_phi) == (0.0, 0.0)
     assert (sc.v_eps, sc.k_hold) == (1e-3, 10)
     assert (sc.gate_level, sc.z_min) == (0.999, 1e-3)
-    assert sc.uncertainty_policy is True
     assert sc.variant == "coupled-ekf"
     assert sc.control.entropy_threshold == math.inf
     assert sc.sensing.blackout_frames is None
@@ -247,6 +247,22 @@ def test_covariance_fidelity_fields_are_unknown(tmp_path, key, value):
     assert f"unknown field sensing.{key}" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_uncertainty_policy_field_is_unknown(tmp_path, capsys, value):
+    """control.entropy_threshold alone switches the entropy policy (null
+    is off, and --no-uncertainty-policy sets it to inf); the file key that
+    also switched it is unknown, and the run exits 2 naming it."""
+    raw = _valid_dict()
+    raw["uncertainty_policy"] = value
+    rc = main(["run", "--config", str(_write(tmp_path, raw)), "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown field uncertainty_policy" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_field_in_optional_section_rejected(tmp_path):
     raw = _valid_dict()
     raw["actuation"] = {"sigma_vv": 0.1}
@@ -290,6 +306,11 @@ def test_unknown_field_in_optional_section_rejected(tmp_path):
     ("filter_noise", "sigma_vw", 1e300, "filter_noise.sigma_vw"),
     ("init_prior", "sigma_t", 1e300, "init_prior.sigma_t"),
     ("init_prior", "sigma_phi", 1e300, "init_prior.sigma_phi"),
+    # above 180 degrees the sampled angle only wraps
+    ("desired_pose", "rotation_max_deg", 180.5,
+     "desired_pose.rotation_max_deg"),
+    ("initial_pose", "rotation_max_deg", 1e300,
+     "initial_pose.rotation_max_deg"),
 ])
 def test_out_of_range_value_rejected_at_load(tmp_path, section, key, value,
                                              path):
@@ -309,6 +330,8 @@ def test_out_of_range_value_rejected_at_load(tmp_path, section, key, value,
     ("initial_pose", "translation_var", 0.0), ("actuation", "sigma_v", 0.0),
     ("init_prior", "sigma_t", 0.0), ("sensing", "outlier_px", 0.0),
     ("filter_noise", "sigma_vp", 1e154), ("init_prior", "sigma_t", 1.3e154),
+    ("initial_pose", "rotation_max_deg", 180.0),
+    ("desired_pose", "rotation_max_deg", 180),
     # numpy seeds from any non-negative int; a seed is never a float
     pytest.param(None, "seed", 10**400, id="None-seed-int_1e400")])
 def test_boundary_value_accepted(tmp_path, section, key, value):

@@ -17,7 +17,7 @@ from ekfservo.control import (
 from ekfservo.ekf import FilterState
 from ekfservo.lie import Pose, exp_so3, pose_boxplus
 from ekfservo.simulator import LOOK_DOWN
-from oracles import fd_pose_jacobian, random_rotvec, rel_error
+from oracles import fd_pose_jacobian, random_rotvec, rel_error, same_bits
 
 
 def _random_pose(rng, angle=0.9):
@@ -224,32 +224,69 @@ def test_entropy_singular_regularized():
 
 def test_apply_policy_below_threshold_passthrough():
     cfg = ControlConfig(lam=1.0, entropy_threshold=5.0)
-    tw = np.array([0.01, 0, 0, 0, 0, 0.02])
-    assert np.allclose(apply_policy(tw, 2.0, cfg), tw)
+    tw = np.array([0.01, -0.0, 0, 0, 0, 0.02])
+    assert same_bits(apply_policy(tw, 2.0, cfg), tw)
 
 
 def test_apply_policy_reduces_above_threshold():
     cfg = ControlConfig(lam=1.0, entropy_threshold=1.0, reduced_scale=0.1)
     tw = np.array([0.1, 0, 0, 0, 0, 0.2])
-    assert np.allclose(apply_policy(tw, 3.0, cfg), 0.1 * tw)
+    assert same_bits(apply_policy(tw, 3.0, cfg), tw * 0.1)
 
 
 def test_apply_policy_infinite_threshold_is_plain():
     cfg = ControlConfig(lam=1.0)
     tw = np.array([0.1, 0, 0, 0, 0, 0.2])
-    assert np.allclose(apply_policy(tw, 1e9, cfg), tw)
+    assert same_bits(apply_policy(tw, 1e9, cfg), tw)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_apply_policy_ignores_non_finite_entropy(h):
+    cfg = ControlConfig(lam=1.0, entropy_threshold=-50.0)
+    tw = np.array([0.1, 0, 0, 0, 0, 0.2])
+    assert same_bits(apply_policy(tw, h, cfg), tw)
+
+
+def test_apply_policy_scales_without_clamping():
+    """The policy scales the command that the clamp bounded before it;
+    it clamps nothing itself, so a twist past the limits keeps its bits."""
+    cfg = ControlConfig(lam=1.0, entropy_threshold=0.0, reduced_scale=1.0,
+                        v_max=0.25, w_max=0.5)
+    tw = np.array([3.0, 0, 0, 0, 0, -7.0])
+    assert same_bits(apply_policy(tw, -1.0, cfg), tw)
+    assert same_bits(apply_policy(tw, 1.0, cfg), tw * 1.0)
+
+
+def test_apply_policy_stack_rows_match_single_calls(rng):
+    cfg = ControlConfig(lam=1.0, entropy_threshold=-30.0, reduced_scale=0.3)
+    tws = rng.standard_normal((40, 6)) * 0.2
+    tws[0] = -0.0
+    ents = rng.uniform(-35.0, -25.0, 40)
+    ents[:4] = math.nan, math.inf, -math.inf, -30.0
+    out = apply_policy(tws, ents, cfg)
+    assert out.shape == (40, 6)
+    fired = ents > -30.0
+    fired[1] = False
+    assert 5 < fired.sum() < 35
+    assert same_bits(out[fired], tws[fired] * 0.3)
+    assert same_bits(out[~fired], tws[~fired])
+    for i in range(40):
+        assert same_bits(out[i], apply_policy(tws[i], float(ents[i]), cfg))
 
 
 def test_apply_policy_never_amplifies(rng):
+    """A factor in [0, 1] never raises a component's magnitude, so a
+    clamped command stays within whatever bound the clamp gave it."""
     for _ in range(50):
         cfg = ControlConfig(lam=1.0, entropy_threshold=rng.uniform(-50, 50),
                             reduced_scale=rng.uniform(0.0, 1.0),
                             v_max=rng.uniform(0.05, 1.0),
                             w_max=rng.uniform(0.05, 1.0))
-        mean = np.concatenate([rng.standard_normal(3) * 0.3,
-                               rng.standard_normal(3) * 0.6])
+        mean = clamp_twist(np.concatenate([rng.standard_normal(3) * 0.3,
+                                           rng.standard_normal(3) * 0.6]),
+                           cfg)
         out = apply_policy(mean, rng.uniform(-60, 60), cfg)
-        assert np.linalg.norm(out) <= np.linalg.norm(mean) + 1e-12
+        assert np.all(np.abs(out) <= np.abs(mean))
 
 
 def test_control_config_validation():

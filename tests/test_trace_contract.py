@@ -88,36 +88,32 @@ def test_batch_calls_control_once_per_recorded_trial_frame(monkeypatch,
                       "refine_pose": refines}
 
 
-@pytest.mark.parametrize("variant, policy, applies, threshold", [
-    ("coupled-ekf", True, True, None),
-    ("coupled-ekf", False, False, None),
-    ("pbvs-perframe", True, False, None),
-    ("coupled-ekf", True, True, -33.40),
-], ids=["coupled-ekf-True-True", "coupled-ekf-False-False",
-        "pbvs-perframe-True-False", "coupled-ekf-True-True-fires"])
+# explicit ids keep the rows' names stable
+@pytest.mark.parametrize("variant, threshold", [
+    ("coupled-ekf", None),
+    ("pbvs-perframe", None),
+    ("coupled-ekf", -33.40),
+], ids=["coupled-ekf-True-True", "pbvs-perframe-True-False",
+        "coupled-ekf-True-True-fires"])
 def test_batch_clamps_once_per_recorded_trial_frame(monkeypatch, variant,
-                                                     policy, applies,
                                                      threshold):
-    """control.us_per_frame sums the control spans, clamp_twist and
-    apply_policy among them. In a lockstep batch, clamp_twist runs once per
-    recorded trial-frame through the simulator's name, and apply_policy,
-    which clamps through the control module's own name, once more for
-    coupled-ekf with the policy on; pbvs-perframe has no entropy and never
-    applies it. The counts hold when a finite threshold makes the policy
-    reduce some of the commands, too."""
-    counts = _counting(monkeypatch, ("clamp_twist", "apply_policy"))
+    """control.us_per_frame sums the control spans, clamp_twist among
+    them. In a lockstep batch, clamp_twist runs once per recorded
+    trial-frame through the simulator's name, and the entropy policy,
+    which scales the clamped commands, clamps none again. The count holds
+    when a finite threshold makes the policy reduce some of the commands,
+    too."""
+    counts = _counting(monkeypatch, ("clamp_twist",))
     sc = scenario("adverse")
     if threshold is not None:
         sc = replace(sc, control=replace(sc.control,
                                          entropy_threshold=threshold))
-    res = sim.run_batch(replace(sc, variant=variant, uncertainty_policy=policy,
-                                max_frames=40), 3)
+    res = sim.run_batch(replace(sc, variant=variant, max_frames=40), 3)
     frames = sum(rec.frames for rec in res.records)
     assert all(rec.failure is None and not rec.converged
                for rec in res.records)
     assert frames == 3 * 40
-    assert counts == {"clamp_twist": frames,
-                      "apply_policy": frames if applies else 0}
+    assert counts == {"clamp_twist": frames}
     if threshold is not None:
         fired = sum(int((rec.entropy > threshold).sum())
                     for rec in res.records)
@@ -165,14 +161,16 @@ def test_lockstep_batch_runs_control_chain_once_per_frame(monkeypatch, name,
                                                           variant,
                                                           max_frames):
     """control.us_per_frame also sums the spans of velocity_jacobian,
-    velocity_covariance and entropy. A lockstep coupled-ekf batch calls
-    each of them once per frame it runs, through the simulator's names, on
-    a stack of the trials still active, so their time stays in the control
-    layer however many trials share the frame. At full length the adverse
-    trials converge at different frames and the stack shrinks. Without an
-    EKF belief to servo on, none of them runs."""
+    velocity_covariance, entropy and apply_policy. A lockstep coupled-ekf
+    batch calls each of them once per frame it runs, through the
+    simulator's names, on a stack of the trials still active, so their
+    time stays in the control layer however many trials share the frame.
+    At full length the adverse trials converge at different frames and
+    the stack shrinks. Without an EKF belief to servo on, none of them
+    runs."""
     counts = _counting(monkeypatch, ("velocity_jacobian",
-                                     "velocity_covariance", "entropy"))
+                                     "velocity_covariance", "entropy",
+                                     "apply_policy"))
     res = sim.run_batch(replace(scenario(name), variant=variant,
                                 max_frames=max_frames), 3)
     assert all(rec.failure is None for rec in res.records)
