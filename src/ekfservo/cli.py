@@ -166,7 +166,7 @@ def _write_run_outputs(out: Path, scenario: Scenario, result: BatchResult,
         reference = result.reference
         if reference is None:
             try:
-                reference = geodesic_reference_for(records[0])
+                reference = geodesic_reference_for(records[0], scenario)
             except (np.linalg.LinAlgError, FloatingPointError) as exc:
                 logger.warning("episode 0's geodesic rollout raised %r; "
                                "series_trajectory.csv lacks it", exc)

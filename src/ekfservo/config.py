@@ -96,7 +96,6 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
             outlier_px=sensing.optional("outlier_px", (int, float)),
             reported_scale=sensing.optional("reported_scale", (int, float)),
             blackout_frames=blackout,
-            occluder_half=sensing.optional("occluder_half", str),
         ),
         filter_noise=noise.build(
             NoiseParams,
@@ -124,7 +123,6 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
         v_eps=conv.optional("v_eps", (int, float)),
         k_hold=conv.optional("k_hold", int),
         gate_level=ctx.optional("gate_level", (int, float)),
-        z_min=ctx.optional("z_min", (int, float)),
         variant=ctx.optional("variant", str),
         seed=ctx.optional("seed", int),
     )

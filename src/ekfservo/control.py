@@ -93,8 +93,9 @@ def pbvs_law(rel: Pose, lam: float) -> np.ndarray:
 
 
 def clamp_twist(twist: np.ndarray, cfg: ControlConfig) -> np.ndarray:
-    """Uniformly scale the twist so every component respects the limits;
-    direction is preserved. A twist within the limits is returned as is."""
+    """Uniformly scale the twist down to the limits, preserving direction;
+    the scale rounds, so a component can end one ulp above a limit that is
+    no power of two. A twist within the limits is returned as is."""
     vx, vy, vz, wx, wy, wz = twist.tolist()
     s = 1.0
     mv = _max_abs(vx, vy, vz)

@@ -4,7 +4,7 @@ measurements with per-point covariances.
 This module stands in for a learned detector. Its output contract is the
 same: per frame, a set of 2D keypoint locations with 2x2 covariance
 matrices and visibility flags. Adverse conditions (dropout, outliers,
-mis-reported covariances, structured occlusion) are simulated explicitly.
+mis-reported covariances, a blackout window) are simulated explicitly.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import numpy as np
 
 from .camera import DEFAULT_Z_MIN, Intrinsics, in_image, project_points
 from .lie import Pose
-
-_OCCLUDER_HALVES = (None, "left", "right", "top", "bottom")
 
 # Reported covariances carry a tiny isotropic floor so they stay positive
 # definite even for the degenerate zero-noise profile (negligible against
@@ -128,8 +126,7 @@ class SensingProfile:
     true sampling covariance: 1 reports it honestly, above 1 under-confident,
     below 1 over-confident. Outliers are never reflected in the reported
     covariance. blackout_frames is a half-open frame interval [start, stop)
-    during which every keypoint is dropped; occluder_half hides keypoints whose noiseless projection falls
-    in the given image half.
+    during which every keypoint is dropped.
     """
 
     sigma_px: float = 1.0
@@ -139,7 +136,6 @@ class SensingProfile:
     outlier_px: float = 40.0
     reported_scale: float = 1.0
     blackout_frames: tuple[int, int] | None = None
-    occluder_half: str | None = None
 
     def __post_init__(self):
         if self.sigma_px < 0:
@@ -154,8 +150,6 @@ class SensingProfile:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.reported_scale <= 0:
             raise ValueError("reported_scale must be positive")
-        if self.occluder_half not in _OCCLUDER_HALVES:
-            raise ValueError(f"occluder_half must be one of {_OCCLUDER_HALVES}")
         if self.blackout_frames is not None:
             start, stop = self.blackout_frames
             if not 0 <= start <= stop:
@@ -211,8 +205,6 @@ def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
     pts_c = kps.points3d @ gt_pose.C.swapaxes(1, 2) + gt_pose.t[:, None, :]
     uv_true, in_front = project_points(pts_c, intr, z_min)
     geometric = in_front & in_image(uv_true, intr)
-    if profile.occluder_half is not None:
-        geometric &= ~_occluded(uv_true, intr, profile.occluder_half)
     uv_true = uv_true.reshape(n_poses, n, 2)
 
     visible = geometric.reshape(n_poses, n) & (u_drop >= profile.dropout_prob)
@@ -248,13 +240,3 @@ def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
     cov[~visible] = np.nan
     return Measurement(uv=uv, cov=cov, visible=visible)
 
-
-def _occluded(uv, intr: Intrinsics, half: str) -> np.ndarray:
-    u, v = uv[:, 0], uv[:, 1]
-    if half == "left":
-        return u < intr.width / 2.0
-    if half == "right":
-        return u >= intr.width / 2.0
-    if half == "top":
-        return v < intr.height / 2.0
-    return v >= intr.height / 2.0

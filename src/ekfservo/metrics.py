@@ -3,7 +3,8 @@ ratio, uncertainty correlation, and filter-consistency (NEES) diagnostics.
 
 Success requires both convergence and a final average-model-distance below
 10% of the object diameter; the error and length statistics aggregate over
-successful trials only, while the success rate uses all trials.
+successful trials only, while the success rate uses all trials. A
+batch's settings come from its Scenario, not from its records.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from .control import pbvs_law, relative_pose
 from .keypoints import ObjectModel
 from .lie import Pose, log_so3, pose_boxminus
-from .simulator import EpisodeRecord, geodesic_reference_for
+from .simulator import EpisodeRecord, Scenario, geodesic_reference_for
 
 
 def add_metric(pose_a: Pose, pose_b: Pose, model: ObjectModel) -> float:
@@ -62,9 +63,9 @@ def length_ratio(positions, reference_positions) -> float:
     return trajectory_length(positions) / ref
 
 
-def uncertainty_correlation(records) -> float:
+def uncertainty_correlation(records, lam: float) -> float:
     """Pearson correlation between the per-frame twist entropy and the
-    commanded-twist error against the ground-truth servo law.
+    commanded-twist error against the ground-truth servo law of gain lam.
 
     Returns NaN when either stream has no variance (or too few frames).
     """
@@ -74,7 +75,7 @@ def uncertainty_correlation(records) -> float:
         if not finite.any():
             continue
         gt = Pose(rec.gt_C[finite], rec.gt_t[finite])
-        v_gt = pbvs_law(relative_pose(rec.desired, gt), rec.control.lam)
+        v_gt = pbvs_law(relative_pose(rec.desired, gt), lam)
         err = rec.cmd[finite] - v_gt
         ents.append(rec.entropy[finite])
         errs.append(np.sqrt(np.vecdot(err, err)))
@@ -149,9 +150,9 @@ class Summary:
         return asdict(self)
 
 
-def summarize(records, model: ObjectModel, variant: str,
+def summarize(records, scenario: Scenario,
               rollouts: dict | None = None) -> Summary:
-    """Aggregate a batch of episode records of one variant.
+    """Aggregate a batch of episode records that `scenario` produced.
 
     TE/RE/LR statistics cover successful trials only; the success rate
     covers all trials, and episodes that aborted with a failure count as
@@ -165,13 +166,13 @@ def summarize(records, model: ObjectModel, variant: str,
     successes = 0
     te_vals, re_vals, lr_vals = [], [], []
     for i, r in enumerate(records):
-        if not success(r, model):
+        if not success(r, scenario.model):
             continue
         successes += 1
         te, re = te_re(r.final_gt, r.desired)
         te_vals.append(te)
         re_vals.append(re)
-        reference = geodesic_reference_for(r)
+        reference = geodesic_reference_for(r, scenario)
         if rollouts is not None:
             rollouts[i] = reference
         lr = length_ratio(r.camera_positions(), reference)
@@ -180,10 +181,10 @@ def summarize(records, model: ObjectModel, variant: str,
     te_mean, te_std = _stats(te_vals)
     re_mean, re_std = _stats(re_vals)
     lr_mean, lr_std = _stats(lr_vals)
-    corr = uncertainty_correlation(records) if records else float("nan")
-    nees_mean = nees(records).mean if records else float("nan")
+    corr = uncertainty_correlation(records, scenario.control.lam)
+    nees_mean = nees(records).mean
     return Summary(
-        variant=variant,
+        variant=scenario.variant,
         trials=trials,
         successes=successes,
         failures=failures,

@@ -10,7 +10,8 @@ propagates with the *commanded* twist; the executed one is unobserved,
 which is what makes actuation noise a filter disturbance.
 
 Episodes are pure functions of (scenario, seed); batches give each trial
-seed = base seed + trial index.
+seed = base seed + trial index. An `EpisodeRecord` holds what its trial
+did; the settings it ran under are the `Scenario`'s, passed beside it.
 
 One engine, `run_episodes`, runs any number of trials in lockstep, frame
 k of every active trial together (README's "Engine" paragraph): one
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import DEFAULT_Z_MIN, Intrinsics, in_image, project_points
+from .camera import Intrinsics, in_image, project_points
 from .control import (
     ControlConfig,
     apply_policy,
@@ -134,7 +135,6 @@ class Scenario:
     v_eps: float = 1e-3
     k_hold: int = 10
     gate_level: float = 0.999
-    z_min: float = DEFAULT_Z_MIN
     variant: str = "coupled-ekf"
     seed: int = 0
 
@@ -150,8 +150,6 @@ class Scenario:
                              "model's point count")
         if not 0.0 < self.gate_level <= 1.0:
             raise ValueError("gate_level must lie in (0, 1]")
-        if self.z_min <= 0:
-            raise ValueError("z_min must be positive")
         if self.k_hold < 1:
             raise ValueError("k_hold must be >= 1")
         if self.v_eps <= 0:
@@ -173,17 +171,11 @@ class Scenario:
 
 @dataclass
 class EpisodeRecord:
-    """Full per-frame log of one servoing trial."""
+    """Full per-frame log of one servoing trial, without its settings."""
 
     seed: int
-    variant: str
     desired: Pose
     initial_gt: Pose
-    control: ControlConfig
-    dt: float
-    v_eps: float
-    k_hold: int
-    max_frames: int
     converged: bool = False
     failure: str | None = None
     # per-frame arrays, filled by the episode engine
@@ -220,7 +212,7 @@ def sample_poses(scenario: Scenario, kps: KeypointSet,
     for _ in range(MAX_POSE_TRIES):
         initial = scenario.initial_pose.sample(rng)
         pts_c = initial.apply(kps.points3d)
-        uv, in_front = project_points(pts_c, scenario.intrinsics, scenario.z_min)
+        uv, in_front = project_points(pts_c, scenario.intrinsics)
         if bool(np.all(in_front & in_image(uv, scenario.intrinsics))):
             return initial, desired
     raise InfeasibleScenario(
@@ -294,11 +286,8 @@ def run_episodes(scenario: Scenario, seeds) -> list:
         for seed in seeds:
             rng = np.random.default_rng(seed)
             initial, desired = sample_poses(scenario, kps, rng)
-            records.append(EpisodeRecord(
-                seed=seed, variant=scenario.variant, desired=desired,
-                initial_gt=initial, control=scenario.control, dt=scenario.dt,
-                v_eps=scenario.v_eps, k_hold=scenario.k_hold,
-                max_frames=scenario.max_frames))
+            records.append(EpisodeRecord(seed=seed, desired=desired,
+                                         initial_gt=initial))
             deltas.append(np.concatenate([  # the prior's offset from initial
                 scenario.init_sigma_t * rng.standard_normal(3),
                 scenario.init_sigma_phi * rng.standard_normal(3)]))
@@ -340,7 +329,7 @@ class _Lockstep:
                 self.state = propagate(self.state, self.prev_cmd, sc.dt,
                                        sc.filter_noise)
             meas = measure(self.gt, self.kps, sc.intrinsics, sc.sensing,
-                           self.rngs, frame=k, z_min=sc.z_min)
+                           self.rngs, frame=k)
             failures = {}  # row -> failure text
             if self.use_ekf:
                 est, p_est, n_vis, n_used, rms = self._update(k, meas,
@@ -392,8 +381,7 @@ class _Lockstep:
     def _update(self, k, meas, failures):
         sc = self.sc
         level = 1.0 if k < GATE_WARMUP_FRAMES else sc.gate_level
-        res = update(self.state, meas, self.kps, sc.intrinsics, level,
-                     z_min=sc.z_min)
+        res = update(self.state, meas, self.kps, sc.intrinsics, level)
         failures.update(_failures(k, res.errors))
         self.state = res.state
         return (res.state.mean, res.state.P, res.n_visible,
@@ -411,7 +399,7 @@ class _Lockstep:
         for j in range(n):
             one = Measurement(meas.uv[j], meas.cov[j], meas.visible[j])
             pose = refine_pose(Pose(mean.C[j].copy(), mean.t[j].copy()),
-                               one, kps, sc.intrinsics, z_min=sc.z_min)
+                               one, kps, sc.intrinsics)
             if pose is not None:
                 mean.C[j], mean.t[j] = pose.C, pose.t
                 refined.append(j)
@@ -419,7 +407,7 @@ class _Lockstep:
             n_used[refined] = n_vis[refined]
             pts_c = kps.points3d @ mean.C[refined].swapaxes(1, 2)
             uv, ok = project_points(pts_c + mean.t[refined][:, None, :],
-                                    sc.intrinsics, sc.z_min)
+                                    sc.intrinsics)
             diff = meas.uv[refined] - uv.reshape(len(refined), -1, 2)
             usable = meas.visible[refined] & ok.reshape(len(refined), -1)
             for j, d, use in zip(refined, diff, usable):
@@ -512,27 +500,28 @@ def _servo_step(desired: Pose, current: Pose, cfg: ControlConfig,
     return rel, raw, cmd, hold + 1 if math.sqrt(cmd.dot(cmd)) < v_eps else 0
 
 
-def geodesic_reference(initial: Pose, desired: Pose, cfg: ControlConfig,
-                       dt: float, v_eps: float, k_hold: int,
-                       max_frames: int) -> np.ndarray:
+def geodesic_reference(initial: Pose, desired: Pose,
+                       scenario: Scenario) -> np.ndarray:
     """Camera positions of the noise-free, perfect-information servo
-    rollout between the same poses: the shortest-path reference."""
+    rollout between the same poses, under the scenario's control gains,
+    period, hold rule and frame budget: the shortest-path reference."""
     gt, positions, hold = initial, [], 0
     with _quiet():
-        for _ in range(max_frames):
+        for _ in range(scenario.max_frames):
             positions.append(-(gt.C.T @ gt.t))
-            _, _, cmd, hold = _servo_step(desired, gt, cfg, v_eps, hold)
-            if hold >= k_hold:
+            _, _, cmd, hold = _servo_step(desired, gt, scenario.control,
+                                          scenario.v_eps, hold)
+            if hold >= scenario.k_hold:
                 break
-            gt = Pose(*_advance(gt.C, gt.t, cmd, dt))
+            gt = Pose(*_advance(gt.C, gt.t, cmd, scenario.dt))
         positions.append(-(gt.C.T @ gt.t))
     return np.array(positions)
 
 
-def geodesic_reference_for(record: EpisodeRecord) -> np.ndarray:
-    return geodesic_reference(record.initial_gt, record.desired,
-                              record.control, record.dt, record.v_eps,
-                              record.k_hold, record.max_frames)
+def geodesic_reference_for(record: EpisodeRecord,
+                           scenario: Scenario) -> np.ndarray:
+    """The geodesic reference of a record that `scenario` produced."""
+    return geodesic_reference(record.initial_gt, record.desired, scenario)
 
 
 @dataclass
@@ -566,8 +555,7 @@ def run_batch(scenario: Scenario, trials: int,
             records = [rec for part in parts for rec in part]
     rollouts = {}
     with _quiet():  # a trial driven out to overflow gives nan metrics
-        summary = summarize(records, scenario.model, scenario.variant,
-                            rollouts)
+        summary = summarize(records, scenario, rollouts)
     return BatchResult(records, summary, rollouts.get(0))
 
 

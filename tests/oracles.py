@@ -25,7 +25,7 @@ import math
 import numpy as np
 from scipy.stats import chi2
 
-from ekfservo.camera import in_image, project_points
+from ekfservo.camera import DEFAULT_Z_MIN, in_image, project_points
 from ekfservo.cli import EPISODE_HEADER, SUMMARY_HEADER, _summary_row
 from ekfservo.control import ControlConfig, apply_policy
 from ekfservo.ekf import (
@@ -37,7 +37,6 @@ from ekfservo.ekf import (
 from ekfservo.keypoints import (
     REPORTED_SIGMA_FLOOR_PX,
     Measurement,
-    _occluded,
     fps_select,
 )
 from ekfservo.lie import (
@@ -251,8 +250,6 @@ def measure_reference(gt_pose, kps, intr, profile, rng, frame, z_min):
     pts_c = gt_pose.apply(kps.points3d)
     uv_true, in_front = project_points(pts_c, intr, z_min)
     geometric = in_front & in_image(uv_true, intr)
-    if profile.occluder_half is not None:
-        geometric &= ~_occluded(uv_true, intr, profile.occluder_half)
 
     visible = geometric & (u_drop >= profile.dropout_prob)
     if profile.blackout_frames is not None and frame is not None:
@@ -597,9 +594,9 @@ def nees_reference(records) -> tuple[float, int]:
     return float(np.mean(values)), len(values)
 
 
-def uncertainty_correlation_reference(records) -> float:
+def uncertainty_correlation_reference(records, lam) -> float:
     """Pearson correlation between per-frame twist entropy and the
-    commanded-twist error against the ground-truth servo law."""
+    commanded-twist error against the ground-truth servo law of gain lam."""
     ents, errs = [], []
     for rec in records:
         for k in range(rec.frames):
@@ -608,7 +605,7 @@ def uncertainty_correlation_reference(records) -> float:
                 continue
             gt = Pose(rec.gt_C[k], rec.gt_t[k])
             v_gt = pbvs_law_reference(relative_pose_reference(rec.desired, gt),
-                                      rec.control.lam)
+                                      lam)
             err = float(np.linalg.norm(rec.cmd[k] - v_gt))
             ents.append(float(ent))
             errs.append(err)
@@ -652,8 +649,6 @@ def measure_scalar_reference(gt_pose, kps, intr, profile, rng, frame=None,
     pts_c = gt_pose.apply(kps.points3d)
     uv_true, in_front = project_points(pts_c, intr, z_min)
     geometric = in_front & in_image(uv_true, intr)
-    if profile.occluder_half is not None:
-        geometric &= ~_occluded(uv_true, intr, profile.occluder_half)
 
     visible = geometric & (u_drop >= profile.dropout_prob)
     if profile.blackout_frames is not None and frame is not None:
@@ -710,11 +705,7 @@ def run_episode_reference(scenario, seed):
     kps = fps_select(scenario.model, scenario.n_keypoints)
     initial, desired = sample_poses(scenario, kps, rng)
 
-    record = EpisodeRecord(seed=seed, variant=scenario.variant,
-                           desired=desired, initial_gt=initial,
-                           control=scenario.control, dt=scenario.dt,
-                           v_eps=scenario.v_eps, k_hold=scenario.k_hold,
-                           max_frames=scenario.max_frames)
+    record = EpisodeRecord(seed=seed, desired=desired, initial_gt=initial)
 
     init_delta = np.concatenate([
         scenario.init_sigma_t * rng.standard_normal(3),
@@ -737,14 +728,14 @@ def run_episode_reference(scenario, seed):
                                         scenario.filter_noise)
         meas = measure_scalar_reference(gt, kps, scenario.intrinsics,
                                         scenario.sensing, rng, frame=k,
-                                        z_min=scenario.z_min)
+                                        z_min=DEFAULT_Z_MIN)
 
         if use_ekf:
             level = (1.0 if k < GATE_WARMUP_FRAMES
                      else scenario.gate_level)
             try:
                 res = update_reference(state, meas, kps, scenario.intrinsics,
-                                       level, scenario.z_min)
+                                       level, DEFAULT_Z_MIN)
             except SingularInnovation as exc:
                 record.failure = f"frame {k}: {exc}"
                 break
@@ -755,13 +746,13 @@ def run_episode_reference(scenario, seed):
         else:
             refined = refine_pose_reference(pnp_pose, meas, kps,
                                             scenario.intrinsics,
-                                            z_min=scenario.z_min)
+                                            z_min=DEFAULT_Z_MIN)
             n_vis = int(meas.visible.sum())
             if refined is not None:
                 pnp_pose = refined
                 n_used = n_vis
                 uv, ok = predict_keypoints(pnp_pose, kps, scenario.intrinsics,
-                                           scenario.z_min)
+                                           DEFAULT_Z_MIN)
                 usable = meas.visible & ok
                 rms = (float(np.sqrt(np.mean(
                     (meas.uv[usable] - uv[usable]).ravel()**2)))
@@ -892,7 +883,7 @@ def camera_positions_reference(rec) -> np.ndarray:
     return np.array(pos)
 
 
-def summarize_reference(records, model, variant: str) -> Summary:
+def summarize_reference(records, scenario) -> Summary:
     """The batch summary, every statistic from the per-frame kernels."""
     def stats(values):
         if not values:
@@ -903,29 +894,29 @@ def summarize_reference(records, model, variant: str) -> Summary:
     def finite_or_none(x):
         return None if not np.isfinite(x) else float(x)
 
-    succ = [r for r in records if success(r, model)]
+    succ = [r for r in records if success(r, scenario.model)]
     te_vals, re_vals, lr_vals = [], [], []
     for r in succ:
         te, re = te_re_reference(r.final_gt, r.desired)
         te_vals.append(te)
         re_vals.append(re)
         lr = length_ratio(camera_positions_reference(r),
-                          geodesic_reference_for(r))
+                          geodesic_reference_for(r, scenario))
         if np.isfinite(lr):
             lr_vals.append(lr)
     trials = len(records)
     (te_mean, te_std), (re_mean, re_std), (lr_mean, lr_std) = (
         stats(te_vals), stats(re_vals), stats(lr_vals))
     return Summary(
-        variant=variant, trials=trials, successes=len(succ),
+        variant=scenario.variant, trials=trials, successes=len(succ),
         failures=sum(1 for r in records if r.failure),
         sr_percent=(100.0 * len(succ) / trials) if trials else 0.0,
         te_mm_mean=te_mean, te_mm_std=te_std,
         re_deg_mean=re_mean, re_deg_std=re_std,
         lr_mean=lr_mean, lr_std=lr_std,
         correlation_r=finite_or_none(
-            uncertainty_correlation_reference(records) if records
-            else float("nan")),
+            uncertainty_correlation_reference(records, scenario.control.lam)
+            if records else float("nan")),
         nees_mean=finite_or_none(
             nees_reference(records)[0] if records else float("nan")))
 
@@ -946,8 +937,8 @@ def episode_csv_reference(rec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def series_reference(rec) -> dict:
-    """The three series files of one episode, by file name."""
+def series_reference(rec, scenario) -> dict:
+    """The three series files of one episode of `scenario`, by file name."""
     files = {}
     lines = ["frame,te_mm,re_deg"]
     for k in range(rec.frames):
@@ -964,7 +955,7 @@ def series_reference(rec) -> dict:
 
     lines = ["path,frame,x,y,z"]
     for path, points in (("actual", camera_positions_reference(rec)),
-                         ("geodesic", geodesic_reference_for(rec))):
+                         ("geodesic", geodesic_reference_for(rec, scenario))):
         for k, p in enumerate(points.tolist()):
             lines.append(f"{path},{k},{_fmt_reference(p[0])},"
                          f"{_fmt_reference(p[1])},{_fmt_reference(p[2])}")
@@ -981,7 +972,7 @@ def run_tree_reference(records, scenario, config: str, trials: int,
     """The files `ekfservo run` writes for these records, by path relative
     to its output directory, and the summary; policy is False for a run
     with --no-uncertainty-policy."""
-    summary = summarize_reference(records, scenario.model, scenario.variant)
+    summary = summarize_reference(records, scenario)
     files = {f"episodes/episode_{i:04d}.csv": episode_csv_reference(rec)
              for i, rec in enumerate(records)}
     files["summary.json"] = _json_reference({
@@ -993,7 +984,7 @@ def run_tree_reference(records, scenario, config: str, trials: int,
     files["summary.csv"] = (SUMMARY_HEADER + "\n" + _summary_row(summary)
                             + "\n")
     if records:
-        files.update(series_reference(records[0]))
+        files.update(series_reference(records[0], scenario))
     return files, summary
 
 

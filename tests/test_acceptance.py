@@ -46,6 +46,8 @@ from ekfservo.simulator import (
 )
 from oracles import fd_pose_jacobian, fd_state_transition, random_rotvec, rel_error
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(num, name, ok, detail):
     import conftest
@@ -134,7 +136,7 @@ def test_criterion_2_noise_free_exponential_convergence(model):
             if e0 > 1e-9:
                 worst = max(worst, e1 / e0)
     te, re = te_re(rec.final_gt, rec.desired)
-    lr = length_ratio(rec.camera_positions(), geodesic_reference_for(rec))
+    lr = length_ratio(rec.camera_positions(), geodesic_reference_for(rec, sc))
     elapsed = time.perf_counter() - start
     ok = (worst <= bound and te < 0.5 and re < 0.05 and lr < 1.02
           and elapsed < 5.0)
@@ -236,7 +238,7 @@ def test_criterion_6_uncertainty_correlation():
     start = time.perf_counter()
     sc = scenario("correlation")
     res = run_batch(sc, 30)
-    r = uncertainty_correlation(res.records)
+    r = uncertainty_correlation(res.records, sc.control.lam)
     elapsed = time.perf_counter() - start
     ok = r >= 0.6 and elapsed < 60.0
     _report(6, "uncertainty correlation", ok,

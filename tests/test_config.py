@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SCENARIOS
+from ekfservo import config
 from ekfservo.cli import main
 from ekfservo.config import ConfigError, load_scenario
 from ekfservo.control import ControlConfig
@@ -51,11 +52,10 @@ def test_required_fields_alone_take_the_defaults(tmp_path):
     assert (sc.actuation_sigma_v, sc.actuation_sigma_w) == (0.0, 0.0)
     assert (sc.init_sigma_t, sc.init_sigma_phi) == (0.0, 0.0)
     assert (sc.v_eps, sc.k_hold) == (1e-3, 10)
-    assert (sc.gate_level, sc.z_min) == (0.999, 1e-3)
+    assert sc.gate_level == 0.999
     assert sc.variant == "coupled-ekf"
     assert sc.control.entropy_threshold == math.inf
     assert sc.sensing.blackout_frames is None
-    assert sc.sensing.occluder_half is None
     assert (sc.initial_pose.translation_var,
             sc.initial_pose.rotation_max_deg) == (0.0, 0.0)
 
@@ -247,6 +247,23 @@ def test_covariance_fidelity_fields_are_unknown(tmp_path, key, value):
     assert f"unknown field sensing.{key}" in str(err.value)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    (None, "z_min", 1e-3), ("sensing", "occluder_half", "left")])
+def test_unset_fields_are_unknown(tmp_path, capsys, section, key, value):
+    """z_min and sensing.occluder_half are no scenario keys: a file that
+    sets either exits 2 naming it as unknown, and writes nothing."""
+    raw = _valid_dict()
+    (raw if section is None else raw[section])[key] = value
+    rc = main(["run", "--config", str(_write(tmp_path, raw)), "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    path = key if section is None else f"{section}.{key}"
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"unknown field {path}" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_uncertainty_policy_field_is_unknown(tmp_path, capsys, value):
     """control.entropy_threshold alone switches the entropy policy (null
@@ -279,13 +296,13 @@ def test_unknown_field_in_optional_section_rejected(tmp_path):
     (None, "gate_level", 2.0, "gate_level"),
     (None, "gate_level", -0.5, "gate_level"),
     (None, "gate_level", 0.0, "gate_level"),
-    (None, "z_min", -1, "z_min"),
-    (None, "z_min", 0.0, "z_min"),
+    # the list-valued blackout rows are named by their place (value9,
+    # value10), so they stay the 10th and 11th rows
+    ("convergence", "v_eps", 0.0, "convergence.v_eps"),
+    ("convergence", "v_eps", -1e-3, "convergence.v_eps"),
     ("convergence", "k_hold", 0, "convergence.k_hold"),
     ("sensing", "blackout_frames", [10, 5], "sensing.blackout_frames"),
     ("sensing", "blackout_frames", [-1, 5], "sensing.blackout_frames"),
-    ("convergence", "v_eps", 0.0, "convergence.v_eps"),
-    ("convergence", "v_eps", -1e-3, "convergence.v_eps"),
     ("actuation", "sigma_v", -0.1, "actuation.sigma_v"),
     ("actuation", "sigma_w", -0.1, "actuation.sigma_w"),
     ("init_prior", "sigma_t", -0.1, "init_prior.sigma_t"),
@@ -338,3 +355,33 @@ def test_boundary_value_accepted(tmp_path, section, key, value):
     raw = _valid_dict()
     (raw if section is None else raw[section])[key] = value
     load_scenario(_write(tmp_path, raw))
+
+
+def test_readme_table_lists_every_read_key(monkeypatch):
+    """README's "Scenario configuration" table names exactly the keys that
+    scenario_from_dict reads: a top-level key by its row, a section's keys
+    by the `{key, ...}` list that opens the section's row."""
+    read = set()
+
+    def spy(real):
+        def wrapper(self, key, *args, **kwargs):
+            read.add(self._path(key))
+            return real(self, key, *args, **kwargs)
+        return wrapper
+
+    for name in ("require", "optional", "section"):
+        monkeypatch.setattr(config._Reader, name,
+                            spy(getattr(config._Reader, name)))
+    load_scenario(SCENARIOS / "nominal.json")
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Scenario configuration")[1].split("\n## ")[0]
+    listed = set()
+    for names, meaning in re.findall(r"^\| (`.*?) \| (.*) \|$", table, re.M):
+        names = re.findall(r"`(\w+)`", names)
+        listed.update(names)
+        keys = re.match(r"`\{(.*?)\}`", meaning)
+        if keys:  # "[start, stop)" and "(null = ...)" hold no key
+            items = re.sub(r"\[[^\])]*[\])]|\([^)]*\)", "", keys.group(1))
+            listed.update(f"{name}.{item.split(':')[0].strip()}"
+                          for name in names for item in items.split(","))
+    assert listed == read

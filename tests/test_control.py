@@ -84,6 +84,14 @@ def test_clamp_preserves_direction():
     assert np.abs(out[3:]).max() <= cfg.w_max + 1e-12
 
 
+def test_clamp_overshoots_a_limit_by_at_most_one_ulp():
+    rng = np.random.default_rng(68)
+    cfg = ControlConfig(v_max=0.4, w_max=0.4)  # 0.4 is no power of two
+    bound = np.nextafter(0.4, np.inf)
+    for twist in rng.standard_normal((2000, 6)):
+        assert np.abs(clamp_twist(twist, cfg)).max() <= bound
+
+
 def test_clamp_noop_inside_limits():
     cfg = ControlConfig()
     tw = np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0])

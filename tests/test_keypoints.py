@@ -144,19 +144,6 @@ def test_measure_blackout_window(gt_pose, model, intr, rng):
             assert meas.visible.all()
 
 
-def test_measure_occluder_half(gt_pose, model, intr, rng):
-    kps = fps_select(model, 8)
-    from ekfservo.camera import project_points
-
-    uv_true, _ = project_points(gt_pose.apply(kps.points3d), intr)
-    for half, pred in (("left", uv_true[:, 0] < intr.width / 2),
-                       ("top", uv_true[:, 1] < intr.height / 2)):
-        meas = measure(one_pose_stack(gt_pose), kps, intr,
-                       SensingProfile(sigma_px=0.0, occluder_half=half),
-                       [np.random.default_rng(0)])
-        assert np.array_equal(meas.visible[0], ~pred)
-
-
 def test_measure_behind_camera_invisible(model, intr, rng):
     kps = fps_select(model, 8)
     behind = Pose(LOOK_DOWN, np.array([0.0, 0.0, -0.3]))
@@ -221,8 +208,6 @@ def test_profile_validation():
         SensingProfile(reported_scale=0.0)
     with pytest.raises(ValueError):
         SensingProfile(anisotropy=0.5)
-    with pytest.raises(ValueError):
-        SensingProfile(occluder_half="diagonal")
 
 
 def test_measurement_len(gt_pose, model, intr, rng):

@@ -14,6 +14,7 @@ from scipy.stats import chi2
 
 import ekfservo.simulator as sim
 from conftest import one_pose_stack, scenario
+from ekfservo.camera import DEFAULT_Z_MIN
 from ekfservo.ekf import (
     INNOVATION_COND_LIMIT,
     _COND_MARGIN,
@@ -74,7 +75,7 @@ def recorded():
 
     # the loop makes stacked calls, one row per trial; each row is
     # recorded as the single call it stands for
-    def spy_update(state, meas, kps, intr, level, z_min):
+    def spy_update(state, meas, kps, intr, level, z_min=DEFAULT_Z_MIN):
         for j in range(state.P.shape[0]):
             one = FilterState(Pose(state.mean.C[j], state.mean.t[j]),
                               state.P[j].copy())
@@ -83,7 +84,8 @@ def recorded():
                             kps, intr, level, z_min))
         return real_update(state, meas, kps, intr, level, z_min=z_min)
 
-    def spy_measure(gt, kps, intr, profile, rngs, frame, z_min):
+    def spy_measure(gt, kps, intr, profile, rngs, frame,
+                    z_min=DEFAULT_Z_MIN):
         for j, rng in enumerate(rngs):
             rng_state = copy.deepcopy(rng.bit_generator.state)
             measures.append((Pose(gt.C[j], gt.t[j]), kps, intr, profile,

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ekfservo.control import ControlConfig, pbvs_law, relative_pose
+from ekfservo.control import pbvs_law, relative_pose
 from ekfservo.keypoints import ObjectModel
 from ekfservo.lie import Pose, exp_so3, pose_boxplus
 from ekfservo.metrics import (
@@ -70,12 +70,10 @@ def test_te_re_pure_rotation():
     assert abs(re - 30.0) < 1e-9
 
 
-def _stub_record(frames=5, converged=True, desired=None, lam=0.8):
+def _stub_record(frames=5, converged=True, desired=None):
     desired = desired or Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.15]))
-    rec = EpisodeRecord(seed=0, variant="coupled-ekf", desired=desired,
-                        initial_gt=desired, control=ControlConfig(lam=lam),
-                        dt=1.0 / 30.0, v_eps=1e-3, k_hold=10,
-                        max_frames=frames, converged=converged)
+    rec = EpisodeRecord(seed=0, desired=desired, initial_gt=desired,
+                        converged=converged)
     rec.gt_C = np.repeat(desired.C[None], frames, axis=0)
     rec.gt_t = np.repeat(desired.t[None], frames, axis=0)
     rec.est_C = rec.gt_C.copy()
@@ -124,20 +122,20 @@ def test_length_ratio_degenerate_reference():
 
 def test_uncertainty_correlation_zero_variance_guard():
     recs = [_stub_record(frames=10)]
-    assert np.isnan(uncertainty_correlation(recs))
+    assert np.isnan(uncertainty_correlation(recs, 0.8))
 
 
 def test_uncertainty_correlation_synthetic_linear():
     """Command errors constructed to grow linearly with entropy give r=1."""
     rec = _stub_record(frames=40)
     desired = rec.desired
-    v_gt = pbvs_law(relative_pose(desired, desired), rec.control.lam)
+    v_gt = pbvs_law(relative_pose(desired, desired), 0.8)
     ent = np.linspace(-5.0, 5.0, 40)
     rec.entropy = ent
     for k in range(40):
         err = 0.01 * (ent[k] + 6.0)
         rec.cmd[k] = v_gt + np.array([err, 0, 0, 0, 0, 0])
-    assert abs(uncertainty_correlation([rec]) - 1.0) < 1e-9
+    assert abs(uncertainty_correlation([rec], 0.8) - 1.0) < 1e-9
 
 
 def test_nees_zero_when_exact():
@@ -185,12 +183,12 @@ def test_nees_skips_nonfinite_covariance():
     assert nees([rec]).count == 3
 
 
-def test_summarize_aggregates_success_only(model, nominal_scenario):
+def test_summarize_aggregates_success_only(nominal_scenario):
     good = _stub_record()
     bad = _stub_record(converged=False)
     failed = _stub_record()
     failed.failure = "frame 3: numerical failure"
-    s = summarize([good, bad, failed], model, "coupled-ekf")
+    s = summarize([good, bad, failed], nominal_scenario)
     assert s.variant == "coupled-ekf" and s.trials == 3
     assert s.successes == 1
     assert s.failures == 1
@@ -209,9 +207,6 @@ def test_metrics_invariant_to_world_frame_change(nominal_scenario):
 
     moved = _stub_record(frames=rec.frames)
     moved.converged = rec.converged
-    moved.control = rec.control
-    moved.dt, moved.v_eps, moved.k_hold = rec.dt, rec.v_eps, rec.k_hold
-    moved.max_frames = rec.max_frames
     moved.desired = rec.desired.compose(g)
     moved.initial_gt = rec.initial_gt.compose(g)
     moved.final_gt = rec.final_gt.compose(g)
@@ -229,13 +224,16 @@ def test_metrics_invariant_to_world_frame_change(nominal_scenario):
     assert abs(add0 - add1) < 1e-12
     assert success(rec, sc.model) == success(moved, moved_model)
 
-    lr0 = length_ratio(rec.camera_positions(), geodesic_reference_for(rec))
-    lr1 = length_ratio(moved.camera_positions(), geodesic_reference_for(moved))
+    lr0 = length_ratio(rec.camera_positions(),
+                       geodesic_reference_for(rec, sc))
+    lr1 = length_ratio(moved.camera_positions(),
+                       geodesic_reference_for(moved, sc))
     assert abs(lr0 - lr1) < 1e-6
 
 
 def test_noisy_nominal_length_ratio_band(nominal_scenario):
     res = run_batch(nominal_scenario, 5)
     for rec in res.records:
-        lr = length_ratio(rec.camera_positions(), geodesic_reference_for(rec))
+        lr = length_ratio(rec.camera_positions(),
+                          geodesic_reference_for(rec, nominal_scenario))
         assert 1.0 <= lr <= 1.3

@@ -136,14 +136,16 @@ def test_nees_and_correlation_bit_identical(records):
     singular.P[k, 2, :] = 0.0
     singular.P[k, :, 2] = 0.0
     assert nees([singular]).count == nees([gappy]).count - 1
-    groups = list(records.values()) + [[gappy], [singular],
-                                       sum(records.values(), [gappy])]
-    for recs in groups:
+    lam = {name: scenario(name).control.lam for name in SHIPPED}
+    groups = [(recs, lam[name]) for name, recs in records.items()] + [
+        ([gappy], lam["adverse"]), ([singular], lam["adverse"]),
+        (sum(records.values(), [gappy]), lam["adverse"])]
+    for recs, gain in groups:
         res = nees(recs)
         mean, count = nees_reference(recs)
         assert same_bits(res.mean, mean) and res.count == count
-        assert same_bits(uncertainty_correlation(recs),
-                         uncertainty_correlation_reference(recs))
+        assert same_bits(uncertainty_correlation(recs, gain),
+                         uncertainty_correlation_reference(recs, gain))
     free = records["noise_free"]
     finite = sum(int(np.isfinite(r.P).all(axis=(1, 2)).sum()) for r in free)
     assert nees(free).count < finite

@@ -12,6 +12,7 @@ import ekfservo.pnp as pnp
 import ekfservo.simulator as sim
 import oracles
 from conftest import one_pose_stack, scenario
+from ekfservo.camera import DEFAULT_Z_MIN
 from ekfservo.keypoints import Measurement, SensingProfile, fps_select, measure
 from ekfservo.lie import Pose, pose_boxplus
 from ekfservo.pnp import refine_pose
@@ -52,7 +53,7 @@ def recorded():
     calls = []
     real = sim.refine_pose
 
-    def spy(prev, meas, kps, intr, z_min):
+    def spy(prev, meas, kps, intr, z_min=DEFAULT_Z_MIN):
         calls.append((prev, meas, kps, intr, z_min))
         return real(prev, meas, kps, intr, z_min=z_min)
 

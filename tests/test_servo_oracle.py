@@ -220,15 +220,15 @@ def test_step_dynamics_bit_identical(recorded):
 def test_geodesic_reference_bit_identical(recorded):
     _, records, full = recorded
     for rec, sc in zip(records, full):
-        args = (rec.initial_gt, rec.desired, sc.control, sc.dt, sc.v_eps,
-                sc.k_hold, sc.max_frames)
-        new = geodesic_reference(*args)
+        new = geodesic_reference(rec.initial_gt, rec.desired, sc)
         assert len(new) > 10
-        assert same_bits(new, geodesic_reference_reference(*args))
+        assert same_bits(new, geodesic_reference_reference(
+            rec.initial_gt, rec.desired, sc.control, sc.dt, sc.v_eps,
+            sc.k_hold, sc.max_frames))
 
 
 def test_metrics_bit_identical(recorded):
-    _, records, _ = recorded
+    _, records, full = recorded
     gappy = copy.deepcopy(records[0])  # frames a per-frame baseline leaves
     gappy.P[::3] = np.nan
     gappy.entropy[::4] = np.nan
@@ -236,8 +236,9 @@ def test_metrics_bit_identical(recorded):
     res = nees(records)
     mean, count = nees_reference(records)
     assert same_bits(res.mean, mean) and res.count == count
-    assert same_bits(uncertainty_correlation(records),
-                     uncertainty_correlation_reference(records))
+    for lam in sorted({sc.control.lam for sc in full}):
+        assert same_bits(uncertainty_correlation(records, lam),
+                         uncertainty_correlation_reference(records, lam))
 
 
 def test_clamp_psd_bit_identical_on_recorded(recorded):

@@ -6,6 +6,7 @@ from scipy.stats import kstest
 
 import ekfservo.simulator as sim
 from conftest import one_pose_stack, scenario
+from ekfservo.camera import DEFAULT_Z_MIN
 from ekfservo.control import clamp_twist
 from ekfservo.ekf import FilterState, NoiseParams
 from ekfservo.keypoints import ObjectModel, SensingProfile, fps_select
@@ -65,7 +66,7 @@ def test_sampled_initial_poses_keep_object_in_front(nominal_scenario):
     rng = np.random.default_rng(5)
     for _ in range(500):
         initial, _ = sample_poses(sc, kps, rng)
-        assert initial.apply(kps.points3d)[:, 2].min() > sc.z_min
+        assert initial.apply(kps.points3d)[:, 2].min() > DEFAULT_Z_MIN
 
 
 def test_sampler_supports_wider_grasping_rotations(nominal_scenario):
@@ -293,8 +294,8 @@ def test_geodesic_reference_self_ratio(nominal_scenario):
 
     initial = Pose(LOOK_DOWN, [0.05, -0.03, 0.31])
     desired = Pose(LOOK_DOWN, [0.0, 0.0, 0.15])
-    ref = geodesic_reference(initial, desired, nominal_scenario.control,
-                             nominal_scenario.dt, 1e-4, 10, 1000)
+    ref = geodesic_reference(initial, desired, replace(
+        nominal_scenario, v_eps=1e-4, k_hold=10, max_frames=1000))
     assert ref.shape[0] > 10
     assert abs(length_ratio(ref, ref) - 1.0) < 1e-9
 

@@ -63,8 +63,9 @@ def test_loop_calls_pbvs_law_once_per_recorded_frame(monkeypatch, variant):
 
 def test_loop_without_servoing_calls_no_control(monkeypatch):
     counts = _counting(monkeypatch, ("pbvs_law", "relative_pose"))
-    rec = sim.run_episode(replace(scenario("consistency"), max_frames=20))
-    assert rec.variant == "none" and rec.frames == 20
+    sc = replace(scenario("consistency"), max_frames=20)
+    rec = sim.run_episode(sc)
+    assert sc.variant == "none" and rec.frames == 20
     assert counts == {"pbvs_law": 0, "relative_pose": 0}
 
 
@@ -124,7 +125,7 @@ def test_batch_without_servoing_calls_no_control(monkeypatch):
     counts = _counting(monkeypatch,
                        ("pbvs_law", "relative_pose", "refine_pose"))
     res = sim.run_batch(replace(scenario("consistency"), max_frames=20), 3)
-    assert {rec.variant for rec in res.records} == {"none"}
+    assert res.summary.variant == "none"
     assert sum(rec.frames for rec in res.records) == 3 * 20
     assert counts == {"pbvs_law": 0, "relative_pose": 0, "refine_pose": 0}
 
@@ -186,9 +187,7 @@ def test_geodesic_rollout_calls_control_once_per_step(monkeypatch):
     rec = sim.run_episode(replace(sc, max_frames=5))
     counts = _counting(monkeypatch,
                        ("relative_pose", "pbvs_law", "clamp_twist"))
-    positions = sim.geodesic_reference(rec.initial_gt, rec.desired,
-                                       sc.control, sc.dt, sc.v_eps, sc.k_hold,
-                                       sc.max_frames)
+    positions = sim.geodesic_reference(rec.initial_gt, rec.desired, sc)
     steps = len(positions) - 1
     assert steps > 10
     assert counts == dict.fromkeys(counts, steps)
