@@ -3,6 +3,7 @@
 No lens distortion. Points projecting outside the image bounds are still
 returned; visibility policy belongs to the sensing layer. u and v are
 one (N, 2) expression, f * (x, y) / z + c, with the per-column bits.
+A point projects only when its depth is above the near plane Z_MIN.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_Z_MIN = 1e-3
+Z_MIN = 1e-3  # near plane, meters
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ class Intrinsics:
             object.__setattr__(self, name, arr)
 
 
-def project_points(points_c, intr: Intrinsics,
-                   z_min: float = DEFAULT_Z_MIN) -> tuple[np.ndarray, np.ndarray]:
+def project_points(points_c, intr: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of an (N, 3) stack.
 
     Returns (uv, in_front); rows with in_front == False hold NaN instead of
@@ -49,7 +49,7 @@ def project_points(points_c, intr: Intrinsics,
     """
     pts = np.asarray(points_c, dtype=float).reshape(-1, 3)
     z = pts[:, 2:]
-    in_front = pts[:, 2] > z_min
+    in_front = pts[:, 2] > Z_MIN
     if np.count_nonzero(in_front) == in_front.size:
         return intr.focal * pts[:, :2] / z + intr.center, in_front
     front = in_front[:, None]
@@ -67,7 +67,7 @@ def in_image(uv, intr: Intrinsics) -> np.ndarray:
 
 
 def projection_jacobians(points_c, intr: Intrinsics) -> np.ndarray:
-    """Stacked (N, 2, 3) pinhole derivatives; callers guarantee z > z_min.
+    """Stacked (N, 2, 3) pinhole derivatives; callers guarantee z > Z_MIN.
     Row i of a block is g_i e_i + q_i e_z, (g, q) = `jacobian_factors`."""
     pts = np.asarray(points_c, dtype=float).reshape(-1, 3)
     g, q = jacobian_factors(pts, intr)

@@ -26,6 +26,7 @@ from .config import ConfigError, load_scenario
 from .lie import Pose, rotation_to_quaternion
 from .metrics import Summary, te_re
 from .simulator import (
+    VARIANTS,
     BatchResult,
     EpisodeRecord,
     InfeasibleScenario,
@@ -89,9 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one controller variant")
     common(p_run)
-    p_run.add_argument("--variant",
-                       choices=("coupled-ekf", "pbvs-perframe", "none"),
-                       default=None,
+    p_run.add_argument("--variant", choices=VARIANTS, default=None,
                        help="controller variant (default: scenario file)")
 
     p_cmp = sub.add_parser("compare",

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .camera import DEFAULT_Z_MIN, Intrinsics, jacobian_factors, project_points
+from .camera import Z_MIN, Intrinsics, jacobian_factors, project_points
 from .keypoints import KeypointSet, Measurement
 from .lie import (Pose, cholesky_certifies, clamp_psd, exp_so3, pose_boxplus,
                   symmetrize)
@@ -141,34 +141,34 @@ def propagate(state: FilterState, twist, dt: float,
     return FilterState(Pose(c_new, t_new), symmetrize(p_new))
 
 
-def predict_keypoints(pose: Pose, kps: KeypointSet, intr: Intrinsics,
-                      z_min: float = DEFAULT_Z_MIN) -> tuple[np.ndarray, np.ndarray]:
+def predict_keypoints(pose: Pose, kps: KeypointSet,
+                      intr: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Predicted pixel locations of the model keypoints under a pose.
 
     Returns (uv, ok); keypoints behind the camera have ok == False and NaN
     rows, and are excluded from updates.
     """
-    return project_points(pose.apply(kps.points3d), intr, z_min)
+    return project_points(pose.apply(kps.points3d), intr)
 
 
-def measurement_jacobian(pose: Pose, kps: KeypointSet, intr: Intrinsics,
-                         z_min: float = DEFAULT_Z_MIN) -> tuple[np.ndarray, np.ndarray]:
+def measurement_jacobian(pose: Pose, kps: KeypointSet,
+                         intr: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Per-keypoint residual Jacobians d(measured - predicted)/d[dt, dphi].
 
     With the left perturbation, the camera-frame point moves as
     I * dt - hat(dphi) acting on C @ X, so each 2x6 block is
     [-J_proj, J_proj @ hat(C @ X)]. Returns (H blocks (N, 2, 6), ok mask);
-    a keypoint behind the z_min plane has ok False and a zero block.
+    a keypoint not beyond the Z_MIN plane has ok False and a zero block.
     """
     rotated = kps.points3d @ pose.C.T  # C @ X per keypoint
     pts_c = rotated + pose.t
-    ok = pts_c[:, 2] > z_min
+    ok = pts_c[:, 2] > Z_MIN
     return _masked_blocks(rotated, pts_c, ok, intr), ok
 
 
 def _masked_blocks(rotated, pts_c, mask, intr: Intrinsics) -> np.ndarray:
     """`_jacobian_blocks` of M points, zero where `mask` is False; those
-    points take unit depth, so that no depth behind z_min is divided by."""
+    points take unit depth, so that no depth behind Z_MIN is divided by."""
     if np.count_nonzero(mask) == mask.size:
         return _jacobian_blocks(rotated, pts_c, intr)
     h = _jacobian_blocks(rotated, np.where(mask[:, None], pts_c, 1.0), intr)
@@ -226,15 +226,13 @@ class UpdateResult:
     used: np.ndarray          # (N, n) flags: the keypoint entered the update
     n_visible: np.ndarray     # measured-visible keypoints this frame
     residual_rms: np.ndarray  # RMS of used residual components, NaN if none
-    all_rejected: np.ndarray  # visible keypoints existed but all were gated
     # per belief, None or the exception that failed it (its row of `state`
     # then holds the prior)
     errors: list = field(default_factory=list)
 
 
 def update(state: FilterState, meas: Measurement, kps: KeypointSet,
-           intr: Intrinsics, gate_level: float = 0.999,
-           z_min: float = DEFAULT_Z_MIN) -> UpdateResult:
+           intr: Intrinsics, gate_level: float = 0.999) -> UpdateResult:
     """Keypoint update with on-manifold injection.
 
     K = P H^T (H P H^T + Q)^-1 with H the *residual* Jacobian; since
@@ -272,7 +270,7 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     """
     try:
         return _update_stack(state, meas, kps, intr,
-                             _gate_threshold(gate_level), z_min)
+                             _gate_threshold(gate_level))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         if state.P.shape[0] == 1:
             return _unchanged(state, meas, [exc])
@@ -283,12 +281,11 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
                                  state.P[one]),
                      Measurement(meas.uv[one], meas.cov[one],
                                  meas.visible[one]),
-                     kps, intr, gate_level, z_min)
+                     kps, intr, gate_level)
         out.state.mean.C[one], out.state.mean.t[one] = (res.state.mean.C,
                                                         res.state.mean.t)
         out.state.P[one], out.used[one] = res.state.P, res.used
         out.residual_rms[one] = res.residual_rms
-        out.all_rejected[one] = res.all_rejected
         out.errors += res.errors
     return out
 
@@ -301,16 +298,16 @@ def _unchanged(state: FilterState, meas: Measurement,
         FilterState(Pose(state.mean.C.copy(), state.mean.t.copy()),
                     state.P.copy()),
         np.zeros((n_beliefs, n), dtype=bool), meas.visible.sum(axis=1),
-        np.full(n_beliefs, np.nan), np.zeros(n_beliefs, dtype=bool), errors)
+        np.full(n_beliefs, np.nan), errors)
 
 
-def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
+def _update_stack(state, meas, kps, intr, thresh) -> UpdateResult:
     """The stacked update's three stages; numpy's exceptions propagate."""
     n_beliefs, n = meas.visible.shape
     errors = [None] * n_beliefs
     rotated = kps.points3d @ state.mean.C.swapaxes(1, 2)  # C @ X per keypoint
     pts_c = rotated + state.mean.t[:, None, :]
-    uv_pred, ok = project_points(pts_c, intr, z_min)
+    uv_pred, ok = project_points(pts_c, intr)
     usable = meas.visible & ok.reshape(n_beliefs, n)
     counts = usable.sum(axis=1)
     if counts.all():  # every belief takes part: slices, not gathers
@@ -339,15 +336,12 @@ def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
     blocks = sq.reshape(n_act, n, 2, n, 2).diagonal(axis1=1, axis2=3)
     keep = _mahalanobis_keep(residuals, blocks.transpose(0, 3, 1, 2), thresh)
     keep &= mask
-    if np.isfinite(s).all():
-        finite = True
-    else:
+    if not np.isfinite(s).all():
         finite = np.isfinite(s).all(axis=(1, 2))
         for i in ids[~finite].tolist():
             errors[i] = SingularInnovation("non-finite innovation")
         keep[~finite] = False
     kept = keep.sum(axis=1)
-    all_rejected = finite & (kept == 0)
 
     # stage 2, per count of kept keypoints
     if keep.all():
@@ -393,10 +387,9 @@ def _update_stack(state, meas, kps, intr, thresh, z_min) -> UpdateResult:
         return UpdateResult(
             FilterState(pose_boxplus(state.mean, delta),
                         clamp_psd(ikh @ state.P)),
-            keep, meas.visible.sum(axis=1), rms, all_rejected, errors)
+            keep, meas.visible.sum(axis=1), rms, errors)
     out = _unchanged(state, meas, errors)
     out.used[ids] = keep
-    out.all_rejected[ids] = all_rejected
     at = ids[updated]
     if at.size:
         mean = pose_boxplus(Pose(state.mean.C[at], state.mean.t[at]), delta)

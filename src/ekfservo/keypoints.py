@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import DEFAULT_Z_MIN, Intrinsics, in_image, project_points
+from .camera import Intrinsics, in_image, project_points
 from .lie import Pose
 
 # Reported covariances carry a tiny isotropic floor so they stay positive
@@ -126,7 +126,7 @@ class SensingProfile:
     true sampling covariance: 1 reports it honestly, above 1 under-confident,
     below 1 over-confident. Outliers are never reflected in the reported
     covariance. blackout_frames is a half-open frame interval [start, stop)
-    during which every keypoint is dropped.
+    during which every keypoint is dropped; the default [0, 0) is empty.
     """
 
     sigma_px: float = 1.0
@@ -135,7 +135,7 @@ class SensingProfile:
     outlier_prob: float = 0.0
     outlier_px: float = 40.0
     reported_scale: float = 1.0
-    blackout_frames: tuple[int, int] | None = None
+    blackout_frames: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         if self.sigma_px < 0:
@@ -150,11 +150,10 @@ class SensingProfile:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.reported_scale <= 0:
             raise ValueError("reported_scale must be positive")
-        if self.blackout_frames is not None:
-            start, stop = self.blackout_frames
-            if not 0 <= start <= stop:
-                raise ValueError("blackout_frames [start, stop) must have "
-                                 "0 <= start <= stop")
+        start, stop = self.blackout_frames
+        if not 0 <= start <= stop:
+            raise ValueError("blackout_frames [start, stop) must have "
+                             "0 <= start <= stop")
 
 
 @dataclass
@@ -176,12 +175,10 @@ class Measurement:
 
 
 def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
-            profile: SensingProfile, rng,
-            frame: int | None = None,
-            z_min: float = DEFAULT_Z_MIN) -> Measurement:
-    """Synthesize one frame of noisy keypoint detections for a stack of N
-    poses (C (N, 3, 3), t (N, 3)) with a sequence of N Generators; every
-    field of the Measurement has a leading axis of N.
+            profile: SensingProfile, rng, frame: int) -> Measurement:
+    """Synthesize frame `frame` of noisy keypoint detections for a stack
+    of N poses (C (N, 3, 3), t (N, 3)) with a sequence of N Generators;
+    every field of the Measurement has a leading axis of N.
 
     The per-keypoint random draws happen in a fixed order and count
     regardless of visibility outcomes, so the stream stays bit-identical
@@ -203,15 +200,14 @@ def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
     out_dir = later[:, 2] * (2.0 * np.pi)
 
     pts_c = kps.points3d @ gt_pose.C.swapaxes(1, 2) + gt_pose.t[:, None, :]
-    uv_true, in_front = project_points(pts_c, intr, z_min)
+    uv_true, in_front = project_points(pts_c, intr)
     geometric = in_front & in_image(uv_true, intr)
     uv_true = uv_true.reshape(n_poses, n, 2)
 
     visible = geometric.reshape(n_poses, n) & (u_drop >= profile.dropout_prob)
-    if profile.blackout_frames is not None and frame is not None:
-        start, stop = profile.blackout_frames
-        if start <= frame < stop:
-            visible = np.zeros((n_poses, n), dtype=bool)
+    start, stop = profile.blackout_frames
+    if start <= frame < stop:
+        visible = np.zeros((n_poses, n), dtype=bool)
 
     # True sampling covariance: random orientation, axis stds s0 = sigma_px
     # and s1 = anisotropy * sigma_px. With the rotation's columns r0, r1,

@@ -210,7 +210,7 @@ def right_jacobian_inv(phi) -> np.ndarray:
     return out
 
 
-def exp_se3(xi, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def exp_se3(xi, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """SE(3) exponential of the scaled twist xi * dt.
 
     xi is ordered [v, w], one twist or an (N, 6) stack; returns (rotation,

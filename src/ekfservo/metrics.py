@@ -150,15 +150,14 @@ class Summary:
         return asdict(self)
 
 
-def summarize(records, scenario: Scenario,
-              rollouts: dict | None = None) -> Summary:
+def summarize(records, scenario: Scenario, rollouts: dict) -> Summary:
     """Aggregate a batch of episode records that `scenario` produced.
 
     TE/RE/LR statistics cover successful trials only; the success rate
     covers all trials, and episodes that aborted with a failure count as
     unsuccessful rather than being dropped. The geodesic rollout behind
-    each length ratio goes into `rollouts`, when given, under its record's
-    index in `records`.
+    each length ratio goes into `rollouts` under its record's index in
+    `records`.
     """
     records = list(records)
     trials = len(records)
@@ -173,8 +172,7 @@ def summarize(records, scenario: Scenario,
         te_vals.append(te)
         re_vals.append(re)
         reference = geodesic_reference_for(r, scenario)
-        if rollouts is not None:
-            rollouts[i] = reference
+        rollouts[i] = reference
         lr = length_ratio(r.camera_positions(), reference)
         if np.isfinite(lr):
             lr_vals.append(lr)

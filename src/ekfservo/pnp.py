@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .camera import DEFAULT_Z_MIN, Intrinsics
+from .camera import Intrinsics
 from .ekf import _jacobian_blocks, predict_keypoints
 from .keypoints import KeypointSet, Measurement
 from .lie import Pose, pose_boxplus
@@ -29,7 +29,7 @@ _REG.setflags(write=False)
 
 
 def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
-                intr: Intrinsics, z_min: float = DEFAULT_Z_MIN) -> Pose | None:
+                intr: Intrinsics) -> Pose | None:
     """Weighted Gauss-Newton pose refinement from the previous estimate.
 
     The weights, the inverses of the reported covariances of the visible
@@ -50,7 +50,7 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
     w_visible = None
     pose = prev
     for _ in range(ITERS):
-        uv_pred, ok = predict_keypoints(pose, kps, intr, z_min)
+        uv_pred, ok = predict_keypoints(pose, kps, intr)
         # with every keypoint in front, the usable ones are the visible ones
         idx = (visible_idx if np.count_nonzero(ok) == ok.size
                else np.flatnonzero(visible & ok))

@@ -398,8 +398,8 @@ class _Lockstep:
         refined = []
         for j in range(n):
             one = Measurement(meas.uv[j], meas.cov[j], meas.visible[j])
-            pose = refine_pose(Pose(mean.C[j].copy(), mean.t[j].copy()),
-                               one, kps, sc.intrinsics)
+            pose = refine_pose(Pose(mean.C[j], mean.t[j]), one, kps,
+                               sc.intrinsics)
             if pose is not None:
                 mean.C[j], mean.t[j] = pose.C, pose.t
                 refined.append(j)

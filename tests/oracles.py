@@ -25,7 +25,7 @@ import math
 import numpy as np
 from scipy.stats import chi2
 
-from ekfservo.camera import DEFAULT_Z_MIN, in_image, project_points
+from ekfservo.camera import Z_MIN, in_image, project_points
 from ekfservo.cli import EPISODE_HEADER, SUMMARY_HEADER, _summary_row
 from ekfservo.control import ControlConfig, apply_policy
 from ekfservo.ekf import (
@@ -133,9 +133,9 @@ def random_rotvec(rng, max_angle: float) -> np.ndarray:
     return axis * rng.uniform(0.0, max_angle)
 
 
-def _predict_keypoints_reference(state, kps, intr, z_min):
+def _predict_keypoints_reference(state, kps, intr):
     pts_c = state.mean.apply(kps.points3d)
-    return project_points(pts_c, intr, z_min)
+    return project_points(pts_c, intr)
 
 
 def _measurement_jacobian_reference(state, kps, intr, z_min):
@@ -196,12 +196,12 @@ def update_reference(state, meas, kps, intr, gate_level, z_min) -> UpdateResult:
     the innovation from the gated rows, test it by its SVD condition
     number, then solve."""
     n = len(kps)
-    uv_pred, ok = _predict_keypoints_reference(state, kps, intr, z_min)
+    uv_pred, ok = _predict_keypoints_reference(state, kps, intr)
     usable = meas.visible & ok
     n_visible = int(meas.visible.sum())
     if not np.any(usable):
         return UpdateResult(state.copy(), np.zeros(n, dtype=bool),
-                            n_visible, float("nan"), False)
+                            n_visible, float("nan"))
 
     blocks, _ = _measurement_jacobian_reference(state, kps, intr, z_min)
     idx = np.flatnonzero(usable)
@@ -210,7 +210,7 @@ def update_reference(state, meas, kps, intr, gate_level, z_min) -> UpdateResult:
                           gate_level)
     if not np.any(keep):
         return UpdateResult(state.copy(), np.zeros(n, dtype=bool),
-                            n_visible, float("nan"), True)
+                            n_visible, float("nan"))
     idx = idx[keep]
     residuals = residuals[keep]
 
@@ -234,10 +234,10 @@ def update_reference(state, meas, kps, intr, gate_level, z_min) -> UpdateResult:
     used = np.zeros(n, dtype=bool)
     used[idx] = True
     rms = float(np.sqrt(np.mean(eps**2)))
-    return UpdateResult(FilterState(mean, p_new), used, n_visible, rms, False)
+    return UpdateResult(FilterState(mean, p_new), used, n_visible, rms)
 
 
-def measure_reference(gt_pose, kps, intr, profile, rng, frame, z_min):
+def measure_reference(gt_pose, kps, intr, profile, rng, frame):
     """Synthetic keypoint detections with the noise and covariance built
     from a stacked (n, 2, 2) rotation and two einsums."""
     n = len(kps)
@@ -248,7 +248,7 @@ def measure_reference(gt_pose, kps, intr, profile, rng, frame, z_min):
     out_dir = rng.uniform(0.0, 2.0 * np.pi, size=n)
 
     pts_c = gt_pose.apply(kps.points3d)
-    uv_true, in_front = project_points(pts_c, intr, z_min)
+    uv_true, in_front = project_points(pts_c, intr)
     geometric = in_front & in_image(uv_true, intr)
 
     visible = geometric & (u_drop >= profile.dropout_prob)
@@ -635,8 +635,7 @@ def propagate_reference(state, twist, dt, noise):
     return FilterState(Pose(c_new, t_new), symmetrize(p_new))
 
 
-def measure_scalar_reference(gt_pose, kps, intr, profile, rng, frame=None,
-                             z_min=1e-3):
+def measure_scalar_reference(gt_pose, kps, intr, profile, rng, frame=None):
     """One pose's keypoint detections, noise and covariance built from the
     two rotation columns."""
     n = len(kps)
@@ -647,7 +646,7 @@ def measure_scalar_reference(gt_pose, kps, intr, profile, rng, frame=None,
     out_dir = rng.uniform(0.0, 2.0 * np.pi, size=n)
 
     pts_c = gt_pose.apply(kps.points3d)
-    uv_true, in_front = project_points(pts_c, intr, z_min)
+    uv_true, in_front = project_points(pts_c, intr)
     geometric = in_front & in_image(uv_true, intr)
 
     visible = geometric & (u_drop >= profile.dropout_prob)
@@ -727,15 +726,14 @@ def run_episode_reference(scenario, seed):
             state = propagate_reference(state, prev_cmd, scenario.dt,
                                         scenario.filter_noise)
         meas = measure_scalar_reference(gt, kps, scenario.intrinsics,
-                                        scenario.sensing, rng, frame=k,
-                                        z_min=DEFAULT_Z_MIN)
+                                        scenario.sensing, rng, frame=k)
 
         if use_ekf:
             level = (1.0 if k < GATE_WARMUP_FRAMES
                      else scenario.gate_level)
             try:
                 res = update_reference(state, meas, kps, scenario.intrinsics,
-                                       level, DEFAULT_Z_MIN)
+                                       level, Z_MIN)
             except SingularInnovation as exc:
                 record.failure = f"frame {k}: {exc}"
                 break
@@ -746,13 +744,12 @@ def run_episode_reference(scenario, seed):
         else:
             refined = refine_pose_reference(pnp_pose, meas, kps,
                                             scenario.intrinsics,
-                                            z_min=DEFAULT_Z_MIN)
+                                            z_min=Z_MIN)
             n_vis = int(meas.visible.sum())
             if refined is not None:
                 pnp_pose = refined
                 n_used = n_vis
-                uv, ok = predict_keypoints(pnp_pose, kps, scenario.intrinsics,
-                                           DEFAULT_Z_MIN)
+                uv, ok = predict_keypoints(pnp_pose, kps, scenario.intrinsics)
                 usable = meas.visible & ok
                 rms = (float(np.sqrt(np.mean(
                     (meas.uv[usable] - uv[usable]).ravel()**2)))

@@ -4,11 +4,9 @@ line with the measured quantities (run with -s or -rA to see them all).
 Scenario parameters live in the shipped scenarios/*.json files, so these
 tests exercise exactly what the CLI runs.
 """
-import json
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest

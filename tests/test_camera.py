@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from ekfservo.camera import (
+    Z_MIN,
     Intrinsics,
     in_image,
     project_points,
     projection_jacobians,
 )
+from ekfservo.ekf import measurement_jacobian
+from ekfservo.keypoints import KeypointSet
+from ekfservo.lie import Pose
 
 
 @pytest.fixture(scope="module")
@@ -35,16 +39,25 @@ def test_outside_image_still_returned(k600):
 
 
 def test_behind_camera_raises(k600):
-    # A point behind the camera, or in front of it but nearer than z_min, is
+    # A point behind the camera, or in front of it but nearer than Z_MIN, is
     # refused: its in_front flag is False and its pixel row is NaN, so no
     # caller can take it for a projection.
-    for point in ([0.0, 0.0, -1.0], [0.0, 0.0, 5e-4]):  # 5e-4 < default z_min
+    for point in ([0.0, 0.0, -1.0], [0.0, 0.0, 5e-4]):  # 5e-4 < Z_MIN
         uv, ok = project_points(point, k600)
         assert not ok[0]
         assert np.all(np.isnan(uv[0]))
         assert not in_image(uv, k600)[0]
-    uv, ok = project_points([0.0, 0.0, 0.5], k600, z_min=1.0)
-    assert not ok[0] and np.all(np.isnan(uv[0]))
+    # The plane itself is refused, with a zero Jacobian block; the next
+    # float beyond it projects, with a finite block.
+    at, beyond = [0.0, 0.0, Z_MIN], [0.0, 0.0, np.nextafter(Z_MIN, np.inf)]
+    uv, ok = project_points([at, beyond], k600)
+    assert ok.tolist() == [False, True]
+    assert np.all(np.isnan(uv[0])) and np.all(np.isfinite(uv[1]))
+    kps = KeypointSet(np.array([0, 1]), np.array([at, beyond]))
+    blocks, ok = measurement_jacobian(Pose(np.eye(3), np.zeros(3)), kps, k600)
+    assert ok.tolist() == [False, True]
+    assert not blocks[0].any()
+    assert np.all(np.isfinite(blocks[1])) and blocks[1].any()
 
 
 def test_in_image_non_finite_outside_boundary_inside(k600):

@@ -1,10 +1,8 @@
-import filecmp
 import json
 import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest

@@ -55,7 +55,7 @@ def test_required_fields_alone_take_the_defaults(tmp_path):
     assert sc.gate_level == 0.999
     assert sc.variant == "coupled-ekf"
     assert sc.control.entropy_threshold == math.inf
-    assert sc.sensing.blackout_frames is None
+    assert sc.sensing.blackout_frames == (0, 0)
     assert (sc.initial_pose.translation_var,
             sc.initial_pose.rotation_max_deg) == (0.0, 0.0)
 
@@ -155,6 +155,9 @@ def test_blackout_frames_roundtrip(tmp_path):
     raw["sensing"]["blackout_frames"] = [5, 25]
     sc = load_scenario(_write(tmp_path, raw))
     assert sc.sensing.blackout_frames == (5, 25)
+    raw["sensing"]["blackout_frames"] = None  # keeps the empty default
+    sc = load_scenario(_write(tmp_path, raw))
+    assert sc.sensing.blackout_frames == (0, 0)
     raw["sensing"]["blackout_frames"] = [5]
     with pytest.raises(ConfigError):
         load_scenario(_write(tmp_path, raw))

@@ -19,7 +19,6 @@ from ekfservo.ekf import (
 from ekfservo.keypoints import (
     KeypointSet,
     Measurement,
-    ObjectModel,
     SensingProfile,
     fps_select,
     measure,
@@ -160,9 +159,9 @@ def test_keypoints_behind_camera_excluded(intr, model):
     kps = fps_select(model, 8)
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     meas = measure(one_pose_stack(gt), kps, intr, SensingProfile(sigma_px=2.0),
-                   [np.random.default_rng(1)])
+                   [np.random.default_rng(1)], frame=0)
     # belief puts the object center barely in front: some keypoints land
-    # behind the z_min plane
+    # behind the Z_MIN plane
     straddling = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.005]))
     st = initialize(straddling, 0.02, 0.05)
     uv, ok = predict_keypoints(st.mean, kps, intr)
@@ -246,7 +245,7 @@ def test_gate_threshold_matches_scipy_chi2():
 
 def _noiseless_measurement(gt, kps, intr):
     return measure(one_pose_stack(gt), kps, intr, SensingProfile(sigma_px=0.0),
-                   [np.random.default_rng(0)])
+                   [np.random.default_rng(0)], frame=0)
 
 
 def test_update_zero_residual_keeps_mean_shrinks_p(intr, model):
@@ -280,7 +279,7 @@ def test_update_trace_never_grows(intr, model, rng):
     st = _one_belief(initialize(gt, 0.005, 0.02))
     for k in range(50):
         st_prior = propagate(st, np.zeros((1, 6)), DT, NOISE)
-        meas = measure(one_pose_stack(gt), kps, intr, prof, [rng])
+        meas = measure(one_pose_stack(gt), kps, intr, prof, [rng], frame=0)
         res = update(st_prior, meas, kps, intr)
         assert res.errors == [None]
         assert np.trace(res.state.P[0]) <= np.trace(st_prior.P[0]) + 1e-12
@@ -294,7 +293,7 @@ def test_update_all_invisible_is_identity(intr, model, rng):
     kps = fps_select(model, 8)
     st = _one_belief(initialize(gt, 0.02, 0.05))
     meas = measure(one_pose_stack(gt), kps, intr,
-                   SensingProfile(dropout_prob=1.0), [rng])
+                   SensingProfile(dropout_prob=1.0), [rng], frame=0)
     res = update(st, meas, kps, intr)
     assert res.n_visible[0] == 0 and not res.used.any()
     assert np.array_equal(res.state.P, st.P)
@@ -308,7 +307,9 @@ def test_update_all_rejected_flag(intr, model):
     shifted = Measurement(uv=meas.uv + 500.0, cov=meas.cov * 1e4,
                           visible=meas.visible)
     res = update(st, shifted, kps, intr, gate_level=0.999)
-    assert res.all_rejected[0] and not res.used.any()
+    assert not res.used.any() and res.errors[0] is None
+    assert res.n_visible[0] == 8
+    assert np.array_equal(res.state.P, st.P)
 
 
 def test_update_singular_innovation(intr, model):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ekfservo.camera import Intrinsics
 from ekfservo.keypoints import (
     Measurement,
     ObjectModel,
@@ -99,7 +98,7 @@ def test_fps_too_few_points():
 def test_measure_zero_noise_is_exact(gt_pose, model, intr, rng):
     kps = fps_select(model, 8)
     prof = SensingProfile(sigma_px=0.0)
-    meas = measure(one_pose_stack(gt_pose), kps, intr, prof, [rng])
+    meas = measure(one_pose_stack(gt_pose), kps, intr, prof, [rng], frame=0)
     assert meas.visible.shape == (1, 8) and meas.visible.all()
     from ekfservo.camera import project_points
 
@@ -112,7 +111,7 @@ def test_measure_zero_noise_is_exact(gt_pose, model, intr, rng):
 def test_measure_full_dropout(gt_pose, model, intr, rng):
     kps = fps_select(model, 8)
     meas = measure(one_pose_stack(gt_pose), kps, intr,
-                   SensingProfile(dropout_prob=1.0), [rng])
+                   SensingProfile(dropout_prob=1.0), [rng], frame=0)
     assert not meas.visible.any()
     assert np.all(np.isnan(meas.uv))
 
@@ -148,7 +147,7 @@ def test_measure_behind_camera_invisible(model, intr, rng):
     kps = fps_select(model, 8)
     behind = Pose(LOOK_DOWN, np.array([0.0, 0.0, -0.3]))
     meas = measure(one_pose_stack(behind), kps, intr, SensingProfile(),
-                   [rng])
+                   [rng], frame=0)
     assert not meas.visible.any()
 
 
@@ -157,11 +156,11 @@ def test_reported_covariance_fidelity(gt_pose, model, intr):
     kw = dict(sigma_px=2.0, anisotropy=1.5)
     gt = one_pose_stack(gt_pose)
     honest = measure(gt, kps, intr, SensingProfile(**kw),
-                     [np.random.default_rng(5)])
+                     [np.random.default_rng(5)], frame=0)
     over = measure(gt, kps, intr, SensingProfile(reported_scale=0.5, **kw),
-                   [np.random.default_rng(5)])
+                   [np.random.default_rng(5)], frame=0)
     under = measure(gt, kps, intr, SensingProfile(reported_scale=2.0, **kw),
-                    [np.random.default_rng(5)])
+                    [np.random.default_rng(5)], frame=0)
     floor = REPORTED_SIGMA_FLOOR_PX**2 * np.eye(2)
     base = honest.cov[0, 0] - floor
     assert np.allclose(over.cov[0, 0] - floor, base / 2.0, atol=1e-12)
@@ -185,7 +184,7 @@ def test_whitened_noise_covariance_is_identity(gt_pose, model, intr):
     chi2_sum = 0.0
     gt = one_pose_stack(gt_pose)
     for _ in range(12500):
-        meas = measure(gt, kps, intr, prof, [rng])
+        meas = measure(gt, kps, intr, prof, [rng], frame=0)
         for i in range(8):
             d = meas.uv[0, i] - uv_true[i]
             li = np.linalg.cholesky(meas.cov[0, i])
@@ -213,6 +212,6 @@ def test_profile_validation():
 def test_measurement_len(gt_pose, model, intr, rng):
     kps = fps_select(model, 8)
     meas = measure(one_pose_stack(gt_pose), kps, intr, SensingProfile(),
-                   [rng])
+                   [rng], frame=0)
     assert len(meas) == 8
     assert isinstance(meas, Measurement)

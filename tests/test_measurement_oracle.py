@@ -14,7 +14,7 @@ from scipy.stats import chi2
 
 import ekfservo.simulator as sim
 from conftest import one_pose_stack, scenario
-from ekfservo.camera import DEFAULT_Z_MIN
+from ekfservo.camera import Z_MIN
 from ekfservo.ekf import (
     INNOVATION_COND_LIMIT,
     _COND_MARGIN,
@@ -49,7 +49,7 @@ def _fields(res, j=None):
     """The outcome of row j of a stacked update, or of a single reference
     update when j is None."""
     fields = (res.state.mean.C, res.state.mean.t, res.state.P, res.used,
-              res.n_visible, res.residual_rms, res.all_rejected)
+              res.n_visible, res.residual_rms)
     return fields if j is None else tuple(f[j] for f in fields)
 
 
@@ -75,23 +75,21 @@ def recorded():
 
     # the loop makes stacked calls, one row per trial; each row is
     # recorded as the single call it stands for
-    def spy_update(state, meas, kps, intr, level, z_min=DEFAULT_Z_MIN):
+    def spy_update(state, meas, kps, intr, level):
         for j in range(state.P.shape[0]):
             one = FilterState(Pose(state.mean.C[j], state.mean.t[j]),
                               state.P[j].copy())
             updates.append((one, Measurement(meas.uv[j], meas.cov[j],
                                              meas.visible[j]),
-                            kps, intr, level, z_min))
-        return real_update(state, meas, kps, intr, level, z_min=z_min)
+                            kps, intr, level))
+        return real_update(state, meas, kps, intr, level)
 
-    def spy_measure(gt, kps, intr, profile, rngs, frame,
-                    z_min=DEFAULT_Z_MIN):
+    def spy_measure(gt, kps, intr, profile, rngs, frame):
         for j, rng in enumerate(rngs):
             rng_state = copy.deepcopy(rng.bit_generator.state)
             measures.append((Pose(gt.C[j], gt.t[j]), kps, intr, profile,
-                             rng_state, frame, z_min))
-        return real_measure(gt, kps, intr, profile, rngs, frame=frame,
-                            z_min=z_min)
+                             rng_state, frame))
+        return real_measure(gt, kps, intr, profile, rngs, frame=frame)
 
     sim.update, sim.measure = spy_update, spy_measure
     try:
@@ -106,10 +104,10 @@ def test_update_bit_identical_to_reference(recorded):
     updates, _ = recorded
     assert len(updates) == len(SHIPPED) * RECORDED_FRAMES
     partial = 0
-    for state, meas, kps, intr, level, z_min in updates:
-        ref = update_reference(state, meas, kps, intr, level, z_min)
+    for state, meas, kps, intr, level in updates:
+        ref = update_reference(state, meas, kps, intr, level, Z_MIN)
         _assert_same_update(
-            update(*_stack([(state, meas)]), kps, intr, level, z_min), 0, ref)
+            update(*_stack([(state, meas)]), kps, intr, level), 0, ref)
         if 0 < ref.used.sum() < ref.n_visible:
             partial += 1
     # the gated sub-block path of the innovation is exercised, not only
@@ -141,17 +139,17 @@ def test_stacked_update_matches_single_updates(recorded, intr, model):
     _, healthy, some = next(c for c in cases if c[0] == "some visible")
     groups["shared partial count"] = [
         (initialize(healthy.mean, sigma_t, sigma_phi), some, kps, intr,
-         0.999, 1e-3) for sigma_t, sigma_phi in ((0.01, 0.02), (0.02, 0.03))]
+         0.999) for sigma_t, sigma_phi in ((0.01, 0.02), (0.02, 0.03))]
     mixed = partial = 0
     for calls in groups.values():
-        _, _, kps, intr_, level, z_min = calls[0]
+        _, _, kps, intr_, level = calls[0]
         stacked, meas = _stack([(c[0], c[1]) for c in calls])
-        res = update(stacked, meas, kps, intr_, level, z_min)
+        res = update(stacked, meas, kps, intr_, level)
         assert res.errors == [None] * len(calls)
         counts = set()
         for j, (state, one, *_) in enumerate(calls):
-            ref = update_reference(state, one, kps, intr_, level, z_min)
-            alone = update(*_stack([(state, one)]), kps, intr_, level, z_min)
+            ref = update_reference(state, one, kps, intr_, level, Z_MIN)
+            alone = update(*_stack([(state, one)]), kps, intr_, level)
             _assert_same_update(alone, 0, ref)
             _assert_same_update(res, j, ref)
             counts.add(int(one.visible.sum()))
@@ -166,27 +164,27 @@ def test_stacked_update_fails_one_belief(recorded):
     `errors` and keeps its prior; the others are updated as alone."""
     updates, _ = recorded
     calls = updates[5:9]
-    _, _, kps, intr, level, z_min = calls[0]
+    _, _, kps, intr, level = calls[0]
     stacked, meas = _stack([(c[0], c[1]) for c in calls])
     stacked.P[2] = np.nan
-    res = update(stacked, meas, kps, intr, level, z_min)
+    res = update(stacked, meas, kps, intr, level)
     assert isinstance(res.errors[2], SingularInnovation)
     assert str(res.errors[2]) == "non-finite innovation"
     assert same_bits(res.state.mean.C[2], stacked.mean.C[2])
     for j in (0, 1, 3):
-        alone = update(*_stack([calls[j][:2]]), kps, intr, level, z_min)
+        alone = update(*_stack([calls[j][:2]]), kps, intr, level)
         _assert_same_update(res, j, alone, 0)
 
 
 def test_measure_bit_identical_to_reference(recorded):
     _, measures = recorded
-    for gt, kps, intr, profile, rng_state, frame, z_min in measures:
+    for gt, kps, intr, profile, rng_state, frame in measures:
         rng_new, rng_ref = np.random.default_rng(), np.random.default_rng()
         rng_new.bit_generator.state = rng_state
         rng_ref.bit_generator.state = rng_state
         new = measure(one_pose_stack(gt), kps, intr, profile, [rng_new],
-                      frame=frame, z_min=z_min)
-        ref = measure_reference(gt, kps, intr, profile, rng_ref, frame, z_min)
+                      frame=frame)
+        ref = measure_reference(gt, kps, intr, profile, rng_ref, frame)
         assert same_bits(new.uv, ref.uv[None])
         assert same_bits(new.cov, ref.cov[None])
         assert same_bits(new.visible, ref.visible[None])
@@ -197,7 +195,7 @@ def _frame(gt, kps, intr, sigma_px, seed) -> Measurement:
     one, for the single updates of oracles.py and `_stack`."""
     profile = SensingProfile(sigma_px=sigma_px)
     m = measure(one_pose_stack(gt), kps, intr, profile,
-                [np.random.default_rng(seed)])
+                [np.random.default_rng(seed)], frame=0)
     return Measurement(m.uv[0], m.cov[0], m.visible[0])
 
 
@@ -208,9 +206,10 @@ def test_singular_innovation_matches_reference(intr, model):
     for sigma_t, sigma_phi, singular in ((10.0, 3.0, True),
                                          (0.01, 0.02, False)):
         st_prior = initialize(gt, sigma_t, sigma_phi)
-        ref = _outcome(update_reference, st_prior, meas, kps, intr, 1.0, 1e-3)
+        ref = _outcome(update_reference, st_prior, meas, kps, intr, 1.0,
+                       Z_MIN)
         assert (ref is SingularInnovation) == singular
-        new = update(*_stack([(st_prior, meas)]), kps, intr, 1.0, 1e-3)
+        new = update(*_stack([(st_prior, meas)]), kps, intr, 1.0)
         _assert_same_update(new, 0, ref)
 
 
@@ -271,7 +270,7 @@ def test_mixed_stack_slices_equal_single_updates(intr, model, monkeypatch):
     assert eigvalsh_calls == [(2, 16, 16)]
     outcome = {}
     for j, (label, state, one) in enumerate(cases):
-        alone = update(*_stack([(state, one)]), kps, intr, 0.999, 1e-3)
+        alone = update(*_stack([(state, one)]), kps, intr, 0.999)
         if alone.errors[0] is not None:  # the belief keeps its prior
             assert isinstance(alone.errors[0], SingularInnovation), label
             assert isinstance(res.errors[j], SingularInnovation), label
@@ -279,20 +278,20 @@ def test_mixed_stack_slices_equal_single_updates(intr, model, monkeypatch):
             assert same_bits(res.state.mean.C[j], stacked.mean.C[j])
             assert same_bits(res.state.mean.t[j], stacked.mean.t[j])
             assert same_bits(res.state.P[j], stacked.P[j])
-            assert not res.used[j].any() and not res.all_rejected[j]
+            assert not res.used[j].any()
             assert np.isnan(res.residual_rms[j])
             outcome[label] = str(res.errors[j])
             continue
         _assert_same_update(res, j, alone, 0)
-        outcome[label] = (int(alone.used.sum()), bool(alone.all_rejected[0]))
-    assert outcome == {
-        "healthy": (8, False),
+        outcome[label] = (int(alone.used.sum()), int(alone.n_visible[0]))
+    assert outcome == {  # (used, visible) keypoints
+        "healthy": (8, 8),
         "ill-conditioned": "innovation condition number exceeds 1e+12",
-        "no usable keypoint": (0, False),
-        "all gated out": (0, True),
+        "no usable keypoint": (0, 0),
+        "all gated out": (0, 8),
         "non-finite": "non-finite innovation",
-        "some visible": (5, False),
-        "some gated out": (6, False),
+        "some visible": (5, 5),
+        "some gated out": (6, 8),
     }
 
 

@@ -1,7 +1,6 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from ekfservo.control import pbvs_law, relative_pose
 from ekfservo.keypoints import ObjectModel
@@ -160,8 +159,6 @@ def test_nees_scaling_with_covariance():
 
 def test_nees_honest_draws_near_dimension(rng):
     """Synthetic honest errors: NEES mean over 5000 draws sits near 6."""
-    rec = _stub_record(frames=1)
-    values = []
     chol = np.linalg.cholesky(1e-4 * np.eye(6))
     records = []
     for i in range(5000):
@@ -188,7 +185,7 @@ def test_summarize_aggregates_success_only(nominal_scenario):
     bad = _stub_record(converged=False)
     failed = _stub_record()
     failed.failure = "frame 3: numerical failure"
-    s = summarize([good, bad, failed], nominal_scenario)
+    s = summarize([good, bad, failed], nominal_scenario, {})
     assert s.variant == "coupled-ekf" and s.trials == 3
     assert s.successes == 1
     assert s.failures == 1

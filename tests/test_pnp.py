@@ -12,7 +12,7 @@ def _setup(model, intr, sigma=0.0, seed=0):
     gt = Pose(LOOK_DOWN, np.array([0.01, -0.02, 0.28]))
     frame = measure(one_pose_stack(gt), kps, intr,
                     SensingProfile(sigma_px=sigma),
-                    [np.random.default_rng(seed)])
+                    [np.random.default_rng(seed)], frame=0)
     # refine_pose takes one trial's frame, row 0 of the stack
     return kps, gt, Measurement(frame.uv[0], frame.cov[0], frame.visible[0])
 

@@ -12,8 +12,9 @@ import ekfservo.pnp as pnp
 import ekfservo.simulator as sim
 import oracles
 from conftest import one_pose_stack, scenario
-from ekfservo.camera import DEFAULT_Z_MIN
-from ekfservo.keypoints import Measurement, SensingProfile, fps_select, measure
+from ekfservo.camera import Z_MIN
+from ekfservo.keypoints import (KeypointSet, Measurement, SensingProfile,
+                                 fps_select, measure)
 from ekfservo.lie import Pose, pose_boxplus
 from ekfservo.pnp import refine_pose
 from ekfservo.simulator import LOOK_DOWN
@@ -53,9 +54,9 @@ def recorded():
     calls = []
     real = sim.refine_pose
 
-    def spy(prev, meas, kps, intr, z_min=DEFAULT_Z_MIN):
-        calls.append((prev, meas, kps, intr, z_min))
-        return real(prev, meas, kps, intr, z_min=z_min)
+    def spy(prev, meas, kps, intr):
+        calls.append((prev, meas, kps, intr))
+        return real(prev, meas, kps, intr)
 
     sim.refine_pose = spy
     try:
@@ -70,9 +71,9 @@ def recorded():
 def test_refine_pose_bit_identical_to_reference(recorded):
     assert len(recorded) == len(SHIPPED) * RECORDED_FRAMES
     outcomes = set()
-    for prev, meas, kps, intr, z_min in recorded:
-        ref = refine_pose_reference(prev, meas, kps, intr, z_min=z_min)
-        _assert_same_pose(refine_pose(prev, meas, kps, intr, z_min=z_min), ref)
+    for prev, meas, kps, intr in recorded:
+        ref = refine_pose_reference(prev, meas, kps, intr, z_min=Z_MIN)
+        _assert_same_pose(refine_pose(prev, meas, kps, intr), ref)
         outcomes.add(ref is None)
     # both a refined pose and the too-few-points hold are exercised
     assert outcomes == {True, False}
@@ -81,9 +82,9 @@ def test_refine_pose_bit_identical_to_reference(recorded):
 def test_one_predict_call_per_reference_iteration(recorded, monkeypatch):
     new_calls = _counting(monkeypatch, pnp, "predict_keypoints")
     ref_calls = _counting(monkeypatch, oracles, "project_points_reference")
-    for prev, meas, kps, intr, z_min in recorded[:60]:
-        refine_pose(prev, meas, kps, intr, z_min=z_min)
-        refine_pose_reference(prev, meas, kps, intr, z_min=z_min)
+    for prev, meas, kps, intr in recorded[:60]:
+        refine_pose(prev, meas, kps, intr)
+        refine_pose_reference(prev, meas, kps, intr, z_min=Z_MIN)
         assert len(new_calls) == len(ref_calls)
     assert len(new_calls) > 60
 
@@ -93,7 +94,8 @@ def clean(model, intr):
     kps = fps_select(model, 8)
     gt = Pose(LOOK_DOWN, np.array([0.01, -0.02, 0.28]))
     frame = measure(one_pose_stack(gt), kps, intr,
-                    SensingProfile(sigma_px=0.4), [np.random.default_rng(5)])
+                    SensingProfile(sigma_px=0.4), [np.random.default_rng(5)],
+                    frame=0)
     # refine_pose takes one trial's frame, row 0 of the stack
     meas = Measurement(frame.uv[0], frame.cov[0], frame.visible[0])
     start = pose_boxplus(gt, np.array([0.02, -0.01, 0.03, 0.08, -0.05, 0.04]))
@@ -133,40 +135,43 @@ def test_singular_covariance_uses_identity_weights(clean, intr):
     assert not same_bits(ref.t, refine_pose(start, meas, kps, intr).t)
 
 
-# Between the keypoint depths of `clean`: all 8 keypoints are in front
-# of it at the start pose, 5 once the first step has moved the object
-# about 3 cm closer.
-CROSSING_Z_MIN = 0.2755
+def _crossing(clean):
+    """`clean` with the keypoints and the start translation scaled by
+    Z_MIN / 0.2755, which leaves every pixel as it is: the Z_MIN plane
+    lies between the keypoint depths, all 8 keypoints beyond it at the
+    start pose, 5 once the first step has moved the object closer."""
+    kps, _, meas, start = clean
+    s = Z_MIN / 0.2755
+    return (KeypointSet(kps.ids, kps.points3d * s), meas,
+            Pose(start.C, start.t * s))
 
 
 def test_usable_set_changes_mid_call(clean, intr, monkeypatch):
-    kps, _, meas, start = clean
-    ref = refine_pose_reference(start, meas, kps, intr, z_min=CROSSING_Z_MIN)
+    kps, meas, start = _crossing(clean)
+    ref = refine_pose_reference(start, meas, kps, intr, z_min=Z_MIN)
     assert ref is not None
     masks = _usable_sets(
         monkeypatch,
-        lambda: _assert_same_pose(
-            refine_pose(start, meas, kps, intr, z_min=CROSSING_Z_MIN), ref))
+        lambda: _assert_same_pose(refine_pose(start, meas, kps, intr), ref))
     assert all(masks[0]) and not all(masks[-1])
 
 
 def test_singular_covariance_weights_whole_call_by_identity(clean, intr,
                                                            monkeypatch):
     """A singular reported covariance gives identity weights for the whole
-    call, also after its keypoint has crossed z_min and the covariances
+    call, also after its keypoint has crossed Z_MIN and the covariances
     still usable would invert (`measure` never reports a singular one)."""
-    kps, _, meas, start = clean
+    kps, meas, start = _crossing(clean)
     cov = meas.cov.copy()
     cov[0] = 0.0
     singular = _with(meas, cov=cov)
     unit = _with(meas, cov=np.broadcast_to(np.eye(2), meas.cov.shape))
-    ref = refine_pose_reference(start, unit, kps, intr, z_min=CROSSING_Z_MIN)
+    ref = refine_pose_reference(start, unit, kps, intr, z_min=Z_MIN)
     assert ref is not None
     masks = _usable_sets(
         monkeypatch,
-        lambda: _assert_same_pose(
-            refine_pose(start, singular, kps, intr, z_min=CROSSING_Z_MIN),
-            ref))
+        lambda: _assert_same_pose(refine_pose(start, singular, kps, intr),
+                                  ref))
     assert masks[0][0] and not masks[-1][0]
 
 

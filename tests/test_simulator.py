@@ -6,16 +6,15 @@ from scipy.stats import kstest
 
 import ekfservo.simulator as sim
 from conftest import one_pose_stack, scenario
-from ekfservo.camera import DEFAULT_Z_MIN
+from ekfservo.camera import Z_MIN
 from ekfservo.control import clamp_twist
-from ekfservo.ekf import FilterState, NoiseParams
+from ekfservo.ekf import FilterState
 from ekfservo.keypoints import ObjectModel, SensingProfile, fps_select
 from ekfservo.lie import Pose, exp_se3, log_so3, pose_boxminus
 from ekfservo.simulator import (
     LOOK_DOWN,
     InfeasibleScenario,
     PoseSampler,
-    Scenario,
     geodesic_reference,
     run_batch,
     run_episode,
@@ -66,7 +65,7 @@ def test_sampled_initial_poses_keep_object_in_front(nominal_scenario):
     rng = np.random.default_rng(5)
     for _ in range(500):
         initial, _ = sample_poses(sc, kps, rng)
-        assert initial.apply(kps.points3d)[:, 2].min() > DEFAULT_Z_MIN
+        assert initial.apply(kps.points3d)[:, 2].min() > Z_MIN
 
 
 def test_sampler_supports_wider_grasping_rotations(nominal_scenario):
