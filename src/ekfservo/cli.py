@@ -8,7 +8,8 @@ Subcommands:
 
 All outputs are plain text with fully deterministic content: running the
 same invocation twice produces byte-identical trees at any parallelism.
-Set EKFSERVO_LOG=debug|info|warning to control log verbosity.
+Set EKFSERVO_LOG=debug|info|warning|error|critical to control log
+verbosity.
 """
 from __future__ import annotations
 
@@ -44,6 +45,11 @@ EPISODE_HEADER = (
     "cmd_vx,cmd_vy,cmd_vz,cmd_wx,cmd_wy,cmd_wz,entropy,resid_rms"
 )
 SUMMARY_HEADER = ",".join(f.name for f in fields(Summary))
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+class UsageError(Exception):
+    """A flag value found unusable before the first trial (exit 2)."""
 
 
 def main(argv=None) -> int:
@@ -60,7 +66,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)
-    except ConfigError as exc:
+    except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleScenario as exc:
@@ -114,9 +120,21 @@ def _prepare_scenario(args, variant=None) -> Scenario:
     return replace(scenario, **updates) if updates else scenario
 
 
+def _make_out(path: str) -> Path:
+    """The --out directory, made once the flags and the config are valid
+    and before the first trial, so that an unusable path ends the run
+    before any trial runs."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out: {exc.strerror or exc}: {path}") from exc
+    return out
+
+
 def _cmd_run(args) -> int:
     scenario = _prepare_scenario(args)
-    out = Path(args.out)
+    out = _make_out(args.out)
     result = run_batch(scenario, args.trials, args.parallelism)
     _write_run_outputs(out, scenario, result, args)
     logger.info("wrote %d episodes to %s", len(result.records), out)
@@ -124,18 +142,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    out = Path(args.out)
+    scenarios = {variant: _prepare_scenario(args, variant=variant)
+                 for variant in ("coupled-ekf", "pbvs-perframe")}
+    out = _make_out(args.out)
     summaries = {}
-    for variant in ("coupled-ekf", "pbvs-perframe"):
-        scenario = _prepare_scenario(args, variant=variant)
+    for variant, scenario in scenarios.items():
         result = run_batch(scenario, args.trials, args.parallelism)
         _write_run_outputs(out / variant, scenario, result, args)
         summaries[variant] = result.summary
     _write_json(out / "comparison.json",
                 {v: s.to_dict() for v, s in summaries.items()})
-    lines = [SUMMARY_HEADER]
-    for variant in ("coupled-ekf", "pbvs-perframe"):
-        lines.append(_summary_row(summaries[variant]))
+    lines = [SUMMARY_HEADER] + [_summary_row(s) for s in summaries.values()]
     _write_text(out / "comparison.csv", "\n".join(lines) + "\n")
     return 0
 
@@ -143,8 +160,7 @@ def _cmd_compare(args) -> int:
 def _write_run_outputs(out: Path, scenario: Scenario, result: BatchResult,
                        args) -> None:
     records, summary = result.records, result.summary
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "episodes").mkdir(exist_ok=True)
+    (out / "episodes").mkdir(parents=True, exist_ok=True)
     for i, rec in enumerate(records):
         _write_text(out / "episodes" / f"episode_{i:04d}.csv",
                     _episode_csv(rec))
@@ -233,8 +249,9 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _setup_logging() -> None:
+    """EKFSERVO_LOG names a level in any case; anything else is warning."""
     level = os.environ.get("EKFSERVO_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    logging.basicConfig(level=level if level in LOG_LEVELS else "WARNING",
                         format="%(levelname)s %(name)s: %(message)s",
                         force=True)
 

@@ -3,22 +3,25 @@
 The control law maps the relative transform between desired and current
 camera frames to a camera twist,
 
-    v = -lambda * [C_rel^T t_rel, theta*u],
+    v = -lambda * e,   e = [C_rel^T t_rel, theta*u],
 
 and the filter covariance is pushed through its linearization to obtain a
 twist covariance and a scalar differential entropy. An entropy threshold
-gates a velocity reduction of the clamped command.
+gates a velocity reduction of the clamped command. The law returns the
+servo error e with the twist, and the linearization reads that e rather
+than forming it again.
 
 A twist is a plain float array [v_p, w]: translational velocity v_p (m/s)
 and angular velocity w (rad/s), both in the camera frame; shape (6,), or
-(N, 6) for a stack. `relative_pose`, `pbvs_law`, `velocity_jacobian`,
-`velocity_covariance`, `entropy` and `apply_policy` take one pose, matrix
-or twist, or a stack of N (a Pose of (N, 3, 3) and (N, 3) arrays, or
-(N, 6, 6) matrices), row i of a stacked result with the bits of the call
-on row i alone; the clamp takes one twist. The stacked twist covariance
-rests, like the stacked EKF update, on numpy's matrix product giving each
-slice of a stack the bits of the same product on that slice alone, which
-the oracle tests establish only on the numpy and BLAS build they run on.
+(N, 6) for a stack, as is a servo error. `relative_pose`, `pbvs_law`,
+`velocity_jacobian`, `velocity_covariance`, `entropy` and `apply_policy`
+take one pose, error, matrix or twist, or a stack of N (a Pose of
+(N, 3, 3) and (N, 3) arrays, (N, 6) errors, or (N, 6, 6) matrices), row i
+of a stacked result with the bits of the call on row i alone; the clamp
+takes one twist. The stacked twist covariance rests, like the stacked EKF
+update, on numpy's matrix product giving each slice of a stack the bits
+of the same product on that slice alone, which the oracle tests establish
+only on the numpy and BLAS build they run on.
 """
 from __future__ import annotations
 
@@ -83,13 +86,15 @@ def relative_pose(desired: Pose, current: Pose) -> Pose:
     return Pose(c, t)
 
 
-def pbvs_law(rel: Pose, lam: float) -> np.ndarray:
-    """The raw (unclamped) servo law; requires the rotation angle < pi.
-    rel is one relative pose, giving a twist (6,), or a stack of N,
-    giving (N, 6)."""
+def pbvs_law(rel: Pose, lam: float) -> tuple:
+    """The raw (unclamped) servo law -lam * e and the servo error e =
+    [C_rel^T t_rel, theta*u] it scales, which `velocity_jacobian` reads;
+    requires the rotation angle < pi. rel is one relative pose, giving
+    two (6,) arrays, or a stack of N, giving two (N, 6)."""
     c_t = rel.C.swapaxes(-1, -2)
-    v_p = c_t @ rel.t if c_t.ndim == 2 else (c_t @ rel.t[:, :, None])[:, :, 0]
-    return np.concatenate([-lam * v_p, -lam * log_so3(rel.C)], axis=-1)
+    e_t = c_t @ rel.t if c_t.ndim == 2 else (c_t @ rel.t[:, :, None])[:, :, 0]
+    e = np.concatenate([e_t, log_so3(rel.C)], axis=-1)
+    return -lam * e, e
 
 
 def clamp_twist(twist: np.ndarray, cfg: ControlConfig) -> np.ndarray:
@@ -114,12 +119,13 @@ def _max_abs(x: float, y: float, z: float) -> float:
     return max(abs(x), abs(y), abs(z))
 
 
-def velocity_jacobian(rel: Pose, current: Pose,
+def velocity_jacobian(error: np.ndarray, current: Pose,
                       cfg: ControlConfig) -> np.ndarray:
     """Derivative of the raw servo law with respect to the filter error
     state [dt, dphi] (left perturbation on the current object pose), at
-    rel = relative_pose(desired, current). One pose pair gives (6, 6), a
-    stack of N pairs (N, 6, 6).
+    the servo error e = [e_t, theta*u] that `pbvs_law` returned for the
+    relative pose of `current`. One error (6,) and pose give (6, 6), a
+    stack of N errors (N, 6) and poses (N, 6, 6).
 
     Perturbing the object pose perturbs the relative rotation on the right
     by -dphi, so the angular rows pick up lam * J_r^{-1}(theta*u); the
@@ -128,11 +134,11 @@ def velocity_jacobian(rel: Pose, current: Pose,
         d v_p / d dt   = lam * I
         d v_p / d dphi = lam * (hat(t_obj) + hat(e_t))
     """
-    e_t = (rel.C.swapaxes(-1, -2) @ rel.t[..., None])[..., 0]
-    jac = np.zeros(rel.t.shape[:-1] + (6, 6))
+    jac = np.zeros(error.shape[:-1] + (6, 6))
     jac[..., :3, :3] = cfg.lam * _EYE3
-    jac[..., :3, 3:] = cfg.lam * (_hat_stacked(current.t) + _hat_stacked(e_t))
-    jac[..., 3:, 3:] = cfg.lam * right_jacobian_inv(log_so3(rel.C))
+    jac[..., :3, 3:] = cfg.lam * (_hat_stacked(current.t)
+                                  + _hat_stacked(error[..., :3]))
+    jac[..., 3:, 3:] = cfg.lam * right_jacobian_inv(error[..., 3:])
     return jac
 
 

@@ -75,7 +75,7 @@ def uncertainty_correlation(records, lam: float) -> float:
         if not finite.any():
             continue
         gt = Pose(rec.gt_C[finite], rec.gt_t[finite])
-        v_gt = pbvs_law(relative_pose(rec.desired, gt), lam)
+        v_gt, _ = pbvs_law(relative_pose(rec.desired, gt), lam)
         err = rec.cmd[finite] - v_gt
         ents.append(rec.entropy[finite])
         errs.append(np.sqrt(np.vecdot(err, err)))

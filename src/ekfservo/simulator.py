@@ -19,9 +19,11 @@ k of every active trial together (README's "Engine" paragraph): one
 all of them, the commands the [v, w] rows of one (N, 6) array, and one
 `velocity_jacobian`, `velocity_covariance`, `entropy` and `apply_policy`
 call for the trials that have not failed; the relative pose, servo law,
-clamp and PnP refinement run per trial. A trial leaves when it converges or
-fails: `update` and `step_dynamics` take stacks only (one trial is a
-stack of one) and return each row's numerical failure in their `errors`.
+clamp and PnP refinement run per trial, and the Jacobian reads the stacked
+servo errors that the per-trial law returned. A trial leaves when it
+converges or fails: `update` and `step_dynamics` take stacks only (one
+trial is a stack of one) and return each row's numerical failure in their
+`errors`.
 Each trial draws from its own Generator in a lone run's order, and the
 stacked kernels give it its lone run's bits, so a record does not depend
 on the batch width or on `--parallelism`. `run_batch` imports and starts
@@ -430,20 +432,18 @@ class _Lockstep:
         if not self.servo:
             return cmd, raw, vcov, ent, converged
         live = [j for j in range(n) if j not in failures]  # rows not failed
-        rels = []  # the relative poses of the live rows
+        errors = []  # the servo errors of the live rows
         for j in live:
-            rel, raw[j], cmd[j], self.hold[j] = _servo_step(
+            error, raw[j], cmd[j], self.hold[j] = _servo_step(
                 self.records[self.ids[j]].desired, Pose(est.C[j], est.t[j]),
                 cfg, sc.v_eps, self.hold[j])
-            rels.append(rel)
+            errors.append(error)
             if self.hold[j] >= sc.k_hold:
                 converged.append(j)
         if self.use_ekf and live:
             if failures:
                 est, p_est = Pose(est.C[live], est.t[live]), p_est[live]
-            rel = Pose(np.array([r.C for r in rels]),
-                       np.array([r.t for r in rels]))
-            jac = velocity_jacobian(rel, est, cfg)
+            jac = velocity_jacobian(np.array(errors), est, cfg)
             vcov[live] = cov = velocity_covariance(jac, p_est)
             ent[live] = h = entropy(cov)
             cmd[live] = apply_policy(cmd[live], h, cfg)
@@ -490,14 +490,13 @@ def _quiet():
 
 def _servo_step(desired: Pose, current: Pose, cfg: ControlConfig,
                 v_eps: float, hold: int) -> tuple:
-    """The relative pose, raw law and clamped command for one pose, and
+    """The servo error, raw law and clamped command for one pose, and
     the hold count after it: the frames in a row whose clamped command
     stayed below v_eps. The entropy policy scales only the command sent,
     so a reduced command never holds a trial that is still moving."""
-    rel = relative_pose(desired, current)
-    raw = pbvs_law(rel, cfg.lam)
+    raw, error = pbvs_law(relative_pose(desired, current), cfg.lam)
     cmd = clamp_twist(raw, cfg)
-    return rel, raw, cmd, hold + 1 if math.sqrt(cmd.dot(cmd)) < v_eps else 0
+    return error, raw, cmd, hold + 1 if math.sqrt(cmd.dot(cmd)) < v_eps else 0
 
 
 def geodesic_reference(initial: Pose, desired: Pose,

@@ -295,6 +295,41 @@ def test_log_level_env_var(tmp_path, monkeypatch):
     main(["run", "--config", NOMINAL, "--trials", "0",
           "--out", str(tmp_path / "o2")])
     assert logging.getLogger().getEffectiveLevel() == logging.WARNING
+    # a level name in any case; other names in the logging module, such
+    # as basic_format and _styles, are no levels: warning, no traceback
+    for value, level in (("Error", logging.ERROR),
+                         ("basic_format", logging.WARNING),
+                         ("CRITICAL", logging.CRITICAL),
+                         ("_styles", logging.WARNING)):
+        monkeypatch.setenv("EKFSERVO_LOG", value)
+        assert main(["run", "--config", NOMINAL, "--trials", "0",
+                     "--out", str(tmp_path / "o3")]) == 0
+        assert logging.getLogger().getEffectiveLevel() == level
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_unusable_out_exit_2_before_the_batch(tmp_path, capsys, monkeypatch,
+                                              command, under):
+    """An --out that is an existing file, or a path under one, ends in one
+    error line and exit 2 before any trial runs."""
+    import ekfservo.cli as cli
+
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under else blocker
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_batch", no_batch)
+    rc = main([command, "--config", NOMINAL, "--trials", "2",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and err.count("\n") == 1
+    assert str(out) in err and "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
 
 
 def _loaded_by_cli_import(packages) -> str:

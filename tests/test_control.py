@@ -15,7 +15,7 @@ from ekfservo.control import (
     velocity_jacobian,
 )
 from ekfservo.ekf import FilterState
-from ekfservo.lie import Pose, exp_so3, pose_boxplus
+from ekfservo.lie import Pose, exp_so3, log_so3, pose_boxplus
 from ekfservo.simulator import LOOK_DOWN
 from oracles import fd_pose_jacobian, random_rotvec, rel_error, same_bits
 
@@ -48,21 +48,26 @@ def test_relative_pose_matrix_oracle(rng):
         assert np.abs(rel.as_matrix() - oracle).max() < 1e-12
 
 
+def _error(desired, current):
+    """The servo error pbvs_law returns for current against desired."""
+    return pbvs_law(relative_pose(desired, current), 1.0)[1]
+
+
 def test_pbvs_law_identity_gives_zero():
-    tw = pbvs_law(Pose.identity(), 0.7)
+    tw, _ = pbvs_law(Pose.identity(), 0.7)
     assert np.linalg.norm(tw) == 0.0
 
 
 def test_pbvs_law_translation_example():
     rel = Pose(np.eye(3), [0.2, 0.0, 0.1])
-    tw = pbvs_law(rel, 0.5)
+    tw, _ = pbvs_law(rel, 0.5)
     assert np.allclose(tw[:3], [-0.1, 0.0, -0.05])
     assert np.allclose(tw[3:], 0.0)
 
 
 def test_pbvs_law_rotation_example():
     rel = Pose(exp_so3([0.0, 0.0, np.pi / 2]), np.zeros(3))
-    tw = pbvs_law(rel, 1.0)
+    tw, _ = pbvs_law(rel, 1.0)
     assert np.allclose(tw[:3], 0.0)
     assert np.allclose(tw[3:], [0.0, 0.0, -np.pi / 2], atol=1e-12)
 
@@ -70,7 +75,22 @@ def test_pbvs_law_rotation_example():
 def test_equilibrium_iff_identity(rng):
     for _ in range(20):
         rel = Pose(exp_so3(random_rotvec(rng, 1.5)), rng.standard_normal(3))
-        assert np.linalg.norm(pbvs_law(rel, 1.0)) > 1e-12
+        assert np.linalg.norm(pbvs_law(rel, 1.0)[0]) > 1e-12
+
+
+def test_pbvs_law_returns_the_error_it_scales(rng):
+    """The law is -lam * e with the bits of -lam times each component, for
+    one pose and for a stack, and e is [C_rel^T t_rel, theta*u]."""
+    rels = [Pose(exp_so3(random_rotvec(rng, 2.0)), rng.standard_normal(3))
+            for _ in range(20)]
+    stack = Pose(np.array([r.C for r in rels]), np.array([r.t for r in rels]))
+    twists, errors = pbvs_law(stack, 0.7)
+    for rel, twist, error in zip(rels, twists, errors):
+        tw, e = pbvs_law(rel, 0.7)
+        assert same_bits(e, error) and same_bits(tw, twist)
+        assert same_bits(tw, -0.7 * e)
+        assert same_bits(e[3:], log_so3(rel.C))
+        assert same_bits(e[:3], rel.C.T @ rel.t)
 
 
 def test_clamp_preserves_direction():
@@ -104,11 +124,10 @@ def test_velocity_jacobian_matches_fd(rng):
         desired = _random_pose(rng, angle=0.3)
         state = FilterState(_random_pose(rng), 1e-4 * np.eye(6))
         cfg = ControlConfig(lam=0.7)
-        jac = velocity_jacobian(relative_pose(desired, state.mean),
-                                state.mean, cfg)
+        jac = velocity_jacobian(_error(desired, state.mean), state.mean, cfg)
 
         def vel(p):
-            return pbvs_law(relative_pose(desired, p), cfg.lam)
+            return pbvs_law(relative_pose(desired, p), cfg.lam)[0]
 
         fd = fd_pose_jacobian(vel, state.mean, 6)
         worst = max(worst, rel_error(jac, fd))
@@ -121,11 +140,11 @@ def test_velocity_jacobian_translation_block(rng):
     current = Pose(LOOK_DOWN, [0.03, -0.02, 0.31])
     cfg = ControlConfig(lam=0.5)
     state = FilterState(current, np.eye(6) * 1e-6)
-    jac = velocity_jacobian(relative_pose(desired, current), current, cfg)
+    jac = velocity_jacobian(_error(desired, current), current, cfg)
     assert np.allclose(jac[:3, :3], 0.5 * np.eye(3), atol=1e-12)
 
     def vel(p):
-        return pbvs_law(relative_pose(desired, p), cfg.lam)
+        return pbvs_law(relative_pose(desired, p), cfg.lam)[0]
 
     fd = fd_pose_jacobian(vel, current, 6)
     assert rel_error(jac, fd) < 1e-5
@@ -134,9 +153,9 @@ def test_velocity_jacobian_translation_block(rng):
 def test_velocity_jacobian_linear_in_gain(rng):
     desired = _random_pose(rng, 0.2)
     state = FilterState(_random_pose(rng), np.eye(6) * 1e-4)
-    rel = relative_pose(desired, state.mean)
-    j1 = velocity_jacobian(rel, state.mean, ControlConfig(lam=0.5))
-    j2 = velocity_jacobian(rel, state.mean, ControlConfig(lam=1.5))
+    error = _error(desired, state.mean)
+    j1 = velocity_jacobian(error, state.mean, ControlConfig(lam=0.5))
+    j2 = velocity_jacobian(error, state.mean, ControlConfig(lam=1.5))
     assert np.allclose(j2, 3.0 * j1, atol=1e-12)
 
 
@@ -159,17 +178,18 @@ def test_velocity_covariance_monte_carlo_pushforward(rng):
     a = rng.standard_normal((6, 6))
     p = 1e-6 * (a @ a.T + 6 * np.eye(6))  # sigma ~ 1e-3 scale
     state = FilterState(mean_pose, p)
-    jac = velocity_jacobian(relative_pose(desired, mean_pose), mean_pose, cfg)
+    v0, error = pbvs_law(relative_pose(desired, mean_pose), cfg.lam)
+    jac = velocity_jacobian(error, mean_pose, cfg)
     lin_trace = np.trace(velocity_covariance(jac, p))
 
     chol = np.linalg.cholesky(p)
-    v0 = pbvs_law(relative_pose(desired, mean_pose), cfg.lam)
     n = 100_000
     deltas = rng.standard_normal((n, 6)) @ chol.T
     acc = 0.0
     for i in range(n):
-        v = pbvs_law(relative_pose(desired, pose_boxplus(mean_pose, deltas[i])),
-                     cfg.lam)
+        v, _ = pbvs_law(relative_pose(desired,
+                                      pose_boxplus(mean_pose, deltas[i])),
+                        cfg.lam)
         acc += float(((v - v0)**2).sum())
     mc_trace = acc / n
     assert abs(mc_trace - lin_trace) / lin_trace < 0.03
@@ -191,7 +211,7 @@ def test_perfect_information_decay_rate(rng):
         rel = relative_pose(desired, gt)
         e_t0 = np.linalg.norm(rel.t)
         e_r0 = np.linalg.norm(log_so3(rel.C))
-        cmd = pbvs_law(rel, lam)  # no clamp
+        cmd, _ = pbvs_law(rel, lam)  # no clamp
         gt, errors = step_dynamics(gt, cmd, 0.0, 0.0, dt, [rng])
         assert errors == [None]
         rel = relative_pose(desired, gt)

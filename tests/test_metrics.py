@@ -128,7 +128,7 @@ def test_uncertainty_correlation_synthetic_linear():
     """Command errors constructed to grow linearly with entropy give r=1."""
     rec = _stub_record(frames=40)
     desired = rec.desired
-    v_gt = pbvs_law(relative_pose(desired, desired), 0.8)
+    v_gt, _ = pbvs_law(relative_pose(desired, desired), 0.8)
     ent = np.linspace(-5.0, 5.0, 40)
     rec.entropy = ent
     for k in range(40):

@@ -97,7 +97,7 @@ def test_relative_pose_servo_law_and_te_re_stacked_bit_identical():
         desired = Pose(exp_so3(desired_phi), rng.standard_normal(3))
         for idx in shuffled_stacks(rng, np.arange(len(mats)), width=50):
             rel = relative_pose(desired, Pose(mats[idx], trans[idx]))
-            twists = pbvs_law(rel, 0.7)
+            twists, errors = pbvs_law(rel, 0.7)
             te, re = te_re(Pose(mats[idx], trans[idx]), desired)
             for j, i in enumerate(idx.tolist()):
                 current = Pose(mats[i], trans[i])
@@ -105,7 +105,9 @@ def test_relative_pose_servo_law_and_te_re_stacked_bit_identical():
                 assert same_bits(rel.C[j], one.C)
                 assert same_bits(rel.t[j], one.t)
                 redone += not same_bits(one.C, desired.C @ mats[i].T)
-                assert same_bits(twists[j], pbvs_law(one, 0.7))
+                twist, error = pbvs_law(one, 0.7)
+                assert same_bits(twists[j], twist)
+                assert same_bits(errors[j], error)
                 te_one, re_one = te_re_reference(current, desired)
                 assert same_bits(te[j], te_one) and same_bits(re[j], re_one)
                 assert te_re(current, desired) == (te_one, re_one)

@@ -19,6 +19,7 @@ from ekfservo.control import (
     ControlConfig,
     clamp_twist,
     entropy,
+    pbvs_law,
     relative_pose,
     velocity_covariance,
     velocity_jacobian,
@@ -88,13 +89,13 @@ def recorded():
         desired.append(desired_pose)
         return real["relative_pose"](desired_pose, current)
 
-    # the chain runs once per frame on the rows whose relative pose this
-    # frame computed, in the same order
-    def spy_velocity_jacobian(rel, current, cfg):
-        assert len(desired) == len(rel.t)
-        calls["chain"].append([list(desired), rel, current, cfg])
+    # the chain runs once per frame on the servo errors of the rows whose
+    # relative pose this frame computed, in the same order
+    def spy_velocity_jacobian(error, current, cfg):
+        assert len(desired) == len(error)
+        calls["chain"].append([list(desired), error, current, cfg])
         desired.clear()
-        return real["velocity_jacobian"](rel, current, cfg)
+        return real["velocity_jacobian"](error, current, cfg)
 
     def spy_velocity_covariance(jac, p):
         calls["chain"][-1].append(p)
@@ -142,20 +143,22 @@ def recorded():
     return calls, records, full
 
 
-def _check_chain(desired, rel, current, p, cfg) -> int:
+def _check_chain(desired, error, current, p, cfg) -> int:
     """velocity_jacobian, velocity_covariance and entropy on stacks of
-    relative poses, current poses and covariances: row i has the bits of
-    the single call on row i, and that call the bits of the reference.
-    Returns the number of rows whose entropy took the +1e-12 I retry."""
+    servo errors, current poses and covariances: row i has the bits of
+    the single call on row i, and that call the bits of the reference,
+    which forms the relative pose and the error again from desired and
+    current. Returns the number of rows whose entropy took the +1e-12 I
+    retry."""
     with np.errstate(invalid="ignore"):  # slogdet of a non-finite row
-        jac = velocity_jacobian(rel, current, cfg)
+        jac = velocity_jacobian(error, current, cfg)
         cov = velocity_covariance(jac, p)
         ent = entropy(cov)
         assert jac.shape == (len(desired), 6, 6)
         assert ent.shape == (len(desired),)
         for i, want in enumerate(desired):
             one = Pose(current.C[i], current.t[i])
-            jac_i = velocity_jacobian(Pose(rel.C[i], rel.t[i]), one, cfg)
+            jac_i = velocity_jacobian(error[i], one, cfg)
             assert same_bits(jac[i], jac_i)
             assert same_bits(jac_i, velocity_jacobian_reference(
                 want, FilterState(one, None), cfg))
@@ -177,9 +180,10 @@ def test_relative_pose_and_jacobian_bit_identical(recorded):
     for desired, current in calls["relative_pose"]:
         rel = relative_pose(desired, current)
         assert _same_pose(rel, relative_pose_reference(desired, current))
+        _, error = pbvs_law(rel, cfg.lam)
         ref = velocity_jacobian_reference(desired, FilterState(current, None),
                                           cfg)
-        assert same_bits(velocity_jacobian(rel, current, cfg), ref)
+        assert same_bits(velocity_jacobian(error, current, cfg), ref)
 
 
 def test_control_chain_stacks_bit_identical_on_recorded(recorded):
@@ -187,8 +191,8 @@ def test_control_chain_stacks_bit_identical_on_recorded(recorded):
     chain = calls["chain"]
     assert len(chain) > 100
     assert sum(len(desired) == BATCH for desired, *_ in chain) > 100
-    for desired, rel, current, cfg, p in chain:
-        _check_chain(desired, rel, current, p, cfg)
+    for desired, error, current, cfg, p in chain:
+        _check_chain(desired, error, current, p, cfg)
 
 
 def test_clamp_twist_bit_identical(recorded):
@@ -364,13 +368,13 @@ def test_control_chain_stacks_bit_identical_near_0_and_pi():
     rng = np.random.default_rng(37)
     cfg = ControlConfig(lam=0.7)
     phis = _seeded_rotvecs()[::5]
-    desired, rels, currents, covs = [], [], [], []
+    desired, errors, currents, covs = [], [], [], []
     for phi in phis:
         current = Pose(exp_so3(rng.standard_normal(3)),
                        rng.standard_normal(3))
         want = Pose(exp_so3(phi) @ current.C, rng.standard_normal(3))
         desired.append(want)
-        rels.append(relative_pose(want, current))
+        errors.append(pbvs_law(relative_pose(want, current), cfg.lam)[1])
         currents.append(current)
         kind = rng.integers(6)
         if kind == 0:  # singular: slogdet's sign is 0
@@ -384,20 +388,19 @@ def test_control_chain_stacks_bit_identical_near_0_and_pi():
         else:
             p = _spd(rng, 10.0**rng.uniform(-4, 0))
         covs.append(p)
-    angles = np.array([np.linalg.norm(log_so3(r.C)) for r in rels])
+    angles = np.linalg.norm(np.array(errors)[:, 3:], axis=1)
     assert (angles < _JAC_SERIES_EPS).sum() > 50
     assert (angles > np.pi - 1e-4).sum() > 50
     covs = np.array(covs)
-    stacks = shuffled_stacks(rng, np.arange(len(rels)))
-    stacks += [np.array([i]) for i in rng.choice(len(rels), 100)]
+    stacks = shuffled_stacks(rng, np.arange(len(errors)))
+    stacks += [np.array([i]) for i in rng.choice(len(errors), 100)]
     retried = 0
     for idx in stacks:
         pick = idx.tolist()
-        rel = Pose(np.array([rels[i].C for i in pick]),
-                   np.array([rels[i].t for i in pick]))
         current = Pose(np.array([currents[i].C for i in pick]),
                        np.array([currents[i].t for i in pick]))
-        retried += _check_chain([desired[i] for i in pick], rel, current,
+        retried += _check_chain([desired[i] for i in pick],
+                                np.array([errors[i] for i in pick]), current,
                                 covs[idx], cfg)
     assert retried > 200
 

@@ -382,3 +382,24 @@ def test_huge_dt_fails_each_trial_with_its_label():
     for rec in res.records:
         assert rec.failure.startswith("frame 0: LinAlgError: ")
         assert rec.frames == 1
+
+
+def test_control_takes_one_rotation_log_per_trial_frame(monkeypatch):
+    """The servo law forms the servo error once per trial-frame and the
+    velocity Jacobian reads it: the control module takes one rotation log
+    per recorded trial-frame, not a second one for the Jacobian."""
+    import ekfservo.control as control
+
+    logs = [0]
+    real = control.log_so3
+
+    def counting_log_so3(c):
+        logs[0] += 1 if np.ndim(c) == 2 else len(c)
+        return real(c)
+
+    monkeypatch.setattr(control, "log_so3", counting_log_so3)
+    sc = replace(scenario("adverse"), variant="coupled-ekf", max_frames=40)
+    records = sim.run_episodes(sc, [42, 43, 44])
+    frames = sum(rec.frames for rec in records)
+    assert frames == 120
+    assert logs[0] == frames
