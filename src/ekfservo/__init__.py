@@ -25,7 +25,6 @@ from .ekf import (
     UpdateResult,
     initialize,
     measurement_jacobian,
-    predict_keypoints,
     propagate,
     update,
 )
@@ -38,6 +37,7 @@ from .keypoints import (
     fps_select,
     load_object_points,
     measure,
+    predict_keypoints,
 )
 from .lie import (
     Pose,

@@ -102,17 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="coupled-ekf vs pbvs-perframe on same seeds")
     common(p_cmp)
+    p_cmp.set_defaults(variant=None)
     return parser
 
 
-def _prepare_scenario(args, variant=None) -> Scenario:
+def _prepare_scenario(args) -> Scenario:
     scenario = load_scenario(args.config)
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if variant is not None:
-        updates["variant"] = variant
-    elif getattr(args, "variant", None):
+    if args.variant:
         updates["variant"] = args.variant
     if args.no_uncertainty_policy:
         updates["control"] = replace(scenario.control,
@@ -142,11 +141,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scenarios = {variant: _prepare_scenario(args, variant=variant)
-                 for variant in ("coupled-ekf", "pbvs-perframe")}
+    base = _prepare_scenario(args)
     out = _make_out(args.out)
     summaries = {}
-    for variant, scenario in scenarios.items():
+    for variant in ("coupled-ekf", "pbvs-perframe"):
+        scenario = replace(base, variant=variant)
         result = run_batch(scenario, args.trials, args.parallelism)
         _write_run_outputs(out / variant, scenario, result, args)
         summaries[variant] = result.summary

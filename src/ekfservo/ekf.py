@@ -18,9 +18,11 @@ Covariance propagation adds R * dt with R = diag(sigma_vp^2 I, sigma_vw^2 I)
 and an identity noise Jacobian, i.e. the velocity-noise stds are treated as
 a continuous-time intensity.
 
-The update gates each keypoint by its 2x2 Mahalanobis distance against the
-chi-square(2) quantile, whose closed form is -2 log(1 - level); the gate
-reads its blocks off the same innovation S = H P H^T that the gain uses.
+The update predicts the keypoints by `keypoints.predict_keypoints` and
+builds its Jacobian blocks by `camera.masked_blocks`. It gates each
+keypoint by its 2x2 Mahalanobis distance against the chi-square(2)
+quantile, whose closed form is -2 log(1 - level); the gate reads its
+blocks off the same innovation S = H P H^T that the gain uses.
 S counts as singular when it is non-finite or when its condition number,
 the ratio of the largest to the smallest eigenvalue magnitude of the
 symmetric S, exceeds INNOVATION_COND_LIMIT. A Cholesky factorization of a
@@ -43,8 +45,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .camera import Z_MIN, Intrinsics, jacobian_factors, project_points
-from .keypoints import KeypointSet, Measurement
+from .camera import Intrinsics, masked_blocks
+from .keypoints import KeypointSet, Measurement, predict_keypoints
 from .lie import (Pose, cholesky_certifies, clamp_psd, exp_so3, pose_boxplus,
                   symmetrize)
 
@@ -54,15 +56,6 @@ INNOVATION_COND_LIMIT = 1e12
 _COND_MARGIN = 10.0 / INNOVATION_COND_LIMIT
 _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
-# [-J, J hat(C X)] is (g_i, g_i, q_i, row i of J hat(C X)) times row i of
-# _BLOCK_SIGNS, so the zeros of -J are -0.0 as negation makes them
-_BLOCK_SIGNS = np.array([[-1.0, -0.0, -1.0, 1.0, 1.0, 1.0],
-                         [-0.0, -1.0, -1.0, 1.0, 1.0, 1.0]])
-# hat(v) = (v @ _HAT_ROWS).reshape(3, 3), exact but for the signs of zeros
-_HAT_ROWS = np.zeros((3, 9))
-_HAT_ROWS[(2, 1, 2, 0, 1, 0), (1, 2, 3, 5, 6, 7)] = (-1, 1, 1, -1, -1, 1)
-_BLOCK_SIGNS.setflags(write=False)
-_HAT_ROWS.setflags(write=False)
 
 
 class SingularInnovation(RuntimeError):
@@ -141,61 +134,18 @@ def propagate(state: FilterState, twist, dt: float,
     return FilterState(Pose(c_new, t_new), symmetrize(p_new))
 
 
-def predict_keypoints(pose: Pose, kps: KeypointSet,
-                      intr: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted pixel locations of the model keypoints under a pose.
-
-    Returns (uv, ok); keypoints behind the camera have ok == False and NaN
-    rows, and are excluded from updates.
-    """
-    return project_points(pose.apply(kps.points3d), intr)
-
-
 def measurement_jacobian(pose: Pose, kps: KeypointSet,
                          intr: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Per-keypoint residual Jacobians d(measured - predicted)/d[dt, dphi].
 
     With the left perturbation, the camera-frame point moves as
     I * dt - hat(dphi) acting on C @ X, so each 2x6 block is
-    [-J_proj, J_proj @ hat(C @ X)]. Returns (H blocks (N, 2, 6), ok mask);
-    a keypoint not beyond the Z_MIN plane has ok False and a zero block.
+    [-J_proj, J_proj @ hat(C @ X)] (`camera.jacobian_blocks`). Returns
+    (H blocks (n, 2, 6), ok mask); a keypoint not beyond the Z_MIN plane
+    has ok False and a zero block.
     """
-    rotated = kps.points3d @ pose.C.T  # C @ X per keypoint
-    pts_c = rotated + pose.t
-    ok = pts_c[:, 2] > Z_MIN
-    return _masked_blocks(rotated, pts_c, ok, intr), ok
-
-
-def _masked_blocks(rotated, pts_c, mask, intr: Intrinsics) -> np.ndarray:
-    """`_jacobian_blocks` of M points, zero where `mask` is False; those
-    points take unit depth, so that no depth behind Z_MIN is divided by."""
-    if np.count_nonzero(mask) == mask.size:
-        return _jacobian_blocks(rotated, pts_c, intr)
-    h = _jacobian_blocks(rotated, np.where(mask[:, None], pts_c, 1.0), intr)
-    return np.where(mask[:, None, None], h, 0.0)
-
-
-def _jacobian_blocks(rotated, pts_c, intr: Intrinsics) -> np.ndarray:
-    """(M, 2, 6) residual Jacobian blocks of points in front of the camera,
-    given C @ X and C @ X + t per point.
-
-    Shared on purpose by `_masked_blocks` (for `measurement_jacobian` and
-    `update`) and by `pnp.refine_pose`, which already holds C @ X and
-    builds blocks for its usable keypoints only.
-
-    Each block is [-J, J hat(C X)] in closed form: row i of J is
-    g_i e_i + q_i e_z (`camera.jacobian_factors`), so row i of J hat(C X)
-    is g_i hat_i + q_i hat_z. Each entry is summed as
-    einsum("nij,njk->nik", J, hat) sums it, from +0 in the same order;
-    the terms that sum also adds are exact zeros, which change nothing
-    after a +0 start, nor do the signs of hat's zeros. So for finite C X
-    and depths z > 0 the bits are the einsum's, signed zeros included.
-    """
-    g, q = jacobian_factors(pts_c, intr)
-    g, q = g[:, :, None], q[:, :, None]
-    k = (rotated @ _HAT_ROWS).reshape(-1, 3, 3)  # hat(C X)
-    return np.concatenate([g, g, q, (0.0 + g * k[:, :2]) + q * k[:, 2:]],
-                          axis=2) * _BLOCK_SIGNS
+    _, ok, rotated = predict_keypoints(pose, kps, intr)
+    return masked_blocks(rotated, rotated + pose.t, ok, intr), ok
 
 
 def _gate_threshold(level: float) -> float:
@@ -305,10 +255,8 @@ def _update_stack(state, meas, kps, intr, thresh) -> UpdateResult:
     """The stacked update's three stages; numpy's exceptions propagate."""
     n_beliefs, n = meas.visible.shape
     errors = [None] * n_beliefs
-    rotated = kps.points3d @ state.mean.C.swapaxes(1, 2)  # C @ X per keypoint
-    pts_c = rotated + state.mean.t[:, None, :]
-    uv_pred, ok = project_points(pts_c, intr)
-    usable = meas.visible & ok.reshape(n_beliefs, n)
+    uv_pred, ok, rotated = predict_keypoints(state.mean, kps, intr)
+    usable = meas.visible & ok
     counts = usable.sum(axis=1)
     if counts.all():  # every belief takes part: slices, not gathers
         ids, act = np.arange(n_beliefs), slice(None)
@@ -321,9 +269,11 @@ def _update_stack(state, meas, kps, intr, thresh) -> UpdateResult:
     # unusable ones as zero rows
     n_act = ids.size
     mask = usable[act]
-    h = _masked_blocks(rotated[act].reshape(-1, 3), pts_c[act].reshape(-1, 3),
-                       mask.reshape(-1), intr)
-    residuals = meas.uv[act] - uv_pred.reshape(n_beliefs, n, 2)[act]
+    rotated = rotated[act]
+    h = masked_blocks(rotated.reshape(-1, 3),
+                      (rotated + state.mean.t[act][:, None, :]).reshape(-1, 3),
+                      mask.reshape(-1), intr)
+    residuals = meas.uv[act] - uv_pred[act]
     h = h.reshape(n_act, 2 * n, 6)
     hp = h @ state.P[act]
     s = hp @ h.swapaxes(1, 2)

@@ -1,5 +1,6 @@
-"""Synthetic keypoint sensing: model keypoint selection and noisy 2D
-measurements with per-point covariances.
+"""Synthetic keypoint sensing: model keypoint selection, the pixels a
+pose predicts for the keypoints, and noisy 2D measurements with
+per-point covariances.
 
 This module stands in for a learned detector. Its output contract is the
 same: per frame, a set of 2D keypoint locations with 2x2 covariance
@@ -174,6 +175,21 @@ class Measurement:
         return self.visible.shape[-1]
 
 
+def predict_keypoints(pose: Pose, kps: KeypointSet, intr: Intrinsics
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predicted pixels of the model keypoints under one pose (C (3, 3),
+    t (3,)) or a stack of N poses (C (N, 3, 3), t (N, 3)): (uv, ok, C @ X)
+    of shapes (..., n, 2), (..., n) and (..., n, 3). A keypoint not beyond
+    the Z_MIN plane has ok False and a NaN row of uv. Row i of a stack has
+    the bits of the call on pose i alone. The one place that forms C @ X
+    and projects the model keypoints: sensing, the filter and PnP call it.
+    """
+    rotated = kps.points3d @ pose.C.swapaxes(-1, -2)  # C @ X per keypoint
+    uv, ok = project_points(rotated + pose.t[..., None, :], intr)
+    lead = rotated.shape[:-1]
+    return uv.reshape(*lead, 2), ok.reshape(lead), rotated
+
+
 def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
             profile: SensingProfile, rng, frame: int) -> Measurement:
     """Synthesize frame `frame` of noisy keypoint detections for a stack
@@ -199,12 +215,9 @@ def measure(gt_pose: Pose, kps: KeypointSet, intr: Intrinsics,
     u_drop, u_out = later[:, 0], later[:, 1]
     out_dir = later[:, 2] * (2.0 * np.pi)
 
-    pts_c = kps.points3d @ gt_pose.C.swapaxes(1, 2) + gt_pose.t[:, None, :]
-    uv_true, in_front = project_points(pts_c, intr)
-    geometric = in_front & in_image(uv_true, intr)
-    uv_true = uv_true.reshape(n_poses, n, 2)
-
-    visible = geometric.reshape(n_poses, n) & (u_drop >= profile.dropout_prob)
+    uv_true, in_front, _ = predict_keypoints(gt_pose, kps, intr)
+    visible = (in_front & in_image(uv_true, intr).reshape(n_poses, n)
+               & (u_drop >= profile.dropout_prob))
     start, stop = profile.blackout_frames
     if start <= frame < stop:
         visible = np.zeros((n_poses, n), dtype=bool)

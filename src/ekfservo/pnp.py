@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from .camera import Intrinsics
-from .ekf import _jacobian_blocks, predict_keypoints
-from .keypoints import KeypointSet, Measurement
+from .camera import Intrinsics, jacobian_blocks
+from .keypoints import KeypointSet, Measurement, predict_keypoints
 from .lie import Pose, pose_boxplus
 
 MIN_POINTS = 4
@@ -39,8 +38,8 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
     whole call uses identity weights (`measure` adds a floor to every
     reported covariance, so it never hands one over). Each iteration
     makes exactly one `predict_keypoints` call, so counting those calls
-    counts iterations, and builds Jacobian blocks for the usable keypoints
-    only, in the closed form of `ekf._jacobian_blocks`.
+    counts iterations, and builds `camera.jacobian_blocks` for the usable
+    keypoints only, from the C @ X that call returns.
 
     Returns None when fewer than MIN_POINTS usable keypoints are visible;
     the caller then holds its previous pose.
@@ -50,7 +49,7 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
     w_visible = None
     pose = prev
     for _ in range(ITERS):
-        uv_pred, ok = predict_keypoints(pose, kps, intr)
+        uv_pred, ok, rotated = predict_keypoints(pose, kps, intr)
         # with every keypoint in front, the usable ones are the visible ones
         idx = (visible_idx if np.count_nonzero(ok) == ok.size
                else np.flatnonzero(visible & ok))
@@ -64,10 +63,8 @@ def refine_pose(prev: Pose, meas: Measurement, kps: KeypointSet,
                                             (visible_idx.size, 2, 2))
         w = (w_visible if idx.size == visible_idx.size
              else w_visible[ok[visible_idx]])
-        # C @ X of the usable keypoints, taken from the product over all
-        # of them so that the rows match predict_keypoints' bit for bit
-        rotated = (kps.points3d @ pose.C.T)[idx]
-        h = _jacobian_blocks(rotated, rotated + pose.t, intr)
+        rotated = rotated[idx]
+        h = jacobian_blocks(rotated, rotated + pose.t, intr)
 
         res = meas.uv[idx] - uv_pred[idx]
         a = np.einsum("mji,mjk,mkl->il", h, w, h)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import Intrinsics, in_image, project_points
+from .camera import Intrinsics, in_image
 from .control import (
     ControlConfig,
     apply_policy,
@@ -65,6 +65,7 @@ from .keypoints import (
     SensingProfile,
     fps_select,
     measure,
+    predict_keypoints,
 )
 from .lie import Pose, exp_se3, exp_so3, orthonormalize, pose_boxplus
 from .pnp import refine_pose
@@ -213,8 +214,7 @@ def sample_poses(scenario: Scenario, kps: KeypointSet,
     desired = scenario.desired_pose.sample(rng)
     for _ in range(MAX_POSE_TRIES):
         initial = scenario.initial_pose.sample(rng)
-        pts_c = initial.apply(kps.points3d)
-        uv, in_front = project_points(pts_c, scenario.intrinsics)
+        uv, in_front, _ = predict_keypoints(initial, kps, scenario.intrinsics)
         if bool(np.all(in_front & in_image(uv, scenario.intrinsics))):
             return initial, desired
     raise InfeasibleScenario(
@@ -407,11 +407,10 @@ class _Lockstep:
                 refined.append(j)
         if refined:
             n_used[refined] = n_vis[refined]
-            pts_c = kps.points3d @ mean.C[refined].swapaxes(1, 2)
-            uv, ok = project_points(pts_c + mean.t[refined][:, None, :],
-                                    sc.intrinsics)
-            diff = meas.uv[refined] - uv.reshape(len(refined), -1, 2)
-            usable = meas.visible[refined] & ok.reshape(len(refined), -1)
+            uv, ok, _ = predict_keypoints(
+                Pose(mean.C[refined], mean.t[refined]), kps, sc.intrinsics)
+            diff = meas.uv[refined] - uv
+            usable = meas.visible[refined] & ok
             for j, d, use in zip(refined, diff, usable):
                 if use.any():
                     rms[j] = float(np.sqrt(np.mean(d[use].ravel()**2)))

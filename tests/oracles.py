@@ -697,7 +697,8 @@ def _advance_reference(c_co, t_co, xi, dt):
 
 def run_episode_reference(scenario, seed):
     """One closed-loop trial, run alone frame by frame."""
-    from ekfservo.ekf import initialize, predict_keypoints
+    from ekfservo.ekf import initialize
+    from ekfservo.keypoints import predict_keypoints
     from ekfservo.simulator import EpisodeRecord, sample_poses
 
     rng = np.random.default_rng(seed)
@@ -749,7 +750,8 @@ def run_episode_reference(scenario, seed):
             if refined is not None:
                 pnp_pose = refined
                 n_used = n_vis
-                uv, ok = predict_keypoints(pnp_pose, kps, scenario.intrinsics)
+                uv, ok, _ = predict_keypoints(pnp_pose, kps,
+                                              scenario.intrinsics)
                 usable = meas.visible & ok
                 rms = (float(np.sqrt(np.mean(
                     (meas.uv[usable] - uv[usable]).ravel()**2)))

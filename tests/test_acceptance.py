@@ -24,10 +24,9 @@ from ekfservo.ekf import (
     FilterState,
     NoiseParams,
     measurement_jacobian,
-    predict_keypoints,
     propagate,
 )
-from ekfservo.keypoints import fps_select
+from ekfservo.keypoints import fps_select, predict_keypoints
 from ekfservo.lie import Pose, exp_so3, log_so3
 from ekfservo.metrics import (
     length_ratio,
@@ -86,11 +85,11 @@ def test_criterion_1_jacobian_finite_difference_cross_checks(model, intr):
 
         blocks, ok = measurement_jacobian(st.mean, kps, intr)
         assert ok.all()
-        uv0, _ = predict_keypoints(st.mean, kps, intr)
+        uv0, _, _ = predict_keypoints(st.mean, kps, intr)
         u_meas = uv0 + 1.0
 
         def residual(p):
-            uv, _ = predict_keypoints(p, kps, intr)
+            uv, _, _ = predict_keypoints(p, kps, intr)
             return (u_meas - uv).ravel()
 
         worst_h = max(worst_h, rel_error(blocks.reshape(16, 6),

@@ -5,8 +5,8 @@ from ekfservo.camera import (
     Z_MIN,
     Intrinsics,
     in_image,
+    jacobian_blocks,
     project_points,
-    projection_jacobians,
 )
 from ekfservo.ekf import measurement_jacobian
 from ekfservo.keypoints import KeypointSet
@@ -88,10 +88,17 @@ def test_project_points_matches_scalar(k600, rng):
         assert np.allclose(uv[i], manual, atol=1e-12)
 
 
+def _pinhole_jacobian(points, k):
+    """(N, 2, 3) pinhole derivatives J of camera-frame points: the
+    translational block of `jacobian_blocks`, which is -J."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    return -jacobian_blocks(points, points, k)[:, :, :3]
+
+
 def test_jacobian_unit_depth_on_axis():
     k = Intrinsics(1.0, 1.0, 0.5, 0.5, 1, 1)
     expected = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert np.allclose(projection_jacobians([0.0, 0.0, 1.0], k)[0], expected)
+    assert np.allclose(_pinhole_jacobian([0.0, 0.0, 1.0], k)[0], expected)
 
 
 def _fd_projection(points, k, step=1e-7):
@@ -108,7 +115,7 @@ def _fd_projection(points, k, step=1e-7):
 
 def test_jacobian_matches_fd_at_spec_point(k600):
     p = [0.2, -0.1, 1.5]
-    jac = projection_jacobians(p, k600)[0]
+    jac = _pinhole_jacobian(p, k600)[0]
     fd = _fd_projection(p, k600)[0]
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-6
 
@@ -116,14 +123,14 @@ def test_jacobian_matches_fd_at_spec_point(k600):
 def test_jacobian_scaling_homogeneity(k600, rng):
     p = np.array([0.15, -0.04, 0.8])
     for s in (2.0, 5.0):
-        assert np.allclose(projection_jacobians(p * s, k600),
-                           projection_jacobians(p, k600) / s, atol=1e-12)
+        assert np.allclose(_pinhole_jacobian(p * s, k600),
+                           _pinhole_jacobian(p, k600) / s, atol=1e-12)
 
 
 def test_jacobian_fd_sweep(rng):
     k = Intrinsics(460.0, 455.0, 318.0, 242.0, 640, 480)
     pts = rng.uniform([-0.5, -0.5, 0.05], [0.5, 0.5, 3.0], size=(1000, 3))
-    jac = projection_jacobians(pts, k)
+    jac = _pinhole_jacobian(pts, k)
     fd = _fd_projection(pts, k)
     err = (np.linalg.norm(jac - fd, axis=(1, 2))
            / np.linalg.norm(fd, axis=(1, 2)))

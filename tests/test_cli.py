@@ -229,6 +229,23 @@ def test_compare_writes_side_by_side_table(tmp_path):
     assert (out / "pbvs-perframe" / "summary.json").exists()
 
 
+def test_compare_loads_config_once(tmp_path, monkeypatch):
+    """compare reads its config file once and runs both variants from the
+    one Scenario it gives."""
+    import ekfservo.cli as cli
+    loads = []
+    real = cli.load_scenario
+
+    def spy(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_scenario", spy)
+    assert main(["compare", "--config", NOMINAL, "--trials", "0",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert loads == [NOMINAL]
+
+
 def test_compare_variants_agree_without_noise(tmp_path):
     """With zero sensing noise and no dropout both pipelines converge to
     the same place; final errors agree to 1e-3."""

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import one_pose_stack
-from ekfservo.camera import Intrinsics
+from ekfservo.camera import Intrinsics, jacobian_blocks
 from ekfservo.ekf import (
     FilterState,
     NoiseParams,
     SingularInnovation,
     _gate_threshold,
-    _jacobian_blocks,
     _mahalanobis_keep,
     initialize,
     measurement_jacobian,
-    predict_keypoints,
     propagate,
     update,
 )
@@ -22,6 +20,7 @@ from ekfservo.keypoints import (
     SensingProfile,
     fps_select,
     measure,
+    predict_keypoints,
 )
 from ekfservo.lie import Pose, exp_so3, pose_boxminus, pose_boxplus
 from ekfservo.simulator import LOOK_DOWN
@@ -101,7 +100,7 @@ def test_propagate_rejects_bad_dt():
 def test_predict_keypoints_identity_axis(intr):
     st = initialize(Pose.identity(), 0.0, 0.0)
     kps = KeypointSet(np.array([0]), np.array([[0.0, 0.0, 1.0]]))
-    uv, ok = predict_keypoints(st.mean, kps, intr)
+    uv, ok, _ = predict_keypoints(st.mean, kps, intr)
     assert ok[0]
     assert np.allclose(uv[0], [intr.cx, intr.cy])
 
@@ -109,7 +108,7 @@ def test_predict_keypoints_identity_axis(intr):
 def test_predict_keypoints_matches_manual(intr, model, rng):
     kps = fps_select(model, 8)
     st = _random_state(rng)
-    uv, ok = predict_keypoints(st.mean, kps, intr)
+    uv, ok, _ = predict_keypoints(st.mean, kps, intr)
     for i in range(8):
         assert ok[i]
         x, y, z = st.mean.C @ kps.points3d[i] + st.mean.t
@@ -121,7 +120,7 @@ def test_zero_noise_zero_residual(intr, model):
     gt = Pose(LOOK_DOWN, [0.0, 0.0, 0.3])
     kps = fps_select(model, 8)
     meas = _noiseless_measurement(gt, kps, intr)
-    uv, _ = predict_keypoints(gt, kps, intr)
+    uv, _, _ = predict_keypoints(gt, kps, intr)
     assert np.allclose(meas.uv[0] - uv, 0.0, atol=1e-12)
 
 
@@ -132,11 +131,11 @@ def test_measurement_jacobian_matches_fd(intr, model, rng):
         st = _random_state(rng)
         blocks, ok = measurement_jacobian(st.mean, kps, intr)
         assert ok.all()
-        uv0, _ = predict_keypoints(st.mean, kps, intr)
+        uv0, _, _ = predict_keypoints(st.mean, kps, intr)
         u_meas = uv0 + 1.0  # arbitrary fixed measurement
 
         def residual(p):
-            uv, _ = predict_keypoints(p, kps, intr)
+            uv, _, _ = predict_keypoints(p, kps, intr)
             return (u_meas - uv).ravel()
 
         fd = fd_pose_jacobian(residual, st.mean, 16)
@@ -164,7 +163,7 @@ def test_keypoints_behind_camera_excluded(intr, model):
     # behind the Z_MIN plane
     straddling = Pose(LOOK_DOWN, np.array([0.0, 0.0, 0.005]))
     st = initialize(straddling, 0.02, 0.05)
-    uv, ok = predict_keypoints(st.mean, kps, intr)
+    uv, ok, _ = predict_keypoints(st.mean, kps, intr)
     assert not ok.all() and ok.any()
     assert np.all(np.isnan(uv[~ok]))
     res = update(_one_belief(st), meas, kps, intr, gate_level=1.0)
@@ -182,7 +181,7 @@ def test_measurement_jacobian_zero_behind_camera(intr, model):
     assert not ok.all() and ok.any()
     assert same_bits(blocks[~ok], np.zeros(((~ok).sum(), 2, 6)))
     rotated = (kps.points3d @ straddling.C.T)[ok]
-    assert same_bits(blocks[ok], _jacobian_blocks(
+    assert same_bits(blocks[ok], jacobian_blocks(
         rotated, rotated + straddling.t, intr))
 
 
@@ -353,8 +352,8 @@ def test_exact_model_tracking_thousand_frames(intr, model):
         gt = propagate(FilterState(gt, np.zeros((6, 6))), twist, DT, tiny).mean
         st = propagate(st, twist[None], DT, tiny)
         meas = _noiseless_measurement(gt, kps, intr)
-        uv_pred, _ = predict_keypoints(Pose(st.mean.C[0], st.mean.t[0]), kps,
-                                       intr)
+        uv_pred, _, _ = predict_keypoints(Pose(st.mean.C[0], st.mean.t[0]),
+                                          kps, intr)
         worst_resid = max(worst_resid,
                           float(np.abs(meas.uv[0] - uv_pred).max()))
         st = update(st, meas, kps, intr).state

@@ -4,11 +4,13 @@ the stacked forms of the Lie kernels against their single-slice calls."""
 import numpy as np
 import pytest
 
-from ekfservo.camera import Intrinsics, project_points, projection_jacobians
-from ekfservo.ekf import _jacobian_blocks
+from ekfservo.camera import Z_MIN, Intrinsics, jacobian_blocks, project_points
+from ekfservo.ekf import FilterState
+from ekfservo.keypoints import KeypointSet, fps_select, predict_keypoints
 from ekfservo.lie import (
     _EXP_SERIES_EPS,
     _JAC_SERIES_EPS,
+    Pose,
     _hat_stacked,
     exp_se3,
     exp_so3,
@@ -16,12 +18,12 @@ from ekfservo.lie import (
     orthonormalize,
 )
 from oracles import (
+    _predict_keypoints_reference,
     exp_se3_reference,
     exp_so3_reference,
     jacobian_blocks_reference,
     orthonormalize_reference,
     project_points_reference,
-    projection_jacobians_reference,
     same_bits,
     shuffled_stacks,
 )
@@ -95,16 +97,43 @@ def test_jacobian_blocks_bit_identical_at_exact_zeros():
         if case % 3 == 0:
             axis = rng.uniform(size=(n, 2)) < 0.5
             pts_c[:, :2][axis] = rng.choice([0.0, -0.0], size=int(axis.sum()))
-        got = _jacobian_blocks(rotated, pts_c, intr)
+        got = jacobian_blocks(rotated, pts_c, intr)
         ref = jacobian_blocks_reference(rotated, pts_c, intr)
         assert same_bits(got, ref), (rotated, pts_c)
-        assert same_bits(projection_jacobians(pts_c, intr),
-                         projection_jacobians_reference(pts_c, intr))
         z_col = ref[:, :, 2]
         z_neg_zeros += int(np.signbit(z_col[z_col == 0]).sum())
         rot_zeros += int((ref[:, :, 3:] == 0).sum())
     # -0.0 reaches the z column, and exact zeros the rotational entries
     assert z_neg_zeros > 100 and rot_zeros > 1000
+
+
+@pytest.mark.parametrize("width", [1, 2, 7])
+def test_predict_keypoints_stack_rows_equal_single_calls(width, model):
+    """Row i of a stacked call has the bits of the call on pose i alone,
+    and a single call those of the reference projection. One pose of each
+    stack puts keypoint 0, the object origin, exactly on the Z_MIN plane,
+    and turns the others at random, so some may lie behind it."""
+    rng = np.random.default_rng(27 + width)
+    intr = Intrinsics(460.0, 455.0, 320.0, 240.0, 640, 480)
+    sel = fps_select(model, 8)
+    kps = KeypointSet(sel.ids, np.vstack([np.zeros(3), sel.points3d[1:]]))
+    for _ in range(40):
+        c = exp_so3(_rotvecs(rng, width))
+        t = np.column_stack([rng.uniform(-0.05, 0.05, size=(width, 2)),
+                             rng.uniform(0.2, 0.6, size=width)])
+        near = int(rng.integers(width))
+        t[near] = (0.0, 0.0, Z_MIN)
+        stacked = predict_keypoints(Pose(c, t), kps, intr)
+        uv, ok, rotated = stacked
+        assert uv.shape == (width, 8, 2) and rotated.shape == (width, 8, 3)
+        assert not ok[near, 0] and np.isnan(uv[near, 0]).all()
+        for i in range(width):
+            one = predict_keypoints(Pose(c[i], t[i]), kps, intr)
+            for row, single in zip(stacked, one, strict=True):
+                assert same_bits(row[i], single)
+            uv_ref, ok_ref = _predict_keypoints_reference(
+                FilterState(Pose(c[i], t[i]), None), kps, intr)
+            assert same_bits(one[0], uv_ref) and same_bits(one[1], ok_ref)
 
 
 def test_hat_stacked_rows_equal_hat():

@@ -114,9 +114,9 @@ def _usable_sets(monkeypatch, call):
     real = pnp.predict_keypoints
 
     def spy(*args, **kwargs):
-        uv, ok = real(*args, **kwargs)
-        masks.append(tuple(ok))
-        return uv, ok
+        out = real(*args, **kwargs)
+        masks.append(tuple(out[1]))
+        return out
 
     monkeypatch.setattr(pnp, "predict_keypoints", spy)
     call()
