@@ -1,10 +1,13 @@
 """Scenario configuration: a single JSON file with one section per
 subsystem. Paths inside the file resolve relative to the file's directory.
 
-`scenario_from_dict` reads every field, with its type; README's
-"Scenario configuration" table gives each one's meaning and default (the
-dataclass default of the class that owns the field, which an optional
-field that is absent or `null` keeps). Numbers must be finite (an
+The keys, their JSON types, their defaults and the required sections come
+from `Scenario` and its settings dataclasses, walked field by field: a
+field with no default is required, and a dataclass field is the section of
+its name, required when its class has a required field. `_KEYS` names the
+seven fields whose key is not their name. README's "Scenario
+configuration" table gives each key's meaning and default, which an
+optional key that is absent or `null` keeps. Numbers must be finite (an
 integer too large for a float is not, where a float is accepted), a bool
 is not a number, and a key that no read asks for is an error.
 """
@@ -12,13 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
-from .camera import Intrinsics
-from .control import ControlConfig
-from .ekf import NoiseParams
-from .keypoints import SensingProfile, load_object_points
-from .simulator import PoseSampler, Scenario
+from .keypoints import load_object_points
+from .simulator import Scenario
 
 
 class ConfigError(ValueError):
@@ -26,6 +28,20 @@ class ConfigError(ValueError):
 
 
 _UNSET = object()  # an optional key that is absent or null
+
+# field -> its key, where that is not the field's name; "section.key" for
+# a Scenario field that is read from a section
+_KEYS = {
+    "lam": "lambda",
+    "actuation_sigma_v": "actuation.sigma_v",
+    "actuation_sigma_w": "actuation.sigma_w",
+    "init_sigma_t": "init_prior.sigma_t",
+    "init_sigma_phi": "init_prior.sigma_phi",
+    "v_eps": "convergence.v_eps",
+    "k_hold": "convergence.k_hold",
+}
+
+_JSON_TYPES = {float: (int, float), int: int, str: str}
 
 
 def load_scenario(path) -> Scenario:
@@ -55,88 +71,44 @@ def scenario_from_dict(raw: dict, base_dir=".", label: str = "<config>") -> Scen
                           f"{exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{label}: model_path: {exc}") from exc
-
-    intr = ctx.section("intrinsics", required=True)
-    sensing = ctx.section("sensing")
-    noise = ctx.section("filter_noise", required=True)
-    control = ctx.section("control")
-    actuation = ctx.section("actuation")
-    initial = ctx.section("initial_pose", required=True)
-    desired = ctx.section("desired_pose", required=True)
-    prior = ctx.section("init_prior")
-    conv = ctx.section("convergence")
-
-    blackout = sensing.optional("blackout_frames", list)
-    if blackout is not _UNSET:
-        if len(blackout) != 2 or not all(
-                isinstance(f, int) and not isinstance(f, bool)
-                for f in blackout):
-            raise ConfigError(f"{label}: sensing.blackout_frames: expected "
-                              "[start, stop] integers")
-        blackout = tuple(blackout)
-
-    scenario = ctx.build(
-        Scenario,
-        intrinsics=intr.build(
-            Intrinsics,
-            fx=intr.require("fx", (int, float)),
-            fy=intr.require("fy", (int, float)),
-            cx=intr.require("cx", (int, float)),
-            cy=intr.require("cy", (int, float)),
-            width=intr.require("width", int),
-            height=intr.require("height", int),
-        ),
-        model=model,
-        sensing=sensing.build(
-            SensingProfile,
-            sigma_px=sensing.optional("sigma_px", (int, float)),
-            anisotropy=sensing.optional("anisotropy", (int, float)),
-            dropout_prob=sensing.optional("dropout_prob", (int, float)),
-            outlier_prob=sensing.optional("outlier_prob", (int, float)),
-            outlier_px=sensing.optional("outlier_px", (int, float)),
-            reported_scale=sensing.optional("reported_scale", (int, float)),
-            blackout_frames=blackout,
-        ),
-        filter_noise=noise.build(
-            NoiseParams,
-            sigma_vp=noise.require("sigma_vp", (int, float)),
-            sigma_vw=noise.require("sigma_vw", (int, float)),
-        ),
-        control=control.build(
-            ControlConfig,
-            lam=control.optional("lambda", (int, float)),
-            entropy_threshold=control.optional("entropy_threshold",
-                                               (int, float)),
-            reduced_scale=control.optional("reduced_scale", (int, float)),
-            v_max=control.optional("v_max", (int, float)),
-            w_max=control.optional("w_max", (int, float)),
-        ),
-        initial_pose=_pose_sampler(initial),
-        desired_pose=_pose_sampler(desired),
-        n_keypoints=ctx.optional("n_keypoints", int),
-        dt=ctx.optional("dt", (int, float)),
-        max_frames=ctx.optional("max_frames", int),
-        actuation_sigma_v=actuation.optional("sigma_v", (int, float)),
-        actuation_sigma_w=actuation.optional("sigma_w", (int, float)),
-        init_sigma_t=prior.optional("sigma_t", (int, float)),
-        init_sigma_phi=prior.optional("sigma_phi", (int, float)),
-        v_eps=conv.optional("v_eps", (int, float)),
-        k_hold=conv.optional("k_hold", int),
-        gate_level=ctx.optional("gate_level", (int, float)),
-        variant=ctx.optional("variant", str),
-        seed=ctx.optional("seed", int),
-    )
+    scenario = _read(ctx, Scenario, model=model)
     ctx.reject_unknown()
     return scenario
 
 
-def _pose_sampler(section: "_Reader") -> PoseSampler:
-    return section.build(
-        PoseSampler,
-        height=section.require("height", (int, float)),
-        translation_var=section.optional("translation_var", (int, float)),
-        rotation_max_deg=section.optional("rotation_max_deg", (int, float)),
-    )
+def _read(reader: "_Reader", cls, **given):
+    """cls built from the fields given and the rest read, in field order,
+    with the JSON types of their annotations. A tuple field is an optional
+    [start, stop] pair of integers."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        kind = hints[f.name]
+        section, _, key = _KEYS.get(f.name, f.name).rpartition(".")
+        owner = reader.section(section) if section else reader
+        if is_dataclass(kind):
+            required = any(map(_required, fields(kind)))
+            given[f.name] = _read(owner.section(key, required), kind)
+        elif get_origin(kind) is tuple:
+            given[f.name] = _int_pair(owner, key)
+        else:
+            read = owner.require if _required(f) else owner.optional
+            given[f.name] = read(key, _JSON_TYPES[kind])
+    return reader.build(cls, **given)
+
+
+def _required(f) -> bool:
+    return f.default is MISSING and f.default_factory is MISSING
+
+
+def _int_pair(reader: "_Reader", key: str):
+    pair = reader.optional(key, list)
+    if pair is not _UNSET and (len(pair) != 2 or not all(
+            isinstance(f, int) and not isinstance(f, bool) for f in pair)):
+        raise ConfigError(f"{reader.label}: {reader._path(key)}: expected "
+                          "[start, stop] integers")
+    return pair if pair is _UNSET else tuple(pair)
 
 
 class _Reader:
@@ -148,7 +120,7 @@ class _Reader:
         self.label = label
         self.prefix = prefix
         self.known = set()
-        self.sections = []
+        self.sections = {}  # key -> its reader
 
     def _path(self, key: str) -> str:
         return f"{self.prefix}{key}"
@@ -204,23 +176,27 @@ class _Reader:
             return cls(**{k: v for k, v in fields.items() if v is not _UNSET})
         except ValueError as exc:
             name, _, rest = str(exc).partition(" ")
-            owner = next((r for r in (self, *self.sections) if name in r.known),
-                         self)
+            owner = next((r for r in (self, *self.sections.values())
+                          if name in r.known), self)
             raise ConfigError(
                 f"{self.label}: {owner._path(name)} {rest}") from exc
 
     def section(self, key: str, required: bool = False) -> "_Reader":
+        """The reader of section key: the one already opened, if any, since
+        one section may hold the keys of several fields."""
+        if key in self.sections:
+            return self.sections[key]
         self.known.add(key)
         value = self.data.get(key)
         if value is None:  # absent or null
             if required:
                 raise ConfigError(
                     f"{self.label}: missing required section {key}")
-            return _Reader({}, self.label, prefix=f"{key}.")
-        if not isinstance(value, dict):
+            value = {}
+        elif not isinstance(value, dict):
             raise ConfigError(f"{self.label}: section {key} must be an object")
-        reader = _Reader(value, self.label, prefix=f"{key}.")
-        self.sections.append(reader)
+        reader = self.sections[key] = _Reader(value, self.label,
+                                              prefix=f"{key}.")
         return reader
 
     def reject_unknown(self) -> None:
@@ -234,5 +210,5 @@ class _Reader:
                 hint = f" (did you mean {self._path(close[0])}?)" if close else ""
                 raise ConfigError(f"{self.label}: unknown field "
                                   f"{self._path(key)}{hint}")
-        for reader in self.sections:
+        for reader in self.sections.values():
             reader.reject_unknown()

@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from ekfservo.lie import Pose
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
+BENCH = REPO / "bench"
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES = []
@@ -41,6 +44,26 @@ def one_pose_stack(pose: Pose) -> Pose:
     """The stack of one pose, C (1, 3, 3) and t (1, 3), that the stacked
     kernels take for a single trial."""
     return Pose(pose.C[None], pose.t[None])
+
+
+def load_bench(name: str):
+    """bench/<name>.py, loaded from its file as the module bench_<name>.
+    bench/ is on sys.path while it loads, since run.py imports its
+    neighbours calibrate.py and tracer.py by plain name, and the module is
+    in sys.modules, since dataclasses look it up; the names of bench/'s
+    modules leave sys.modules afterwards."""
+    before = set(sys.modules)
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                      BENCH / f"{name}.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+        for key in {spec.name, *(p.stem for p in BENCH.glob("*.py"))} - before:
+            sys.modules.pop(key, None)
+    return module
 
 
 def scenario(name: str):

@@ -4,38 +4,20 @@ its reference check makes gives the recorded summary.json bytes and
 episode lengths. A change that moves the benchmark's outputs fails here,
 not only under `bench/run.py`."""
 import hashlib
-import importlib.util
 import json
-import sys
 
 import pytest
 
 import ekfservo.cli
-from conftest import REPO
+from conftest import BENCH, REPO, load_bench
 from ekfservo.config import load_scenario
 
-BENCH = REPO / "bench"
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
 
 
 @pytest.fixture(scope="module")
 def bench_run():
-    """bench/run.py, loaded from its file. It imports its neighbours
-    calibrate.py and tracer.py by plain name, so bench/ is on sys.path
-    while it loads, and those names leave sys.modules afterwards."""
-    before = set(sys.modules)
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("bench_run",
-                                                      BENCH / "run.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["bench_run"] = module  # dataclasses look it up
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-        for name in {"bench_run", "calibrate", "tracer"} - before:
-            sys.modules.pop(name, None)
-    return module
+    return load_bench("run")
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))

@@ -88,24 +88,30 @@ def test_missing_required_field(tmp_path):
     assert "intrinsics" in str(err.value)
 
 
-def test_null_required_section_is_missing(tmp_path):
+@pytest.mark.parametrize("section", ["intrinsics", "filter_noise",
+                                     "initial_pose", "desired_pose"])
+def test_null_required_section_is_missing(tmp_path, section):
     raw = _valid_dict()
-    raw["intrinsics"] = None
+    raw[section] = None
     with pytest.raises(ConfigError, match="missing required section "
-                                          "intrinsics"):
+                                          f"{section}"):
         load_scenario(_write(tmp_path, raw))
 
 
-@pytest.mark.parametrize("section", ["actuation", "sensing", "control"])
+@pytest.mark.parametrize("section", ["actuation", "sensing", "control",
+                                     "init_prior", "convergence"])
 def test_null_optional_section_takes_defaults(tmp_path, section):
     """An optional section that is null reads as absent (README)."""
     raw = _valid_dict()
     raw[section] = None
     sc = load_scenario(_write(tmp_path, raw))
     read = {"actuation": (sc.actuation_sigma_v, sc.actuation_sigma_w),
-            "sensing": sc.sensing, "control": sc.control}
+            "sensing": sc.sensing, "control": sc.control,
+            "init_prior": (sc.init_sigma_t, sc.init_sigma_phi),
+            "convergence": (sc.v_eps, sc.k_hold)}
     default = {"actuation": (0.0, 0.0), "sensing": SensingProfile(),
-               "control": ControlConfig()}
+               "control": ControlConfig(), "init_prior": (0.0, 0.0),
+               "convergence": (1e-3, 10)}
     assert read[section] == default[section]
 
 

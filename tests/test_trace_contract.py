@@ -5,7 +5,6 @@ call the counted control names as often as the benchmark's attribution
 check expects. A rename or a fused step fails here, not only under
 `bench/run.py --trace 1`."""
 import importlib
-import importlib.util
 from dataclasses import replace
 
 import pytest
@@ -15,17 +14,7 @@ import ekfservo.config
 import ekfservo.metrics
 import ekfservo.pnp
 import ekfservo.simulator as sim
-from conftest import REPO, SCENARIOS, scenario
-
-
-def _tracer():
-    """bench/tracer.py, loaded from its file; it imports only the
-    standard library."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer", REPO / "bench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import SCENARIOS, load_bench, scenario
 
 
 def _counting(monkeypatch, names):
@@ -43,7 +32,7 @@ def _counting(monkeypatch, names):
 
 
 def test_traced_names_resolve():
-    tracer = _tracer()
+    tracer = load_bench("tracer")
     pairs = [(mod, attr) for mod, attr, *_ in tracer.SPANS]
     pairs += [(mod, attr) for mod, attr, _ in tracer.COUNTERS]
     assert len(pairs) > 10
@@ -200,7 +189,7 @@ def test_traced_run_attributes_rollouts_and_loop_calls(tmp_path):
     one pbvs_law per recorded trial-frame. Episode 0's rollout, computed
     for its length ratio, is reused for the series files, not rolled out
     again."""
-    tracer = _tracer()
+    tracer = load_bench("tracer")
     modules = {"cli": ekfservo.cli, "config": ekfservo.config,
                "metrics": ekfservo.metrics, "pnp": ekfservo.pnp,
                "simulator": sim}
