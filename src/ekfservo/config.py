@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 from typing import get_origin, get_type_hints
 
@@ -42,6 +43,7 @@ _KEYS = {
 }
 
 _JSON_TYPES = {float: (int, float), int: int, str: str}
+_hints = cache(get_type_hints)  # resolved once per class, not per load
 
 
 def load_scenario(path) -> Scenario:
@@ -80,7 +82,7 @@ def _read(reader: "_Reader", cls, **given):
     """cls built from the fields given and the rest read, in field order,
     with the JSON types of their annotations. A tuple field is an optional
     [start, stop] pair of integers."""
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     for f in fields(cls):
         if f.name in given:
             continue

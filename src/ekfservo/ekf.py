@@ -307,24 +307,17 @@ def _update_stack(state, meas, kps, intr, thresh) -> UpdateResult:
                            sq[sub[:, None, None], r2[:, :, None],
                               r2[:, None, :]],
                            residuals[at, pos]))
-    # gains, corrections and RMS of the updated beliefs, in belief order
+    # gains, corrections and RMS, set in the rows of updated beliefs
     updated = np.zeros(n_act, dtype=bool)
-    parts = []
+    ikh = np.empty((n_act, 6, 6))
+    delta = np.empty((n_act, 6))
+    rms = np.empty(n_act)
     for sub, *args in groups:
         ill, *gain = _gain(*args)
         if ill is not None:
             sub = np.arange(n_act)[sub][~ill]
         updated[sub] = True
-        parts.append((sub, *gain))
-    if len(parts) == 1:
-        _, ikh, delta, rms = parts[0]
-    elif parts:
-        ikh = np.empty((n_act, 6, 6))
-        delta = np.empty((n_act, 6))
-        rms = np.empty(n_act)
-        for sub, ikh_g, delta_g, rms_g in parts:
-            ikh[sub], delta[sub], rms[sub] = ikh_g, delta_g, rms_g
-        ikh, delta, rms = ikh[updated], delta[updated], rms[updated]
+        ikh[sub], delta[sub], rms[sub] = gain
     if not updated.all():
         for i in ids[~updated & (kept > 0)].tolist():
             errors[i] = SingularInnovation(
@@ -342,10 +335,11 @@ def _update_stack(state, meas, kps, intr, thresh) -> UpdateResult:
     out.used[ids] = keep
     at = ids[updated]
     if at.size:
-        mean = pose_boxplus(Pose(state.mean.C[at], state.mean.t[at]), delta)
+        mean = pose_boxplus(Pose(state.mean.C[at], state.mean.t[at]),
+                            delta[updated])
         out.state.mean.C[at], out.state.mean.t[at] = mean.C, mean.t
-        out.state.P[at] = clamp_psd(ikh @ state.P[at])
-        out.residual_rms[at] = rms
+        out.state.P[at] = clamp_psd(ikh[updated] @ state.P[at])
+        out.residual_rms[at] = rms[updated]
     return out
 
 

@@ -21,7 +21,10 @@ cheaper for one slice (`log_so3`, `right_jacobian_inv`, `clamp_psd` and
 the leading axis). A `Pose` may likewise hold a stack, C (N, 3, 3) and
 t (N, 3); its methods take single poses, and `pose_boxplus` and
 `pose_boxminus` take one pose or a stack, slice i of a stacked result
-having the bits of the call on slice i alone.
+having the bits of the call on slice i alone. `exp_so3` and `exp_se3`
+share one Rodrigues body per form, and `exp_se3` and `right_jacobian` one
+left Jacobian, J_r(phi) being J_l(-phi) (Sola, Deray & Atchuthan,
+arXiv:1812.01537).
 """
 from __future__ import annotations
 
@@ -70,30 +73,47 @@ def exp_so3(phi) -> np.ndarray:
     phi is one rotation vector or an (N, 3) stack."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim == 2:
-        return (_exp_so3_stacked(phi) if phi.shape[0] != 1
+        return (_rodrigues_stacked(phi)[0] if phi.shape[0] != 1
                 else exp_so3(phi[0])[None])
+    return _rodrigues(phi)[0]
+
+
+def _rodrigues(phi):
+    """exp_so3 of phi and _left_jacobian's terms: hat, hat squared, theta,
+    sin theta and (1 - cos theta) / theta^2, the last two None if series."""
     k = hat(phi.tolist())
+    kk = k @ k
     theta = math.sqrt(phi.dot(phi))
     if theta < _EXP_SERIES_EPS:
-        return _EYE3 + k + 0.5 * (k @ k)
-    a = np.sin(theta) / theta
+        return _EYE3 + k + 0.5 * kk, k, kk, theta, None, None
+    sin_t = np.sin(theta)
     b = (1.0 - np.cos(theta)) / theta**2
-    return _EYE3 + a * k + b * (k @ k)
+    return _EYE3 + (sin_t / theta) * k + b * kk, k, kk, theta, sin_t, b
 
 
-def _exp_so3_stacked(phi) -> np.ndarray:
+def _rodrigues_stacked(phi):
+    """_rodrigues of an (N, 3) stack, plus th: the angles, 1.0 if series."""
     k = _hat_stacked(phi)
     kk = k @ k
     theta = np.sqrt(np.vecdot(phi, phi))
     series = theta < _EXP_SERIES_EPS
-    # a series slice computes on 1.0 instead of its angle and takes the
-    # series coefficients 1 and 1/2, so no slice divides by zero;
-    # float_power is Python's pow, as theta**2 is in exp_so3, where numpy's
-    # ** rounds apart on some inputs
+    # a series slice computes on 1.0, so none divides by zero, and takes the
+    # coefficients 1 and 1/2; float_power is Python's pow, as theta**2 is in
+    # _rodrigues, where numpy's ** rounds apart on some inputs
     th = np.where(series, 1.0, theta)
-    a = np.where(series, 1.0, np.sin(th) / th)
-    b = np.where(series, 0.5, (1.0 - np.cos(th)) / np.float_power(th, 2))
-    return _EYE3 + a[:, None, None] * k + b[:, None, None] * kk
+    sin_t = np.sin(th)
+    b = (1.0 - np.cos(th)) / np.float_power(th, 2)
+    a = np.where(series, 1.0, sin_t / th)
+    b_exp = np.where(series, 0.5, b)
+    c = _EYE3 + a[:, None, None] * k + b_exp[:, None, None] * kk
+    return c, k, kk, theta, th, sin_t, b
+
+
+def _left_jacobian(k, kk, theta, sin_t, b) -> np.ndarray:
+    """Left Jacobian of SO(3) from _rodrigues's terms of phi."""
+    if theta < _JAC_SERIES_EPS:
+        return _EYE3 + 0.5 * k + kk / 6.0
+    return _EYE3 + b * k + ((theta - sin_t) / theta**3) * kk
 
 
 def log_so3(c) -> np.ndarray:
@@ -169,15 +189,9 @@ def _log_so3_stacked(c) -> np.ndarray:
 
 
 def right_jacobian(phi) -> np.ndarray:
-    """Right Jacobian of SO(3): exp(phi + d) ~ exp(phi) exp(J_r(phi) d)."""
-    phi = np.asarray(phi, dtype=float)
-    k = hat(phi)
-    theta = float(np.linalg.norm(phi))
-    if theta < _JAC_SERIES_EPS:
-        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
-    b = (1.0 - np.cos(theta)) / theta**2
-    cc = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) - b * k + cc * (k @ k)
+    """Right Jacobian of SO(3): exp(phi + d) ~ exp(phi) exp(J_r(phi) d),
+    which is the left Jacobian of -phi."""
+    return _left_jacobian(*_rodrigues(-np.asarray(phi, dtype=float))[1:])
 
 
 def right_jacobian_inv(phi) -> np.ndarray:
@@ -225,40 +239,18 @@ def exp_se3(xi, dt: float) -> tuple[np.ndarray, np.ndarray]:
         c, t = exp_se3(xi[0], dt)
         return c[None], t[None]
     rho = xi[:3] * dt
-    phi = xi[3:] * dt
-    k = hat(phi.tolist())
-    kk = k @ k
-    theta = math.sqrt(phi.dot(phi))
-    if theta < _EXP_SERIES_EPS:
-        return _EYE3 + k + 0.5 * kk, (_EYE3 + 0.5 * k + kk / 6.0) @ rho
-    sin_t = np.sin(theta)
-    b = (1.0 - np.cos(theta)) / theta**2
-    c = _EYE3 + (sin_t / theta) * k + b * kk
-    if theta < _JAC_SERIES_EPS:
-        jac = _EYE3 + 0.5 * k + kk / 6.0
-    else:
-        jac = _EYE3 + b * k + ((theta - sin_t) / theta**3) * kk
-    return c, jac @ rho
+    c, *terms = _rodrigues(xi[3:] * dt)
+    return c, _left_jacobian(*terms) @ rho
 
 
 def _exp_se3_stacked(xi, dt: float) -> tuple[np.ndarray, np.ndarray]:
     rho = xi[:, :3] * dt
-    phi = xi[:, 3:] * dt
-    k = _hat_stacked(phi)
-    kk = k @ k
-    theta = np.sqrt(np.vecdot(phi, phi))
-    series_exp = theta < _EXP_SERIES_EPS
-    series_jac = theta < _JAC_SERIES_EPS
-    th = np.where(series_exp, 1.0, theta)
-    sin_t = np.sin(th)
-    b = (1.0 - np.cos(th)) / np.float_power(th, 2)
-    a = np.where(series_exp, 1.0, sin_t / th)
-    b_exp = np.where(series_exp, 0.5, b)
-    c = _EYE3 + a[:, None, None] * k + b_exp[:, None, None] * kk
+    c, k, kk, theta, th, sin_t, b = _rodrigues_stacked(xi[:, 3:] * dt)
+    series = theta < _JAC_SERIES_EPS
     # the series term is kk / 6, the closed one cc * kk (divided by 1)
-    b_jac = np.where(series_jac, 0.5, b)
-    cc = np.where(series_jac, 1.0, (th - sin_t) / np.float_power(th, 3))
-    den = np.where(series_jac, 6.0, 1.0)
+    b_jac = np.where(series, 0.5, b)
+    cc = np.where(series, 1.0, (th - sin_t) / np.float_power(th, 3))
+    den = np.where(series, 6.0, 1.0)
     jac = (_EYE3 + b_jac[:, None, None] * k
            + (cc[:, None, None] * kk) / den[:, None, None])
     return c, (jac @ rho[:, :, None])[:, :, 0]

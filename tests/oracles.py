@@ -305,6 +305,18 @@ def left_jacobian_reference(phi) -> np.ndarray:
     return np.eye(3) + b * k + cc * (k @ k)
 
 
+def right_jacobian_reference(phi) -> np.ndarray:
+    """Right Jacobian of SO(3): exp(phi + d) ~ exp(phi) exp(J_r(phi) d)."""
+    phi = np.asarray(phi, dtype=float)
+    k = hat(phi)
+    theta = float(np.linalg.norm(phi))
+    if theta < _JAC_SERIES_EPS:
+        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
+    b = (1.0 - np.cos(theta)) / theta**2
+    cc = (theta - np.sin(theta)) / theta**3
+    return np.eye(3) - b * k + cc * (k @ k)
+
+
 def project_points_reference(points_c, intr, z_min=1e-3):
     """Vectorized projection of an (N, 3) stack.
 

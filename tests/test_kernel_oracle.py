@@ -16,6 +16,7 @@ from ekfservo.lie import (
     exp_so3,
     hat,
     orthonormalize,
+    right_jacobian,
 )
 from oracles import (
     _predict_keypoints_reference,
@@ -24,6 +25,7 @@ from oracles import (
     jacobian_blocks_reference,
     orthonormalize_reference,
     project_points_reference,
+    right_jacobian_reference,
     same_bits,
     shuffled_stacks,
 )
@@ -41,6 +43,7 @@ def _rotvecs(rng, n):
 
 @pytest.mark.parametrize("fn, ref, switch", [
     (exp_so3, exp_so3_reference, _EXP_SERIES_EPS),
+    (right_jacobian, right_jacobian_reference, _JAC_SERIES_EPS),
 ])
 def test_so3_kernels_bit_identical(fn, ref, switch):
     rng = np.random.default_rng(20)
