@@ -35,7 +35,8 @@ of one, and reports each belief's numerical failure in its row of
 `UpdateResult.errors`; slice i of its result has the bits of the update
 of belief i alone, and `update` lists its three stages. `propagate`
 takes such a stack with an (N, 6) array of twists, or one belief (mean
-a Pose, P 6x6) with one twist, which it runs as a stack of one.
+a Pose, P 6x6) with one twist, which it runs as a stack of one. A stack
+of beliefs, like a stack of poses, selects its rows as `x[rows]`.
 """
 from __future__ import annotations
 
@@ -101,6 +102,10 @@ class FilterState:
     def copy(self) -> "FilterState":
         return FilterState(self.mean, self.P.copy())
 
+    def __getitem__(self, rows) -> "FilterState":
+        """FilterState(mean[rows], P[rows]); an integer gives one belief."""
+        return FilterState(self.mean[rows], self.P[rows])
+
 
 def initialize(prior: Pose, init_sigma_t: float, init_sigma_phi: float) -> FilterState:
     """Belief from a pose prior with isotropic translation/rotation stds."""
@@ -119,10 +124,7 @@ def propagate(state: FilterState, twist, dt: float,
         raise ValueError("dt must be positive")
     twist = np.asarray(twist, dtype=float)
     if state.P.ndim == 2:
-        mean = Pose(state.mean.C[None], state.mean.t[None])
-        out = propagate(FilterState(mean, state.P[None]), twist[None], dt,
-                        noise)
-        return FilterState(Pose(out.mean.C[0], out.mean.t[0]), out.P[0])
+        return propagate(state[None], twist[None], dt, noise)[0]
     r = exp_so3(-twist[:, 3:] * dt)
     t_new = (r @ state.mean.t[:, :, None])[:, :, 0] - twist[:, :3] * dt
     c_new = r @ state.mean.C
@@ -227,10 +229,8 @@ def update(state: FilterState, meas: Measurement, kps: KeypointSet,
     out = _unchanged(state, meas, [])
     for i in range(state.P.shape[0]):
         one = slice(i, i + 1)
-        res = update(FilterState(Pose(state.mean.C[one], state.mean.t[one]),
-                                 state.P[one]),
-                     Measurement(meas.uv[one], meas.cov[one],
-                                 meas.visible[one]),
+        res = update(state[one], Measurement(meas.uv[one], meas.cov[one],
+                                             meas.visible[one]),
                      kps, intr, gate_level)
         out.state.mean.C[one], out.state.mean.t[one] = (res.state.mean.C,
                                                         res.state.mean.t)
@@ -335,8 +335,7 @@ def _update_stack(state, meas, kps, intr, thresh) -> UpdateResult:
     out.used[ids] = keep
     at = ids[updated]
     if at.size:
-        mean = pose_boxplus(Pose(state.mean.C[at], state.mean.t[at]),
-                            delta[updated])
+        mean = pose_boxplus(state.mean[at], delta[updated])
         out.state.mean.C[at], out.state.mean.t[at] = mean.C, mean.t
         out.state.P[at] = clamp_psd(ikh[updated] @ state.P[at])
         out.residual_rms[at] = rms[updated]

@@ -19,12 +19,12 @@ cheaper for one slice (`log_so3`, `right_jacobian_inv`, `clamp_psd` and
 `rotation_to_quaternion` run their stacked code on a stack of one, and
 `right_jacobian_inv` runs it on a single input too, as a stack without
 the leading axis). A `Pose` may likewise hold a stack, C (N, 3, 3) and
-t (N, 3); its methods take single poses, and `pose_boxplus` and
-`pose_boxminus` take one pose or a stack, slice i of a stacked result
-having the bits of the call on slice i alone. `exp_so3` and `exp_se3`
-share one Rodrigues body per form, and `exp_se3` and `right_jacobian` one
-left Jacobian, J_r(phi) being J_l(-phi) (Sola, Deray & Atchuthan,
-arXiv:1812.01537).
+t (N, 3), whose rows `x[rows]` selects (an integer gives one pose); its
+methods take single poses, and `pose_boxplus` and `pose_boxminus` take
+one pose or a stack, slice i of a stacked result having the bits of the
+call on slice i alone. `exp_so3` and `exp_se3` share one Rodrigues body
+per form, and `exp_se3` and `right_jacobian` one left Jacobian, J_r(phi)
+being J_l(-phi) (Sola, Deray & Atchuthan, arXiv:1812.01537).
 """
 from __future__ import annotations
 
@@ -390,6 +390,10 @@ class Pose:
         object.__setattr__(self, "C", np.asarray(self.C, dtype=float))
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(
             self.C.shape[:-1]))
+
+    def __getitem__(self, rows) -> "Pose":
+        """Pose(C[rows], t[rows]); an integer row gives one pose."""
+        return Pose(self.C[rows], self.t[rows])
 
     @staticmethod
     def identity() -> "Pose":

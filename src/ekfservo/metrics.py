@@ -30,7 +30,7 @@ def te_re(final_gt: Pose, desired: Pose):
     current-to-desired camera transform. final_gt is one pose, giving two
     floats, or a stack of N, giving two (N,) arrays."""
     if final_gt.C.ndim == 2:
-        te, re = te_re(Pose(final_gt.C[None], final_gt.t[None]), desired)
+        te, re = te_re(final_gt[None], desired)
         return float(te[0]), float(re[0])
     rel = relative_pose(desired, final_gt)
     theta_u = log_so3(rel.C)

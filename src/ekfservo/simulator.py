@@ -321,7 +321,7 @@ class _Lockstep:
                            scenario.init_sigma_t, scenario.init_sigma_phi)
         self.state = FilterState(prior.mean, np.repeat(prior.P[None], n, 0))
         self.prev_cmd = np.zeros((n, 6))
-        self.hold = [0] * n  # frames in a row with a command below v_eps
+        self.hold = np.zeros(n, dtype=int)  # frames in a row below v_eps
         self.rows = _FrameRows(scenario.max_frames, n)
 
     def run(self) -> None:
@@ -338,8 +338,11 @@ class _Lockstep:
                                                               failures)
             else:
                 est, p_est, n_vis, n_used, rms = self._refine(meas)
-            cmd, raw, vcov, ent, converged = self._control(est, p_est,
-                                                           failures)
+            live = None  # the rows to servo: none without control, else
+            if self.servo:  # every row whose update has not failed
+                live = np.ones(self.ids.size, dtype=bool)
+                live[list(failures)] = False
+            cmd, raw, vcov, ent, converged = self._control(est, p_est, live)
             finite = (np.isfinite(est.t).all(axis=1)
                       & np.isfinite(cmd).all(axis=1))
             # a belief that no update touched (no usable keypoint) can
@@ -400,15 +403,13 @@ class _Lockstep:
         refined = []
         for j in range(n):
             one = Measurement(meas.uv[j], meas.cov[j], meas.visible[j])
-            pose = refine_pose(Pose(mean.C[j], mean.t[j]), one, kps,
-                               sc.intrinsics)
+            pose = refine_pose(mean[j], one, kps, sc.intrinsics)
             if pose is not None:
                 mean.C[j], mean.t[j] = pose.C, pose.t
                 refined.append(j)
         if refined:
             n_used[refined] = n_vis[refined]
-            uv, ok, _ = predict_keypoints(
-                Pose(mean.C[refined], mean.t[refined]), kps, sc.intrinsics)
+            uv, ok, _ = predict_keypoints(mean[refined], kps, sc.intrinsics)
             diff = meas.uv[refined] - uv
             usable = meas.visible[refined] & ok
             for j, d, use in zip(refined, diff, usable):
@@ -416,37 +417,29 @@ class _Lockstep:
                     rms[j] = float(np.sqrt(np.mean(d[use].ravel()**2)))
         return mean, np.full((n, 6, 6), np.nan), n_vis, n_used, rms
 
-    def _control(self, est, p_est, failures):
+    def _control(self, est, p_est, live):
         """Commanded and raw twists, twist covariance and entropy per
         active trial, and the rows whose hold test is met: the servo step
-        per trial, the rest of the control chain once for every row that
-        has not failed, all through this module's names."""
+        per row of the bool mask `live` (None without servoing), the rest
+        of the control chain once for those rows, via this module's names."""
         sc, cfg = self.sc, self.sc.control
         n = self.ids.size
-        cmd = np.zeros((n, 6))
-        raw = np.zeros((n, 6))
-        vcov = np.full((n, 6, 6), np.nan)
-        ent = np.full(n, np.nan)
-        converged = []
-        if not self.servo:
-            return cmd, raw, vcov, ent, converged
-        live = [j for j in range(n) if j not in failures]  # rows not failed
-        errors = []  # the servo errors of the live rows
-        for j in live:
-            error, raw[j], cmd[j], self.hold[j] = _servo_step(
-                self.records[self.ids[j]].desired, Pose(est.C[j], est.t[j]),
-                cfg, sc.v_eps, self.hold[j])
-            errors.append(error)
-            if self.hold[j] >= sc.k_hold:
-                converged.append(j)
-        if self.use_ekf and live:
-            if failures:
-                est, p_est = Pose(est.C[live], est.t[live]), p_est[live]
-            jac = velocity_jacobian(np.array(errors), est, cfg)
-            vcov[live] = cov = velocity_covariance(jac, p_est)
+        cmd, raw = np.zeros((n, 6)), np.zeros((n, 6))
+        vcov, ent = np.full((n, 6, 6), np.nan), np.full(n, np.nan)
+        if live is None:
+            return cmd, raw, vcov, ent, []
+        errors = np.empty((n, 6))  # the servo errors, set in live rows
+        for j in np.flatnonzero(live).tolist():
+            errors[j], raw[j], cmd[j], self.hold[j] = _servo_step(
+                self.records[self.ids[j]].desired, est[j], cfg, sc.v_eps,
+                self.hold[j])
+        if self.use_ekf and live.any():
+            jac = velocity_jacobian(errors[live], est[live], cfg)
+            vcov[live] = cov = velocity_covariance(jac, p_est[live])
             ent[live] = h = entropy(cov)
             cmd[live] = apply_policy(cmd[live], h, cfg)
-        return cmd, raw, vcov, ent, converged
+        converged = np.flatnonzero(live & (self.hold >= sc.k_hold))
+        return cmd, raw, vcov, ent, converged.tolist()
 
     def _drop(self, failures: dict, ended=()) -> bool:
         """End the trials in rows `ended` and in rows `failures` (row ->
@@ -459,16 +452,11 @@ class _Lockstep:
             record.failure = failures.get(j)
             record.final_gt = Pose(self.gt.C[j].copy(), self.gt.t[j].copy())
         rows = np.flatnonzero(~done)
-        self.ids = self.ids[rows]
-        kept = rows.tolist()
-        self.rngs = [self.rngs[j] for j in kept]
-        self.state = FilterState(Pose(self.state.mean.C[rows],
-                                      self.state.mean.t[rows]),
-                                 self.state.P[rows])
-        self.gt = Pose(self.gt.C[rows], self.gt.t[rows])
-        self.prev_cmd = self.prev_cmd[rows]
-        self.hold = [self.hold[j] for j in kept]
-        return bool(kept)
+        self.rngs = [self.rngs[j] for j in rows.tolist()]
+        self.ids, self.state, self.gt, self.prev_cmd, self.hold = (
+            self.ids[rows], self.state[rows], self.gt[rows],
+            self.prev_cmd[rows], self.hold[rows])
+        return bool(rows.size)
 
 
 def _failures(k: int, errors: list) -> dict:

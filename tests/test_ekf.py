@@ -381,3 +381,28 @@ def test_converges_from_perturbed_init_episode(model):
     gt = Pose(rec.gt_C[-1], rec.gt_t[-1])
     est = Pose(rec.est_C[-1], rec.est_t[-1])
     assert add_metric(gt, est, sc.model) < 0.005
+
+
+@pytest.mark.parametrize("rows", [
+    2, slice(1, 3), np.array([True, False, True, True]), np.array([3, 0, 3]),
+    None,
+], ids=["int", "slice", "bool-mask", "int-array", "new-axis"])
+def test_stacks_select_rows_as_hand_built(rows, rng):
+    """pose[rows] and state[rows] have the bits, shapes included, of the
+    row selection written out by hand, for every kind of numpy index."""
+    pose = Pose(exp_so3(rng.uniform(-1.0, 1.0, (4, 3))),
+                rng.standard_normal((4, 3)))
+    state = FilterState(pose, rng.standard_normal((4, 6, 6)))
+    want = Pose(pose.C[rows], pose.t[rows])
+    for got in (pose[rows], state[rows].mean):
+        assert same_bits(got.C, want.C) and same_bits(got.t, want.t)
+    assert same_bits(state[rows].P, state.P[rows])
+
+
+def test_integer_row_of_a_stack_is_one_pose(rng):
+    pose = Pose(exp_so3(rng.uniform(-1.0, 1.0, (3, 3))),
+                rng.standard_normal((3, 3)))
+    one = pose[1]
+    assert one.C.shape == (3, 3) and one.t.shape == (3,)
+    state = FilterState(pose, np.repeat(np.eye(6)[None], 3, axis=0))[1]
+    assert state.mean.t.shape == (3,) and state.P.shape == (6, 6)

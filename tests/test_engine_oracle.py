@@ -86,11 +86,32 @@ def test_engine_matches_when_the_entropy_policy_fires(name, threshold, pool):
     assert 0 < np.count_nonzero(entropy > threshold) < entropy.size
 
 
-@pytest.mark.parametrize("poison, errstate, failure", [
+POISONS = pytest.mark.parametrize("poison, errstate, failure", [
     (np.nan, "ignore", "frame 3: non-finite innovation"),
     (1e300, "raise",
      "frame 3: FloatingPointError: overflow encountered in multiply"),
 ])
+
+
+def _poison_trial_1_at_frame_3(monkeypatch, poison) -> None:
+    """Multiply trial 1's propagated covariance by `poison` at frame 3,
+    while all four trials of a batch are active."""
+    real = sim.propagate
+    calls = []
+
+    def poisoned(state, twist, dt, noise):
+        out = real(state, twist, dt, noise)
+        calls.append(None)
+        if len(calls) == 3:
+            p = out.P.copy()
+            p[1] *= poison
+            return FilterState(out.mean, p)
+        return out
+
+    monkeypatch.setattr(sim, "propagate", poisoned)
+
+
+@POISONS
 def test_failing_trial_leaves_others_alone(monkeypatch, poison, errstate,
                                            failure):
     """Trial 1's covariance is poisoned at frame 3. A NaN makes its
@@ -100,22 +121,40 @@ def test_failing_trial_leaves_others_alone(monkeypatch, poison, errstate,
     exception named, and every other trial equals its solo run."""
     sc = replace(scenario("nominal"), max_frames=30)
     solo = [sim.run_episode(sc, sc.seed + i) for i in range(4)]
-    real = sim.propagate
-    calls = []
-
-    def poisoned(state, twist, dt, noise):
-        out = real(state, twist, dt, noise)
-        calls.append(None)
-        if len(calls) == 3:  # frame 3, while all four trials are active
-            p = out.P.copy()
-            p[1] *= poison
-            return FilterState(out.mean, p)
-        return out
-
-    monkeypatch.setattr(sim, "propagate", poisoned)
+    _poison_trial_1_at_frame_3(monkeypatch, poison)
     with np.errstate(over=errstate):
         res = sim.run_batch(sc, 4)
     assert res.records[1].failure == failure
     assert res.records[1].frames == 3
     for i in (0, 2, 3):
         assert same_record(res.records[i], solo[i]), i
+
+
+@POISONS
+def test_failed_update_gets_no_control(monkeypatch, poison, errstate,
+                                       failure):
+    """The trial whose update fails at frame 3 gets neither a servo step
+    nor a row in the stacked control chain there: the servo law runs once
+    per recorded trial-frame, and the velocity Jacobian of frame 3 stacks
+    the three live trials, not four. run_episodes runs no geodesic
+    rollout, so every servo law call is the loop's."""
+    sc = replace(scenario("nominal"), max_frames=30)
+    _poison_trial_1_at_frame_3(monkeypatch, poison)
+    laws, jacobian_rows = [], []
+    real_law, real_jacobian = sim.pbvs_law, sim.velocity_jacobian
+
+    def law(rel, lam):
+        laws.append(None)
+        return real_law(rel, lam)
+
+    def jacobian(errors, est, cfg):
+        jacobian_rows.append(len(errors))
+        return real_jacobian(errors, est, cfg)
+
+    monkeypatch.setattr(sim, "pbvs_law", law)
+    monkeypatch.setattr(sim, "velocity_jacobian", jacobian)
+    with np.errstate(over=errstate):
+        records = sim.run_episodes(sc, [sc.seed + i for i in range(4)])
+    assert records[1].failure == failure and records[1].frames == 3
+    assert len(laws) == sum(rec.frames for rec in records)
+    assert jacobian_rows[:4] == [4, 4, 4, 3]
